@@ -8,13 +8,10 @@ structured roadmap/soft/hard feedback.
 
 from .backend import (
     Backend,
-    BackendConfig,
     BackendError,
-    CountingBackend,
     HttpBackend,
     MockBackend,
     ScriptExhausted,
-    SimilarityConfig,
     SimilarityScorer,
     lexical_similarity,
 )
@@ -54,7 +51,7 @@ from .engine import (
     Verdict,
     VerdictKind,
     event_fingerprint,
-    new_session,
+    validate_event,
 )
 from .encoder import (
     ConstraintRef,
@@ -69,11 +66,12 @@ from .encoder import (
     decode_spec,
     diff_specifications,
     encode,
+    majority_encode,
     majority_verify,
     semantic_check,
 )
 from .evaluation import EvalCase, EvalReport, load_cases, run_eval
-from .feedback import FeedbackBundle, render_hard, render_roadmap, render_soft
+from .feedback import FeedbackBundle, render_hard, render_soft
 from .memory import PredicateMemory, ScoredPredicate, used_predicates
 from .schema import (
     SchemaError,

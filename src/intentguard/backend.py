@@ -15,7 +15,6 @@ import math
 import os
 import threading
 import unicodedata
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -45,34 +44,16 @@ class Backend(Protocol):
     def embed(self, text: str) -> list[float]: ...
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    """CLI-level backend selection.  The HTTP variant stores the name of the
-    environment variable holding the API key, never the key itself."""
-
-    kind: str = "mock"  # mock | http
-    fixture_path: str | None = None
-    seed: int = 0
-    endpoint: str = "https://api.openai.com/v1"
-    model: str = "gpt-4o"
-    api_key_env: str = "OPENAI_API_KEY"
-    timeout_s: float = 60.0
-
-
-def make_backend(config: BackendConfig) -> "Backend":
-    if config.kind == "mock":
-        if config.fixture_path is None:
+def make_backend(kind: str, fixture_path: str | None = None, **http_options) -> "Backend":
+    """Build the backend the CLI selected; ``http_options`` are passed to
+    :class:`HttpBackend` as they are."""
+    if kind == "mock":
+        if fixture_path is None:
             raise BackendError("mock backend needs a fixture file", category="config")
-        return MockBackend.from_fixture(config.fixture_path, seed=config.seed)
-    if config.kind == "http":
-        return HttpBackend(
-            endpoint=config.endpoint,
-            model=config.model,
-            api_key_env=config.api_key_env,
-            timeout_s=config.timeout_s,
-            seed=config.seed,
-        )
-    raise BackendError(f"unknown backend kind {config.kind!r}", category="config")
+        return MockBackend.from_fixture(fixture_path)
+    if kind == "http":
+        return HttpBackend(**http_options)
+    raise BackendError(f"unknown backend kind {kind!r}", category="config")
 
 
 class MockBackend:
@@ -85,10 +66,13 @@ class MockBackend:
     keeps that deterministic under concurrent use.
     """
 
-    def __init__(self, turns: list[dict], embeddings: dict[str, list[float]] | None = None, seed: int = 0):
-        self.seed = seed
+    def __init__(self, turns: list[dict], embeddings: dict[str, list[float]] | None = None):
         self._queues: dict[str, list[str]] = {}
         for turn in turns:
+            if not (
+                isinstance(turn, dict) and isinstance(turn.get("role"), str) and isinstance(turn.get("response"), str)
+            ):
+                raise BackendError(f"mock turn needs a 'role' and a 'response' string: {turn!r}", category="config")
             self._queues.setdefault(turn["role"], []).append(turn["response"])
         self._cursors: dict[str, int] = {}
         self._embeddings = embeddings or {}
@@ -97,11 +81,16 @@ class MockBackend:
         self.embed_calls = 0
 
     @classmethod
-    def from_fixture(cls, path: str | Path, seed: int = 0) -> "MockBackend":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    def from_fixture(cls, path: str | Path) -> "MockBackend":
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise BackendError(f"mock fixture {path} is not valid JSON: {exc}", category="config") from None
         if isinstance(data, list):
-            return cls(data, seed=seed)
-        return cls(data.get("turns", []), embeddings=data.get("embeddings"), seed=seed)
+            return cls(data)
+        if not isinstance(data, dict) or not isinstance(data.get("turns", []), list):
+            raise BackendError(f"mock fixture {path} needs a list of turns", category="config")
+        return cls(data.get("turns", []), embeddings=data.get("embeddings"))
 
     def complete(self, role: str, system_prompt: str, user_prompt: str) -> str:
         with self._lock:
@@ -190,34 +179,9 @@ class HttpBackend:
             raise BackendError("response is missing data[0].embedding", category="protocol") from exc
 
 
-class CountingBackend:
-    """Wrapper that counts calls without altering behavior; used to assert the
-    replay path never touches the model."""
-
-    def __init__(self, inner: Backend):
-        self.inner = inner
-        self.complete_calls = 0
-        self.embed_calls = 0
-
-    def complete(self, role: str, system_prompt: str, user_prompt: str) -> str:
-        self.complete_calls += 1
-        return self.inner.complete(role, system_prompt, user_prompt)
-
-    def embed(self, text: str) -> list[float]:
-        self.embed_calls += 1
-        return self.inner.embed(text)
-
-
 # ---------------------------------------------------------------------------
 # Similarity
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SimilarityConfig:
-    mode: str = "lexical"  # lexical | embedding
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    cache: dict[tuple[str, str], float] = field(default_factory=dict)
 
 
 def _cache_key(a: str, b: str) -> tuple[str, str]:
@@ -263,22 +227,19 @@ def cosine_similarity(a: list[float], b: list[float]) -> float:
 
 
 class SimilarityScorer:
-    """Callable similarity with a per-session pair cache.
+    """Callable similarity that caches every scored pair.
 
     Lexical mode needs no backend; embedding mode fetches one embedding per
     distinct text through the backend and compares by cosine.
     """
 
-    def __init__(self, config: SimilarityConfig | None = None, backend: Backend | None = None):
-        self.config = config or SimilarityConfig()
-        if self.config.mode == "embedding" and backend is None:
+    def __init__(self, mode: str = "lexical", backend: Backend | None = None):
+        if mode == "embedding" and backend is None:
             raise BackendError("embedding similarity needs a backend", category="config")
+        self.mode = mode
         self.backend = backend
+        self._pairs: dict[tuple[str, str], float] = {}
         self._vectors: dict[str, list[float]] = {}
-
-    @property
-    def threshold(self) -> float:
-        return self.config.threshold
 
     def _vector(self, text: str) -> list[float]:
         if text not in self._vectors:
@@ -286,16 +247,11 @@ class SimilarityScorer:
             self._vectors[text] = self.backend.embed(text)
         return self._vectors[text]
 
-    def score(self, a: str, b: str) -> float:
-        key = _cache_key(a, b)
-        if key in self.config.cache:
-            return self.config.cache[key]
-        if self.config.mode == "embedding":
-            value = cosine_similarity(self._vector(a), self._vector(b))
-        else:
-            value = lexical_similarity(a, b)
-        self.config.cache[key] = value
-        return value
-
     def __call__(self, a: str, b: str) -> float:
-        return self.score(a, b)
+        key = _cache_key(a, b)
+        if key not in self._pairs:
+            if self.mode == "embedding":
+                self._pairs[key] = cosine_similarity(self._vector(a), self._vector(b))
+            else:
+                self._pairs[key] = lexical_similarity(a, b)
+        return self._pairs[key]

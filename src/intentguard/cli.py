@@ -20,10 +20,11 @@ from pathlib import Path
 
 import click
 
-from .backend import BackendConfig, BackendError, make_backend
+from . import __version__
+from .backend import BackendError, make_backend
 from .dsl import check_specification, parse_specification, render_specification, SpecSyntaxError
-from .encoder import EncodeConfig, EncodeFailed, encode
-from .engine import EngineError
+from .encoder import EncodeConfig, EncodeFailed, majority_encode
+from .engine import EngineError, InvalidSpecification
 from .evaluation import format_report_table, load_cases, run_eval
 from .memory import PredicateMemory
 from .schema import SchemaError, load_schema
@@ -45,9 +46,7 @@ def _load_schema_or_exit(path: str):
 def _load_spec_or_exit(path: str):
     try:
         return parse_specification(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _fail(f"spec {path}: {exc}")
-    except SpecSyntaxError as exc:
+    except (OSError, SpecSyntaxError) as exc:
         raise _fail(f"spec {path}: {exc}")
 
 
@@ -67,24 +66,24 @@ def _backend_options(fn):
     return fn
 
 
-def _make_backend(backend_kind, fixture, endpoint, model, api_key_env, timeout_s, seed):
-    config = BackendConfig(
-        kind=backend_kind,
-        fixture_path=fixture,
-        seed=seed,
-        endpoint=endpoint,
-        model=model,
-        api_key_env=api_key_env,
-        timeout_s=timeout_s,
-    )
+def _make_backend(backend_kind, fixture, **http_options):
     try:
-        return make_backend(config)
+        return make_backend(backend_kind, fixture, **http_options)
     except (OSError, BackendError, ValueError) as exc:
         raise _fail(str(exc))
 
 
+def _load_memory_or_exit(path: str | None):
+    if not path:
+        return None
+    try:
+        return PredicateMemory.load_or_empty(path)
+    except (OSError, ValueError) as exc:
+        raise _fail(f"memory {path}: {exc}")
+
+
 @click.group()
-@click.version_option(package_name="intentguard")
+@click.version_option(version=__version__, prog_name="intentguard")
 def main() -> None:
     """Encode task instructions into rule programs and verify agent actions
     against them before they take effect."""
@@ -106,30 +105,14 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
     """Translate an instruction into a specification."""
     schema = _load_schema_or_exit(schema_path)
     backend = _make_backend(**backend_kw)
-    memory = PredicateMemory.load_or_empty(memory_path) if memory_path else None
+    memory = _load_memory_or_exit(memory_path)
     try:
-        config = EncodeConfig(max_repair_iterations=max_iterations, majority_n=majority_n,
-                              seed=backend_kw["seed"])
+        config = EncodeConfig(max_repair_iterations=max_iterations, majority_n=majority_n)
     except ValueError as exc:
         raise _fail(str(exc))
 
-    transcript = []
     try:
-        if majority_n > 1:
-            # keep the modal canonical rendering; max() ties toward first-seen
-            renderings: dict[str, int] = {}
-            results = []
-            for _ in range(majority_n):
-                result = encode(instruction, schema, backend, config, memory)
-                results.append(result)
-                text = render_specification(result.spec)
-                renderings[text] = renderings.get(text, 0) + 1
-            modal_text = max(renderings.items(), key=lambda kv: kv[1])[0]
-            chosen = next(r for r in results if render_specification(r.spec) == modal_text)
-            transcript = [e for r in results for e in r.transcript]
-        else:
-            chosen = encode(instruction, schema, backend, config, memory)
-            transcript = list(chosen.transcript)
+        chosen = majority_encode(instruction, schema, backend, config, memory)
     except EncodeFailed as exc:
         for line in exc.diagnostics:
             click.echo(f"encode: {line}", err=True)
@@ -145,7 +128,7 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
     else:
         click.echo(rendered, nl=False)
     if log_path:
-        _write_transcript(log_path, transcript)
+        _write_transcript(log_path, chosen.transcript)
     click.echo(
         f"encoded in {chosen.iterations_used} iteration(s)"
         + (", warm-started from memory" if chosen.from_memory else ""),
@@ -187,9 +170,6 @@ def cmd_verify(spec_path, schema_path, trace_path):
     """
     schema = _load_schema_or_exit(schema_path)
     spec = _load_spec_or_exit(spec_path)
-    diagnostics = check_specification(spec, schema)
-    if diagnostics:
-        raise _fail(f"spec does not check against schema: {diagnostics[0]}")
     try:
         trace = load_trace(trace_path, schema)
     except (OSError, TraceParseError) as exc:
@@ -197,6 +177,8 @@ def cmd_verify(spec_path, schema_path, trace_path):
 
     try:
         result = replay(spec, schema, trace)
+    except InvalidSpecification as exc:
+        raise _fail(f"spec does not check against schema: {exc.diagnostics[0]}")
     except EngineError as exc:
         raise _fail(str(exc))
     for verdict in result.verdicts:
@@ -225,13 +207,13 @@ def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     if backend_kw["backend_kind"] == "http" or backend_kw["fixture"]:
         backend = _make_backend(**backend_kw)
     try:
-        config = EncodeConfig(majority_n=majority_n, seed=backend_kw["seed"])
+        config = EncodeConfig(majority_n=majority_n)
     except ValueError as exc:
         raise _fail(str(exc))
-    memory = PredicateMemory.load_or_empty(memory_path) if memory_path else None
+    memory = _load_memory_or_exit(memory_path)
 
     report = run_eval(cases, backend=backend, config=config, memory=memory)
-    if memory is not None and memory_path:
+    if memory is not None:
         memory.save(memory_path)
 
     click.echo(format_report_table(report))

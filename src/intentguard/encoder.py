@@ -3,8 +3,9 @@
 ``encode`` asks the backend for a draft rule program, then pushes it through
 (i) syntax/type checking against the schema and (ii) a decode-and-compare
 semantic check, feeding structured failure text back into the next draft
-until both gates pass or the iteration budget runs out.  ``majority_verify``
-repeats encode-plus-replay N times and takes the majority task verdict to damp
+until both gates pass or the iteration budget runs out.  ``majority_encode``
+repeats encoding N times and keeps the modal spec; ``majority_verify`` repeats
+encode-plus-replay N times and takes the majority task verdict.  Both damp
 sampling noise.  ``diff_specifications`` explains how a candidate encoding
 deviates from a hand-written ground truth, and which omissions actually flip a
 wrong trace from blocked to allowed.
@@ -13,14 +14,13 @@ wrong trace from blocked to allowed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import TYPE_CHECKING
 
 from .backend import Backend
 from .dsl import (
-    Constraint,
-    ObjectiveRef,
     Rule,
     Specification,
     SpecSyntaxError,
@@ -28,7 +28,6 @@ from .dsl import (
     check_specification,
     parse_specification,
     render_constant,
-    render_rule,
     render_specification,
 )
 from .memory import PredicateMemory
@@ -59,7 +58,6 @@ class SchemaMismatch(ValueError):
 class EncodeConfig:
     max_repair_iterations: int = 3
     majority_n: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_repair_iterations < 1:
@@ -257,6 +255,27 @@ def encode(
 # ---------------------------------------------------------------------------
 # Majority voting
 # ---------------------------------------------------------------------------
+
+
+def majority_encode(
+    instruction: str,
+    schema: StateSchema,
+    backend: Backend,
+    config: EncodeConfig | None = None,
+    memory: PredicateMemory | None = None,
+) -> EncodeResult:
+    """Encode ``majority_n`` times and keep the modal spec.
+
+    Runs vote by canonical rendering, and a tie goes to the rendering seen
+    first.  The result is the first run that produced the modal spec, with
+    the transcript of every run.
+    """
+    config = config or EncodeConfig()
+    results = [encode(instruction, schema, backend, config, memory) for _ in range(config.majority_n)]
+    renderings = [render_specification(r.spec) for r in results]
+    modal = Counter(renderings).most_common(1)[0][0]
+    chosen = results[renderings.index(modal)]
+    return replace(chosen, transcript=tuple(entry for r in results for entry in r.transcript))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from . import feedback as feedback_mod
 from .backend import DEFAULT_SIMILARITY_THRESHOLD, lexical_similarity
 from .dsl import (
     DONE,
+    ConstKind,
     Constant,
     EvalContext,
     KIND_FOR_TYPE,
@@ -39,7 +40,7 @@ from .dsl import (
     evaluate_constraint,
     render_constant,
 )
-from .schema import StateSchema
+from .schema import StateSchema, VarType
 
 
 class EngineError(Exception):
@@ -155,6 +156,42 @@ class HardCheckResult:
     unmet: tuple[UnmetPredicate, ...] = ()
 
 
+def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarType:
+    """The schema's type for ``state_name.variable``; raises :class:`TraceError`
+    when either is undeclared."""
+    state = schema.state(state_name)
+    if state is None:
+        raise TraceError(f"state '{state_name}' is not declared in the schema")
+    declared = state.variables.get(variable)
+    if declared is None:
+        raise TraceError(f"'{state_name}' has no variable '{variable}'")
+    return declared
+
+
+def validate_event(event: ActionEvent, schema: StateSchema) -> None:
+    """The one check of what an event may contain; raises :class:`TraceError`.
+
+    The phase is ``pre`` or ``post``; the event carries updates or a critical
+    flag; no update is empty; every state and variable is declared; every value
+    has its variable's declared kind, and numbers are finite.
+    """
+    if event.phase not in ("pre", "post"):
+        raise TraceError(f"phase must be 'pre' or 'post', got {event.phase!r}")
+    if not event.updates and event.critical is None:
+        raise TraceError("event has neither updates nor a critical flag")
+    for update in event.updates:
+        if not update.values:
+            raise TraceError(f"update for '{update.state}' needs non-empty 'values'")
+        for var, value in update.values.items():
+            declared = declared_type(schema, update.state, var)
+            if value.kind is not KIND_FOR_TYPE[declared.kind]:
+                raise TraceError(
+                    f"{update.state}.{var} ({declared.describe()}) cannot hold a {value.kind.value} value"
+                )
+            if value.kind is ConstKind.NUMBER and not value.value.is_finite():
+                raise TraceError(f"{update.state}.{var}: {value.value} is not a finite number")
+
+
 def event_fingerprint(event: ActionEvent) -> str:
     """Content identity of an event: phase, sorted updates, critical flag.
 
@@ -229,29 +266,6 @@ class Session:
             return pred.objective_name in self.achieved_objectives
         ok, _ = self._eval_state_predicate(pred, world)
         return ok
-
-    def _validate_updates(self, event: ActionEvent) -> None:
-        if not event.updates and event.critical is None:
-            raise TraceError(f"event '{event.action_id}' has neither updates nor a critical flag")
-        if event.phase not in ("pre", "post"):
-            raise TraceError(f"event '{event.action_id}' has unknown phase {event.phase!r}")
-        for update in event.updates:
-            state = self.schema.state(update.state)
-            if state is None:
-                raise TraceError(f"event '{event.action_id}' updates undeclared state '{update.state}'")
-            if not update.values:
-                raise TraceError(f"event '{event.action_id}' carries an empty update for '{update.state}'")
-            for var, value in update.values.items():
-                declared = state.variables.get(var)
-                if declared is None:
-                    raise TraceError(
-                        f"event '{event.action_id}' updates undeclared variable '{update.state}.{var}'"
-                    )
-                if value.kind is not KIND_FOR_TYPE[declared.kind]:
-                    raise TraceError(
-                        f"event '{event.action_id}' sets '{update.state}.{var}' "
-                        f"({declared.describe()}) to a {value.kind.value} value"
-                    )
 
     def _apply(self, event: ActionEvent) -> None:
         for update in event.updates:
@@ -396,7 +410,7 @@ class Session:
         verdict with feedback attached."""
         if self.done:
             raise SessionDone("the task already completed; no further events are accepted")
-        self._validate_updates(event)
+        validate_event(event, self.schema)
 
         fingerprint = event_fingerprint(event)
         is_repeat = fingerprint == self.pending_soft
@@ -439,15 +453,3 @@ class Session:
             hard=feedback_mod.render_hard(hard_report) if hard_report is not None else None,
         )
         return Verdict(action_id=event.action_id, kind=kind, feedback=bundle, achieved=achieved)
-
-
-def new_session(
-    spec: Specification,
-    schema: StateSchema,
-    clock: datetime | date,
-    similarity: Callable[[str, str], float] | None = None,
-    threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-) -> Session:
-    """Build a fresh session; raises :class:`InvalidSpecification` when the
-    spec does not check cleanly against the schema."""
-    return Session(spec, schema, clock, similarity, threshold)

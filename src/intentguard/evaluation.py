@@ -79,10 +79,6 @@ class EvalReport:
         setattr(self, label.lower(), getattr(self, label.lower()) + 1)
         return label
 
-    @property
-    def total_classified(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
     def metrics(self) -> Metrics:
         """Scores with "task verified as completed" as the positive class."""
         return _metrics(self.tp, self.fp, self.tn, self.fn)
@@ -164,7 +160,7 @@ def _case_verdict(
 
     case_backend = backend
     if case.fixture_path is not None:
-        case_backend = MockBackend.from_fixture(case.fixture_path, seed=config.seed)
+        case_backend = MockBackend.from_fixture(case.fixture_path)
     if case_backend is None:
         raise ValueError(f"case '{case.name}' has no spec and no backend to encode with")
 

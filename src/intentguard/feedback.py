@@ -136,11 +136,6 @@ def render_roadmap_lines(
     return [render_rule_roadmap(progress, spec, schema) for progress in report]
 
 
-def render_roadmap(report: Iterable["RuleProgress"], spec: Specification, schema: StateSchema) -> str:
-    """All rule paragraphs, one per line, in rule order."""
-    return "\n".join(render_roadmap_lines(report, spec, schema))
-
-
 def render_soft(violations: Sequence["Violation"]) -> str:
     """Advisory warning for a reverted update.
 

@@ -138,17 +138,23 @@ class PredicateMemory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PredicateMemory":
+        """Raises ``ValueError`` when an entry lacks a field or has the wrong shape."""
         entries: dict[str, list[MemoryEntry]] = {}
-        for app_id, bucket in data.get("entries", {}).items():
-            entries[app_id] = [
-                MemoryEntry(
-                    instruction=item["instruction"],
-                    spec_text=item["spec"],
-                    used_predicates=tuple(tuple(t) for t in item["used_predicates"]),
-                    timestamp=item["timestamp"],
-                )
-                for item in bucket
-            ]
+        try:
+            for app_id, bucket in data.get("entries", {}).items():
+                entries[app_id] = [
+                    MemoryEntry(
+                        instruction=item["instruction"],
+                        spec_text=item["spec"],
+                        used_predicates=tuple(tuple(t) for t in item["used_predicates"]),
+                        timestamp=item["timestamp"],
+                    )
+                    for item in bucket
+                ]
+        except KeyError as exc:
+            raise ValueError(f"a memory entry lacks the field {exc}") from None
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"malformed memory file: {exc}") from None
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
@@ -156,7 +162,11 @@ class PredicateMemory:
 
     @classmethod
     def load(cls, path: str | Path) -> "PredicateMemory":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
     @classmethod
     def load_or_empty(cls, path: str | Path) -> "PredicateMemory":

@@ -23,8 +23,18 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+
 from .dsl import TODAY, Constant, ConstKind, Specification
-from .engine import ActionEvent, Session, StateUpdate, Verdict, VerdictKind
+from .engine import (
+    ActionEvent,
+    Session,
+    StateUpdate,
+    TraceError,
+    Verdict,
+    VerdictKind,
+    declared_type,
+    validate_event,
+)
 from .schema import StateSchema, TypeKind, VarType
 
 
@@ -57,9 +67,12 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
             raise TraceParseError(f"{where}: expected a number, got {raw!r}")
         try:
-            return Constant.number(Decimal(str(raw)))
+            number = Decimal(str(raw))
         except InvalidOperation:
             raise TraceParseError(f"{where}: {raw!r} is not a number") from None
+        if not number.is_finite():
+            raise TraceParseError(f"{where}: {raw!r} is not a finite number")
+        return Constant.number(number)
     if kind is TypeKind.BOOLEAN:
         if not isinstance(raw, bool):
             raise TraceParseError(f"{where}: expected true or false, got {raw!r}")
@@ -90,43 +103,40 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
     raise AssertionError(f"unhandled type {kind}")
 
 
-def _event_from_dict(data: dict, schema: StateSchema, line_no: int) -> ActionEvent:
-    where = f"line {line_no}"
+def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
+    """Check field shapes, coerce raw values by their declared types, then
+    apply the engine's event rules."""
+    if not isinstance(data, dict):
+        raise TraceParseError("an event must be a JSON object")
     action_id = data.get("action_id")
     if not isinstance(action_id, str) or not action_id:
-        raise TraceParseError(f"{where}: action_id must be a non-empty string")
-    phase = data.get("phase", "pre")
-    if phase not in ("pre", "post"):
-        raise TraceParseError(f"{where}: phase must be 'pre' or 'post', got {phase!r}")
+        raise TraceParseError("action_id must be a non-empty string")
     critical = data.get("critical")
     if critical is not None and not isinstance(critical, str):
-        raise TraceParseError(f"{where}: critical must be an objective name")
-
-    updates: list[StateUpdate] = []
+        raise TraceParseError("critical must be an objective name")
     raw_updates = data.get("updates", [])
     if not isinstance(raw_updates, list):
-        raise TraceParseError(f"{where}: updates must be a list")
+        raise TraceParseError("updates must be a list")
+
+    updates: list[StateUpdate] = []
     for raw in raw_updates:
         if not isinstance(raw, dict) or not isinstance(raw.get("state"), str):
-            raise TraceParseError(f"{where}: each update needs a 'state' name")
+            raise TraceParseError("each update needs a 'state' name")
         state_name = raw["state"]
-        state = schema.state(state_name)
-        if state is None:
-            raise TraceParseError(f"{where}: state '{state_name}' is not declared in the schema")
         values_raw = raw.get("values")
-        if not isinstance(values_raw, dict) or not values_raw:
-            raise TraceParseError(f"{where}: update for '{state_name}' needs non-empty 'values'")
-        values: dict[str, Constant] = {}
-        for var, raw_value in values_raw.items():
-            declared = state.variables.get(var)
-            if declared is None:
-                raise TraceParseError(f"{where}: '{state_name}' has no variable '{var}'")
-            values[var] = coerce_value(declared, raw_value, f"{where}: {state_name}.{var}")
+        if not isinstance(values_raw, dict):
+            raise TraceParseError(f"update for '{state_name}' needs a 'values' object")
+        values = {
+            var: coerce_value(declared_type(schema, state_name, var), raw_value, f"{state_name}.{var}")
+            for var, raw_value in values_raw.items()
+        }
         updates.append(StateUpdate(state=state_name, values=values))
 
-    if not updates and critical is None:
-        raise TraceParseError(f"{where}: event has neither updates nor a critical flag")
-    return ActionEvent(action_id=action_id, phase=phase, updates=tuple(updates), critical=critical)
+    event = ActionEvent(
+        action_id=action_id, phase=data.get("phase", "pre"), updates=tuple(updates), critical=critical
+    )
+    validate_event(event, schema)
+    return event
 
 
 def parse_trace(text: str, schema: StateSchema) -> Trace:
@@ -140,6 +150,8 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
         header_raw = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"line {header_no}: header is not valid JSON: {exc}") from exc
+    if not isinstance(header_raw, dict):
+        raise TraceParseError(f"line {header_no}: header must be a JSON object")
     for key in ("app_id", "instruction", "clock"):
         if not isinstance(header_raw.get(key), str) or not header_raw[key]:
             raise TraceParseError(f"line {header_no}: header needs a non-empty '{key}'")
@@ -161,7 +173,10 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"line {line_no}: not valid JSON: {exc}") from exc
-        event = _event_from_dict(data, schema, line_no)
+        try:
+            event = _event_from_dict(data, schema)
+        except (TraceError, TraceParseError) as exc:
+            raise TraceParseError(f"line {line_no}: {exc}") from None
         if event.action_id in seen_ids:
             raise TraceParseError(f"line {line_no}: duplicate action_id '{event.action_id}'")
         seen_ids.add(event.action_id)
@@ -223,10 +238,6 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 class ReplayResult:
     verdicts: list[Verdict] = field(default_factory=list)
     done: bool = False
-
-    @property
-    def passed(self) -> bool:
-        return self.done
 
 
 def replay(spec: Specification, schema: StateSchema, trace: Trace, similarity=None) -> ReplayResult:

@@ -44,13 +44,13 @@ def failing_encode_run(iterations: int = 3) -> list[dict]:
     return [{"role": "encoder", "response": "cannot help with that"} for _ in range(iterations)]
 
 
-def majority_backend(faulty_positions: set[int], runs: int = 5, seed: int = 0) -> MockBackend:
+def majority_backend(faulty_positions: set[int], runs: int = 5) -> MockBackend:
     """Scripted backend for ``runs`` sequential encode+replay runs, with the
     runs at ``faulty_positions`` producing a plausible-but-wrong spec."""
     turns: list[dict] = []
     for position in range(runs):
         turns.extend(clean_run(FAULTY_DRAFT if position in faulty_positions else GOOD_DRAFT))
-    return MockBackend(turns, seed=seed)
+    return MockBackend(turns)
 
 
 class RecordingBackend:

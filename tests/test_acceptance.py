@@ -16,7 +16,7 @@ from decimal import Decimal
 import pytest
 from click.testing import CliRunner
 
-from intentguard.backend import CountingBackend, MockBackend, SimilarityConfig, SimilarityScorer
+from intentguard.backend import MockBackend, SimilarityScorer
 from intentguard.cli import main as cli_main
 from intentguard.dsl import (
     Constant,
@@ -178,9 +178,9 @@ def test_c09_majority_at_n(restaurant_schema):
     trace = load_trace(RESTAURANT / "traces" / "happy_path.jsonl", restaurant_schema)
     for seed in range(20):
         faulty = set(random.Random(seed).sample(range(5), 2))
-        backend = helpers.majority_backend(faulty, runs=5, seed=seed)
+        backend = helpers.majority_backend(faulty, runs=5)
         final = majority_verify(
-            INSTRUCTION, restaurant_schema, trace, backend, EncodeConfig(majority_n=5, seed=seed)
+            INSTRUCTION, restaurant_schema, trace, backend, EncodeConfig(majority_n=5)
         )
         assert final.passed is True, f"seed {seed} with faulty runs {faulty}"
         assert final.pass_count == 3
@@ -242,13 +242,13 @@ def test_c11_cost_profile():
     spec, schema, trace = _forty_step_trace()
     assert len(trace.events) == 40
 
-    counting = CountingBackend(MockBackend([]))
-    scorer = SimilarityScorer(SimilarityConfig(mode="lexical"), backend=counting)
+    backend = MockBackend([])
+    scorer = SimilarityScorer(mode="lexical", backend=backend)
     started = time_mod.monotonic()
     result = replay(spec, schema, trace, similarity=scorer)
     elapsed = time_mod.monotonic() - started
     assert result.done is True
-    assert counting.complete_calls == 0, "replay must never call the completion backend"
+    assert backend.complete_calls == 0, "replay must never call the completion backend"
     per_event = elapsed / len(trace.events)
     assert per_event < 0.050
 

@@ -7,13 +7,10 @@ import requests
 
 import intentguard.backend as backend_mod
 from intentguard.backend import (
-    BackendConfig,
     BackendError,
-    CountingBackend,
     HttpBackend,
     MockBackend,
     ScriptExhausted,
-    SimilarityConfig,
     SimilarityScorer,
     cosine_similarity,
     lexical_similarity,
@@ -52,10 +49,26 @@ class TestMockBackend:
         rich.write_text(
             json.dumps({"turns": [{"role": "encoder", "response": "b"}], "embeddings": {"x": [1.0, 0.0]}})
         )
-        backend = MockBackend.from_fixture(rich, seed=3)
+        backend = MockBackend.from_fixture(rich)
         assert backend.complete("encoder", "", "") == "b"
         assert backend.embed("x") == [1.0, 0.0]
-        assert backend.seed == 3
+
+    @pytest.mark.parametrize(
+        "turns",
+        [[{"response": "x"}], [{"role": "encoder"}], [{"role": 1, "response": "x"}], ["encoder"]],
+    )
+    def test_malformed_turn_is_a_config_error(self, turns):
+        with pytest.raises(BackendError) as info:
+            MockBackend(turns)
+        assert info.value.category == "config"
+
+    @pytest.mark.parametrize("text", ["{not json", "3", '{"turns": {"role": "encoder"}}', '{"turns": 5}'])
+    def test_malformed_fixture_file_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "fixture.json"
+        path.write_text(text)
+        with pytest.raises(BackendError) as info:
+            MockBackend.from_fixture(path)
+        assert info.value.category == "config"
 
     def test_missing_embedding(self):
         mock = MockBackend([], embeddings={"known": [1.0]})
@@ -64,7 +77,7 @@ class TestMockBackend:
 
     def test_make_backend_requires_fixture(self):
         with pytest.raises(BackendError):
-            make_backend(BackendConfig(kind="mock"))
+            make_backend("mock")
 
 
 class FakeResponse:
@@ -160,7 +173,7 @@ class TestSimilarity:
 
     def test_scorer_caches_pairs(self):
         mock = MockBackend([], embeddings={"a": [1.0, 0.0], "b": [1.0, 0.0]})
-        scorer = SimilarityScorer(SimilarityConfig(mode="embedding"), backend=mock)
+        scorer = SimilarityScorer(mode="embedding", backend=mock)
         first = scorer("a", "b")
         second = scorer("b", "a")
         assert first == second == pytest.approx(1.0)
@@ -168,20 +181,11 @@ class TestSimilarity:
 
     def test_embedding_mode_needs_backend(self):
         with pytest.raises(BackendError):
-            SimilarityScorer(SimilarityConfig(mode="embedding"))
+            SimilarityScorer(mode="embedding")
 
     def test_lexical_scorer_never_touches_backend(self):
-        mock = CountingBackend(MockBackend([]))
-        scorer = SimilarityScorer(SimilarityConfig(mode="lexical"), backend=mock)
+        mock = MockBackend([])
+        scorer = SimilarityScorer(mode="lexical", backend=mock)
         assert scorer("Settings", "Setting") == pytest.approx(5 / 6)
         assert mock.complete_calls == 0 and mock.embed_calls == 0
 
-
-class TestCountingBackend:
-    def test_counts_and_delegates(self):
-        inner = MockBackend([{"role": "encoder", "response": "x"}], embeddings={"t": [1.0]})
-        counting = CountingBackend(inner)
-        assert counting.complete("encoder", "", "") == "x"
-        assert counting.embed("t") == [1.0]
-        assert counting.complete_calls == 1
-        assert counting.embed_calls == 1

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from intentguard import __version__
 from intentguard.cli import main
 
 from conftest import FIXTURES
@@ -20,8 +22,19 @@ def runner():
     return CliRunner()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def verdict_kinds(output: str) -> list[str]:
     return [json.loads(line)["kind"] for line in output.splitlines() if line.strip()]
+
+
+def assert_clean_failure(result):
+    """Exit 1 with an ``error:`` line, and no exception escaped the command."""
+    assert result.exit_code == 1, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output
 
 
 class TestVerify:
@@ -66,11 +79,62 @@ class TestVerify:
             main,
             ["verify", "--spec", str(bad), "--schema", SCHEMA, "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl")],
         )
-        assert result.exit_code == 1
+        assert_clean_failure(result)
+        assert "spec does not check against schema: " in result.stderr
 
     def test_verdict_stream_is_byte_identical(self, runner):
         args = ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl")]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+    @pytest.mark.parametrize(
+        "app, spec, trace, exit_code",
+        [
+            ("restaurant", "reservation.vsa", "happy_path", 0),
+            ("restaurant", "reservation.vsa", "unavailable_branch", 0),
+            ("restaurant", "reservation.vsa", "wrong_time", 2),
+            ("groceries", "apples.vsa", "increment", 0),
+            ("groceries", "apples.vsa", "short_count", 2),
+        ],
+    )
+    def test_verdict_stream_matches_golden(self, runner, app, spec, trace, exit_code):
+        """``tests/golden/<app>_<trace>.jsonl`` holds the stdout recorded
+        before the engine's validation was consolidated; any change to it must
+        be deliberate and explained."""
+        base = FIXTURES / app
+        result = runner.invoke(
+            main,
+            [
+                "verify", "--spec", str(base / spec), "--schema", str(base / "schema.json"),
+                "--trace", str(base / "traces" / f"{trace}.jsonl"),
+            ],
+        )
+        assert result.exit_code == exit_code
+        assert result.stdout_bytes == (GOLDEN / f"{app}_{trace}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_trace_number_exits_one(self, runner, tmp_path, raw):
+        groceries = FIXTURES / "groceries"
+        spec = tmp_path / "cart.vsa"
+        spec.write_text("Cart(quantity < 5) -> Done\n")
+        header = (groceries / "traces" / "increment.jsonl").read_text().splitlines()[0]
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(
+            header + '\n{"action_id": "a1", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}\n' % raw
+        )
+        result = runner.invoke(
+            main,
+            ["verify", "--spec", str(spec), "--schema", str(groceries / "schema.json"), "--trace", str(trace)],
+        )
+        assert_clean_failure(result)
+        assert "line 2: Cart.quantity" in result.stderr
+        assert "not a finite number" in result.stderr
+
+
+class TestVersion:
+    def test_version_comes_from_the_package(self, runner):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output == f"intentguard, version {__version__}\n"
 
 
 class TestCheck:
@@ -173,6 +237,16 @@ class TestEncode:
         assert "time < 19:00" in result.output
         assert "time < 17:00" not in result.output
 
+    def test_malformed_mock_fixture_exits_one(self, runner, tmp_path):
+        fixture = tmp_path / "no_role.json"
+        fixture.write_text(json.dumps([{"response": "x"}]))
+        result = runner.invoke(
+            main,
+            ["encode", "--instruction", "x", "--schema", SCHEMA, "--backend", "mock", "--fixture", str(fixture)],
+        )
+        assert_clean_failure(result)
+        assert "'role'" in result.stderr
+
     def test_encode_reads_memory_for_warm_start(self, runner, tmp_path):
         from intentguard.dsl import parse_specification
         from intentguard.memory import PredicateMemory
@@ -215,6 +289,37 @@ class TestEval:
         stored = json.loads(memory_path.read_text())
         assert stored["entries"]["restaurant_demo"]
 
+    def test_malformed_mock_fixture_exits_one(self, runner, tmp_path):
+        fixture = tmp_path / "no_role.json"
+        fixture.write_text(json.dumps([{"response": "x"}]))
+        result = runner.invoke(main, ["eval", "--cases", str(FIXTURES / "eval_cases"), "--fixture", str(fixture)])
+        assert_clean_failure(result)
+
     def test_empty_cases_dir_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
         assert result.exit_code == 1
+
+
+MALFORMED_MEMORY = {
+    "missing_spec": json.dumps(
+        {"entries": {"restaurant_demo": [{"instruction": "x", "used_predicates": [], "timestamp": "t"}]}}
+    ),
+    "not_json": "{entries",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_MEMORY.values(), ids=MALFORMED_MEMORY.keys())
+@pytest.mark.parametrize("command", ["encode", "eval"])
+def test_malformed_memory_file_exits_one(runner, tmp_path, command, content):
+    memory_path = tmp_path / "memory.json"
+    memory_path.write_text(content)
+    if command == "encode":
+        args = [
+            "encode", "--instruction", INSTRUCTION, "--schema", SCHEMA,
+            "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_happy.json"),
+        ]
+    else:
+        args = ["eval", "--cases", str(FIXTURES / "eval_cases")]
+    result = runner.invoke(main, args + ["--memory", str(memory_path)])
+    assert_clean_failure(result)
+    assert f"memory {memory_path}" in result.stderr

@@ -18,6 +18,7 @@ from intentguard.engine import (
     UnknownObjective,
     VerdictKind,
     event_fingerprint,
+    validate_event,
 )
 from intentguard.schema import schema_from_dict
 
@@ -187,6 +188,28 @@ class TestSoftVerification:
             session.submit_action(event("x", StateUpdate("RestaurantInfo", {"name": Constant.number(1)})))
         with pytest.raises(TraceError):
             session.submit_action(event("x"))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "sNaN"])
+    def test_non_finite_number_raises(self, groceries_schema, apples_spec, literal):
+        session = Session(apples_spec, groceries_schema, CLOCK)
+        bad = event("x", StateUpdate("Cart", {"quantity": Constant.number(Decimal(literal))}))
+        with pytest.raises(TraceError, match="finite"):
+            session.submit_action(bad)
+        assert session.world_view() == {}
+
+    def test_validate_event_names_each_rule(self, restaurant_schema):
+        cases = [
+            (event("x", name_update("R"), phase="mid"), "phase"),
+            (event("x"), "neither updates nor"),
+            (event("x", StateUpdate("RestaurantInfo", {})), "non-empty"),
+            (event("x", StateUpdate("Nowhere", {"x": Constant.number(1)})), "is not declared in the schema"),
+            (event("x", StateUpdate("RestaurantInfo", {"rating": Constant.number(1)})), "has no variable"),
+            (event("x", StateUpdate("RestaurantInfo", {"name": Constant.number(1)})), "cannot hold"),
+        ]
+        for bad, fragment in cases:
+            with pytest.raises(TraceError, match=fragment):
+                validate_event(bad, restaurant_schema)
+        validate_event(event("ok", name_update("R")), restaurant_schema)
 
 
 class TestHardVerification:

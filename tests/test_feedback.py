@@ -6,7 +6,7 @@ import pytest
 
 from intentguard.dsl import Constant
 from intentguard.engine import Session, StateUpdate, ActionEvent
-from intentguard.feedback import render_hard, render_roadmap, render_roadmap_lines, render_soft
+from intentguard.feedback import render_hard, render_roadmap_lines, render_soft
 
 from conftest import CLOCK
 
@@ -50,7 +50,7 @@ class TestRoadmap:
 
     def test_fresh_session_has_no_achieved_clause(self, make_session, reservation_spec, restaurant_schema):
         session = make_session()
-        text = render_roadmap(session.progress_report(), reservation_spec, restaurant_schema)
+        text = "\n".join(render_roadmap_lines(session.progress_report(), reservation_spec, restaurant_schema))
         assert "So far" not in text
         assert "achieved" not in text
 
@@ -90,8 +90,8 @@ class TestRoadmap:
         session = make_session()
         submit(session, "a1", "RestaurantInfo", name="R")
         report = session.progress_report()
-        assert render_roadmap(report, reservation_spec, restaurant_schema) == render_roadmap(
-            report, reservation_spec, restaurant_schema
+        assert "\n".join(render_roadmap_lines(report, reservation_spec, restaurant_schema)) == "\n".join(
+            render_roadmap_lines(report, reservation_spec, restaurant_schema)
         )
 
 

@@ -107,3 +107,24 @@ class TestPersistence:
         path = tmp_path / "memory.json"
         memory.save(path)
         assert PredicateMemory.load(path).specs_for("app") == [reservation_spec]
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            ({"entries": {"app": [{"instruction": "x", "used_predicates": [], "timestamp": "t"}]}}, "'spec'"),
+            ({"entries": {"app": [7]}}, "malformed"),
+            ({"entries": []}, "malformed"),
+            ([], "malformed"),
+        ],
+    )
+    def test_from_dict_raises_value_error(self, data, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            PredicateMemory.from_dict(data)
+
+    def test_load_rejects_non_json(self, tmp_path):
+        path = tmp_path / "memory.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            PredicateMemory.load(path)

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from intentguard.backend import CountingBackend, MockBackend, SimilarityConfig, SimilarityScorer
+from intentguard.backend import MockBackend, SimilarityScorer
 from intentguard.dsl import Constant
 from intentguard.schema import schema_from_dict
 from intentguard.trace import (
@@ -98,6 +98,21 @@ class TestParse:
         with pytest.raises(TraceParseError, match=fragment):
             parse_trace(trace_text(line), restaurant_schema)
 
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", '"nan"', '"Infinity"'])
+    def test_non_finite_numbers_rejected(self, groceries_schema, raw):
+        line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
+        with pytest.raises(TraceParseError, match=r"^line 2: Cart\.quantity: .* is not a finite number"):
+            parse_trace(trace_text(line), groceries_schema)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"event"', "3"])
+    def test_event_line_must_be_an_object(self, restaurant_schema, line):
+        with pytest.raises(TraceParseError, match="line 2: an event must be a JSON object"):
+            parse_trace(trace_text(line), restaurant_schema)
+
+    def test_header_must_be_an_object(self, restaurant_schema):
+        with pytest.raises(TraceParseError, match="line 1: header must be a JSON object"):
+            parse_trace("[]\n", restaurant_schema)
+
     def test_duplicate_action_ids(self, restaurant_schema):
         line = '{"action_id": "dup", "phase": "pre", "updates": [{"state": "RestaurantInfo", "values": {"name": "R"}}]}'
         with pytest.raises(TraceParseError, match="duplicate action_id"):
@@ -171,8 +186,8 @@ class TestReplay:
 
     def test_replay_makes_zero_backend_completions(self, reservation_spec, restaurant_schema):
         trace = load_trace(FIXTURES / "restaurant" / "traces" / "happy_path.jsonl", restaurant_schema)
-        counting = CountingBackend(MockBackend([]))
-        scorer = SimilarityScorer(SimilarityConfig(mode="lexical"), backend=counting)
+        backend = MockBackend([])
+        scorer = SimilarityScorer(mode="lexical", backend=backend)
         result = replay(reservation_spec, restaurant_schema, trace, similarity=scorer)
         assert result.done is True
-        assert counting.complete_calls == 0
+        assert backend.complete_calls == 0
