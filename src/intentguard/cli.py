@@ -39,14 +39,14 @@ def _fail(message: str) -> "click.exceptions.Exit":
 def _load_schema_or_exit(path: str):
     try:
         return load_schema(path)
-    except (OSError, SchemaError) as exc:
+    except (OSError, UnicodeDecodeError, SchemaError) as exc:
         raise _fail(f"schema {path}: {exc}")
 
 
 def _load_spec_or_exit(path: str):
     try:
         return parse_specification(Path(path).read_text(encoding="utf-8"))
-    except (OSError, SpecSyntaxError) as exc:
+    except (OSError, UnicodeDecodeError, SpecSyntaxError) as exc:
         raise _fail(f"spec {path}: {exc}")
 
 
@@ -172,7 +172,7 @@ def cmd_verify(spec_path, schema_path, trace_path):
     spec = _load_spec_or_exit(spec_path)
     try:
         trace = load_trace(trace_path, schema)
-    except (OSError, TraceParseError) as exc:
+    except (OSError, UnicodeDecodeError, TraceParseError) as exc:
         raise _fail(f"trace {trace_path}: {exc}")
 
     try:
@@ -240,7 +240,7 @@ def cmd_schema_lint(schema_path):
         for issue in exc.issues:
             click.echo(str(issue))
         raise click.exceptions.Exit(2)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _fail(str(exc))
     variables = sum(len(s.variables) for s in schema.states)
     click.echo(f"ok: app '{schema.app_id}', {len(schema.states)} state(s), {variables} variable(s)")

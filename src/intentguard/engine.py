@@ -13,16 +13,24 @@ often it is resubmitted.
 A blocking verdict of either kind leaves the world untouched.  After every
 applied update the rules concluding ``Done`` are evaluated, and the first
 fully satisfied one terminates the session.
+
+A session compiles its specification on first use: an index from each
+``(state, variable)`` slot and each objective to the predicates that read it,
+every predicate's status, and every rule's roadmap line.  An event then costs
+what it touches: only the predicates over written slots or a newly achieved
+objective are re-evaluated, and only the roadmap lines of rules whose
+statuses changed are re-rendered.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Iterable
 
 from . import feedback as feedback_mod
 from .backend import DEFAULT_SIMILARITY_THRESHOLD, lexical_similarity
@@ -156,6 +164,29 @@ class HardCheckResult:
     unmet: tuple[UnmetPredicate, ...] = ()
 
 
+@dataclass
+class _CompiledSpec:
+    """A session's compiled spec, in the manner of Rete's alpha memories: the
+    predicates indexed by what they read, plus every predicate's current
+    status and every rule's current roadmap line.
+
+    ``by_state`` maps a state to its ``(rule, predicate)`` pairs in rule
+    order, for :meth:`Session.soft_check`.  ``by_slot`` maps a
+    ``(state, variable)`` slot, and ``by_objective`` an objective, to the
+    ``(rule, predicate index)`` pairs that read it.  ``sentences`` holds each
+    rule's fixed roadmap sentence; ``lines`` adds its current "achieved"
+    suffix.  ``done_rules`` lists the rules concluding ``Done``.
+    """
+
+    by_state: dict[str, list[tuple[int, StatePredicate]]] = field(default_factory=dict)
+    by_slot: dict[tuple[str, str], list[tuple[int, int]]] = field(default_factory=dict)
+    by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    statuses: list[list[PredicateStatus]] = field(default_factory=list)
+    sentences: list[str] = field(default_factory=list)
+    lines: list[str] = field(default_factory=list)
+    done_rules: list[int] = field(default_factory=list)
+
+
 def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarType:
     """The schema's type for ``state_name.variable``; raises :class:`TraceError`
     when either is undeclared."""
@@ -216,7 +247,9 @@ class Session:
     """Sequential verification session for one instruction.
 
     Events must be submitted one at a time; sessions share nothing, so
-    distinct sessions are free to live on distinct threads.
+    distinct sessions are free to live on distinct threads.  ``world`` and
+    ``achieved_objectives`` are read-only outside the session: the compiled
+    statuses follow them only through :meth:`submit_action`.
     """
 
     def __init__(
@@ -252,25 +285,74 @@ class Session:
         """Copy of the current valuation; handy for asserting no-mutation."""
         return dict(self.world)
 
-    def _eval_state_predicate(
-        self, pred: StatePredicate, world: dict[tuple[str, str], Constant]
-    ) -> tuple[bool, tuple]:
-        failed = tuple(
-            c for c in pred.constraints
-            if not evaluate_constraint(c, world.get((pred.state_name, c.variable)), self.ctx)
-        )
-        return (not failed, failed)
+    @cached_property
+    def _compiled(self) -> _CompiledSpec:
+        """The spec's compiled form, built on first use so that constructing a
+        session stays as cheap as the static check."""
+        compiled = _CompiledSpec()
+        for r, rule in enumerate(self.spec.rules):
+            for p, pred in enumerate(rule.predicates):
+                if isinstance(pred, ObjectiveRef):
+                    compiled.by_objective.setdefault(pred.objective_name, []).append((r, p))
+                    continue
+                compiled.by_state.setdefault(pred.state_name, []).append((r, pred))
+                for var in dict.fromkeys(c.variable for c in pred.constraints):
+                    compiled.by_slot.setdefault((pred.state_name, var), []).append((r, p))
+            statuses = [self._status(pred) for pred in rule.predicates]
+            sentence = feedback_mod.roadmap_sentence(rule, self.schema)
+            compiled.statuses.append(statuses)
+            compiled.sentences.append(sentence)
+            compiled.lines.append(sentence + feedback_mod.achieved_suffix(statuses))
+            if rule.conclusion == DONE:
+                compiled.done_rules.append(r)
+        return compiled
 
-    def _predicate_holds(self, pred: Predicate, world: dict[tuple[str, str], Constant]) -> bool:
+    def _status(self, pred: Predicate) -> PredicateStatus:
+        """A predicate's status under the current world and objectives."""
         if isinstance(pred, ObjectiveRef):
-            return pred.objective_name in self.achieved_objectives
-        ok, _ = self._eval_state_predicate(pred, world)
-        return ok
+            if pred.objective_name in self.achieved_objectives:
+                return PredicateStatus.SATISFIED
+            return PredicateStatus.INDETERMINATE
+        values = [self.world.get((pred.state_name, c.variable)) for c in pred.constraints]
+        if all(value is None for value in values):
+            return PredicateStatus.INDETERMINATE
+        if all(evaluate_constraint(c, value, self.ctx) for c, value in zip(pred.constraints, values)):
+            return PredicateStatus.SATISFIED
+        return PredicateStatus.UNSATISFIED
+
+    def _refresh(self, keys: Iterable[tuple[int, int]]) -> None:
+        """Re-evaluate the predicates at ``keys`` (``(rule, predicate)``
+        pairs) and re-render the roadmap line of each rule whose statuses
+        changed."""
+        compiled = self._compiled
+        rules = self.spec.rules
+        changed: set[int] = set()
+        try:
+            for r, p in keys:
+                status = self._status(rules[r].predicates[p])
+                if status is not compiled.statuses[r][p]:
+                    compiled.statuses[r][p] = status
+                    changed.add(r)
+        except BaseException:
+            # a similarity function that raised left the statuses half
+            # refreshed; compile them afresh from the world on next use
+            del self._compiled
+            raise
+        for r in changed:
+            compiled.lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(compiled.statuses[r])
 
     def _apply(self, event: ActionEvent) -> None:
+        by_slot = self._compiled.by_slot
+        touched: set[tuple[int, int]] = set()
         for update in event.updates:
             for var, value in update.values.items():
                 self.world[(update.state, var)] = value
+                touched.update(by_slot.get((update.state, var), ()))
+        self._refresh(touched)
+
+    def _achieve(self, objective: str) -> None:
+        self.achieved_objectives.add(objective)
+        self._refresh(self._compiled.by_objective.get(objective, ()))
 
     # -- checks ------------------------------------------------------------
 
@@ -284,23 +366,16 @@ class Session:
         touch are treated as not-yet-violated.  A touched state no predicate
         mentions keeps the update consistent.
         """
-        hypothetical = dict(self.world)
-        touched: dict[str, set[str]] = {}
+        touched: dict[str, dict[str, Constant]] = {}
         for update in updates:
-            touched.setdefault(update.state, set()).update(update.values)
-            for var, value in update.values.items():
-                hypothetical[(update.state, var)] = value
+            touched.setdefault(update.state, {}).update(update.values)
 
+        by_state = self._compiled.by_state
         violations: list[Violation] = []
         all_states_contradicted = True
         any_predicate_seen = False
-        for state_name, updated_vars in touched.items():
-            predicates = [
-                (idx, pred)
-                for idx, rule in enumerate(self.spec.rules)
-                for pred in rule.predicates
-                if isinstance(pred, StatePredicate) and pred.state_name == state_name
-            ]
+        for state_name, written in touched.items():
+            predicates = by_state.get(state_name)
             if not predicates:
                 all_states_contradicted = False
                 continue
@@ -311,10 +386,8 @@ class Session:
                 failed = tuple(
                     c
                     for c in pred.constraints
-                    if c.variable in updated_vars
-                    and not evaluate_constraint(
-                        c, hypothetical.get((state_name, c.variable)), self.ctx
-                    )
+                    if c.variable in written
+                    and not evaluate_constraint(c, written[c.variable], self.ctx)
                 )
                 if failed:
                     state_violations.append(Violation(idx, pred, failed))
@@ -342,23 +415,23 @@ class Session:
         if not candidates:
             raise UnknownObjective(objective)
 
+        statuses = self._compiled.statuses
         best_index = -1
         best_score = -1
         best_unmet: tuple[UnmetPredicate, ...] = ()
         for idx, rule in candidates:
             unmet: list[UnmetPredicate] = []
             satisfied_count = 0
-            for pred in rule.predicates:
-                if isinstance(pred, ObjectiveRef):
-                    if pred.objective_name in self.achieved_objectives:
-                        satisfied_count += 1
-                    else:
-                        unmet.append(UnmetPredicate(pred))
-                    continue
-                ok, failed = self._eval_state_predicate(pred, self.world)
-                if ok:
+            for pred, status in zip(rule.predicates, statuses[idx]):
+                if status is PredicateStatus.SATISFIED:
                     satisfied_count += 1
+                elif isinstance(pred, ObjectiveRef):
+                    unmet.append(UnmetPredicate(pred))
                 else:
+                    failed = tuple(
+                        c for c in pred.constraints
+                        if not evaluate_constraint(c, self.world.get((pred.state_name, c.variable)), self.ctx)
+                    )
                     unmet.append(UnmetPredicate(pred, failed))
             if not unmet:
                 return HardCheckResult(objective, satisfied=True, rule_index=idx)
@@ -369,39 +442,27 @@ class Session:
         return HardCheckResult(objective, satisfied=False, rule_index=best_index, unmet=best_unmet)
 
     def progress_report(self) -> list[RuleProgress]:
-        """Pure snapshot of every rule's predicate statuses.
+        """Snapshot of every rule's predicate statuses.
 
         A state predicate none of whose variables have been observed is
         indeterminate rather than unsatisfied; an objective reference is
-        indeterminate until achieved.
+        indeterminate until achieved.  The statuses are maintained
+        incrementally: an applied update re-evaluates only the predicates over
+        the slots it wrote, and an achieved objective only the references to
+        it.
         """
-        report: list[RuleProgress] = []
-        for idx, rule in enumerate(self.spec.rules):
-            statuses: list[PredicateStatus] = []
-            for pred in rule.predicates:
-                if isinstance(pred, ObjectiveRef):
-                    statuses.append(
-                        PredicateStatus.SATISFIED
-                        if pred.objective_name in self.achieved_objectives
-                        else PredicateStatus.INDETERMINATE
-                    )
-                    continue
-                observed = [
-                    c for c in pred.constraints if (pred.state_name, c.variable) in self.world
-                ]
-                if not observed:
-                    statuses.append(PredicateStatus.INDETERMINATE)
-                    continue
-                ok, _ = self._eval_state_predicate(pred, self.world)
-                statuses.append(PredicateStatus.SATISFIED if ok else PredicateStatus.UNSATISFIED)
-            report.append(RuleProgress(idx, rule.conclusion, tuple(statuses)))
-        return report
+        statuses = self._compiled.statuses
+        return [
+            RuleProgress(idx, rule.conclusion, tuple(statuses[idx]))
+            for idx, rule in enumerate(self.spec.rules)
+        ]
 
     def _done_rule_satisfied(self) -> bool:
-        for _, rule in self.spec.rules_concluding(DONE):
-            if all(self._predicate_holds(p, self.world) for p in rule.predicates):
-                return True
-        return False
+        compiled = self._compiled
+        return any(
+            all(status is PredicateStatus.SATISFIED for status in compiled.statuses[r])
+            for r in compiled.done_rules
+        )
 
     # -- main entry point ----------------------------------------------------
 
@@ -422,7 +483,7 @@ class Session:
                 return self._verdict(event, VerdictKind.HARD_BLOCK, hard_report=result)
             self._apply(event)
             newly = () if event.critical in self.achieved_objectives else (event.critical,)
-            self.achieved_objectives.add(event.critical)
+            self._achieve(event.critical)
             return self._finish_allowed(event, newly)
 
         if not is_repeat:
@@ -448,7 +509,7 @@ class Session:
         hard_report: HardCheckResult | None = None,
     ) -> Verdict:
         bundle = feedback_mod.FeedbackBundle(
-            roadmap=tuple(feedback_mod.render_roadmap_lines(self.progress_report(), self.spec, self.schema)),
+            roadmap=tuple(self._compiled.lines),
             soft=feedback_mod.render_soft(violations) if violations else None,
             hard=feedback_mod.render_hard(hard_report) if hard_report is not None else None,
         )

@@ -122,6 +122,8 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
     cases: list[EvalCase] = []
     for path in sorted(base.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: case manifest must be a JSON object")
         expected = data.get("expected")
         if expected not in ("pass", "fail"):
             raise ValueError(f"{path}: expected must be 'pass' or 'fail'")

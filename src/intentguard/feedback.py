@@ -17,13 +17,14 @@ from .dsl import (
     Constraint,
     ObjectiveRef,
     Operator,
+    Rule,
     Specification,
     StatePredicate,
 )
 from .schema import StateSchema
 
 if TYPE_CHECKING:
-    from .engine import HardCheckResult, RuleProgress, Violation
+    from .engine import HardCheckResult, PredicateStatus, RuleProgress, Violation
 
 OPERATOR_PHRASES = {
     Operator.EQ: "equal to",
@@ -113,21 +114,27 @@ def _predicate_step(predicate, schema: StateSchema) -> str:
     )
 
 
-def render_rule_roadmap(progress: "RuleProgress", spec: Specification, schema: StateSchema) -> str:
-    """One roadmap paragraph: the rule's goal, its numbered steps, and which
-    of them are already achieved (omitted while none are)."""
-    rule = spec.rules[progress.rule_index]
+def roadmap_sentence(rule: Rule, schema: StateSchema) -> str:
+    """The fixed part of a rule's roadmap paragraph: its goal and its
+    numbered steps."""
     steps = [
         f"{k}. {_predicate_step(pred, schema)}"
         for k, pred in enumerate(rule.predicates, start=1)
     ]
-    text = f"{_goal_clause(rule.conclusion)}, " + "; ".join(steps) + "."
-    achieved = [
-        k for k, status in enumerate(progress.statuses, start=1) if status.value == "satisfied"
-    ]
-    if achieved:
-        text += f" So far, you have achieved {_join_steps(achieved)}."
-    return text
+    return f"{_goal_clause(rule.conclusion)}, " + "; ".join(steps) + "."
+
+
+def achieved_suffix(statuses: Iterable["PredicateStatus"]) -> str:
+    """The changing part of a roadmap paragraph: which steps are already
+    achieved, or nothing while none are."""
+    achieved = [k for k, status in enumerate(statuses, start=1) if status.value == "satisfied"]
+    return f" So far, you have achieved {_join_steps(achieved)}." if achieved else ""
+
+
+def render_rule_roadmap(progress: "RuleProgress", spec: Specification, schema: StateSchema) -> str:
+    """One roadmap paragraph: the rule's goal, its numbered steps, and which
+    of them are already achieved (omitted while none are)."""
+    return roadmap_sentence(spec.rules[progress.rule_index], schema) + achieved_suffix(progress.statuses)
 
 
 def render_roadmap_lines(

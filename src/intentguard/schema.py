@@ -27,6 +27,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 
@@ -76,11 +77,12 @@ class StateSchema:
     app_id: str
     states: tuple[StateDef, ...]
 
+    @cached_property
+    def _states_by_name(self) -> dict[str, StateDef]:
+        return {s.name: s for s in reversed(self.states)}
+
     def state(self, name: str) -> StateDef | None:
-        for s in self.states:
-            if s.name == name:
-                return s
-        return None
+        return self._states_by_name.get(name)
 
 
 @dataclass(frozen=True)

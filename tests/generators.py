@@ -12,6 +12,7 @@ from datetime import date, time, timedelta
 from decimal import Decimal
 
 from intentguard.dsl import (
+    DONE,
     ConstKind,
     Constant,
     Constraint,
@@ -21,6 +22,8 @@ from intentguard.dsl import (
     Specification,
     StatePredicate,
 )
+from intentguard.engine import ActionEvent, StateUpdate
+from intentguard.schema import StateSchema, schema_from_dict
 
 _RESERVED = {"in", "not", "true", "false", "today", "done"}
 _TEXT_POOL = string.ascii_letters + string.digits + " '!?.,:-_()\"\\éüñ汉"
@@ -112,3 +115,115 @@ def specification(rng: random.Random) -> Specification:
             objectives.append(conclusion)
         rules.append(Rule(tuple(predicates), conclusion))
     return Specification(tuple(rules))
+
+
+# ---------------------------------------------------------------------------
+# Whole verification sessions: schema, spec and event stream together
+# ---------------------------------------------------------------------------
+
+_VARIANTS = ("Red", "Green", "Blue")
+_OPERATORS = {
+    "Text": (Operator.EQ, Operator.NEQ, Operator.APPROX, Operator.IN, Operator.NOT_IN),
+    "Number": (Operator.EQ, Operator.NEQ, Operator.GT, Operator.GE, Operator.LT, Operator.LE),
+    "Boolean": (Operator.EQ, Operator.NEQ),
+    "Date": (Operator.EQ, Operator.NEQ, Operator.GT, Operator.GE, Operator.LT, Operator.LE),
+    "Time": (Operator.EQ, Operator.NEQ, Operator.GT, Operator.GE, Operator.LT, Operator.LE),
+    f"Enum[{', '.join(_VARIANTS)}]": (Operator.EQ, Operator.NEQ, Operator.IN, Operator.NOT_IN),
+}
+
+
+def _value_pool(type_name: str, today: date) -> list[Constant]:
+    """A few values per type, so that writes often meet the spec's constants."""
+    if type_name == "Text":
+        return [Constant.text(v) for v in ("apples", "Apples!", "apple pie", "pears")]
+    if type_name == "Number":
+        return [Constant.number(n) for n in range(4)]
+    if type_name == "Boolean":
+        return [Constant.boolean(True), Constant.boolean(False)]
+    if type_name == "Date":
+        return [Constant.calendar(today + timedelta(days=d)) for d in (-1, 0, 1)]
+    if type_name == "Time":
+        return [Constant.clock(time(h, 0)) for h in (9, 12, 18)]
+    return [Constant.enum(v) for v in _VARIANTS]
+
+
+def _pooled_constraint(rng: random.Random, variable: str, type_name: str, pool: list[Constant]) -> Constraint:
+    operator = rng.choice(_OPERATORS[type_name])
+    if operator in (Operator.IN, Operator.NOT_IN):
+        items = rng.sample([str(c.value) for c in pool], rng.randint(1, 2))
+        return Constraint(variable, operator, Constant.text_list(tuple(items)))
+    const = rng.choice(pool)
+    if type_name == "Date" and rng.random() < 0.3:
+        const = Constant.today()
+    return Constraint(variable, operator, const)
+
+
+def verification_session(
+    rng: random.Random, today: date, n_states: int = 4, n_rules: int = 6, n_events: int = 40
+) -> tuple[StateSchema, Specification, list[ActionEvent]]:
+    """A schema, a spec that checks against it, and an event stream over it.
+
+    Writes are drawn from small per-type pools that the spec's constants also
+    come from, so predicates become satisfied, unsatisfied and satisfied
+    again.  The stream mixes single- and multi-state updates, identical
+    resubmissions of the previous event, and critical events naming concluded
+    objectives (with or without updates).
+    """
+    names = list(dict.fromkeys(identifier(rng) for _ in range(n_states * 2)))[:n_states]
+    types = list(_OPERATORS)
+    states = {
+        name: {identifier(rng): rng.choice(types) for _ in range(rng.randint(1, 3))}
+        for name in names
+    }
+    schema = schema_from_dict(
+        {
+            "app_id": "generated",
+            "states": [
+                {"name": name, "description": f"state {name}", "variables": [{v: t} for v, t in variables.items()]}
+                for name, variables in states.items()
+            ],
+        }
+    )
+    pools = {t: _value_pool(t, today) for t in types}
+
+    rules: list[Rule] = []
+    objectives: list[str] = []
+    for i in range(n_rules):
+        predicates: list = []
+        for _ in range(rng.randint(1, 3)):
+            if objectives and rng.random() < 0.3:
+                predicates.append(ObjectiveRef(rng.choice(objectives)))
+                continue
+            state = rng.choice(names)
+            variables = states[state]
+            chosen = [rng.choice(list(variables)) for _ in range(rng.randint(1, 2))]
+            predicates.append(
+                StatePredicate(state, tuple(_pooled_constraint(rng, v, variables[v], pools[variables[v]]) for v in chosen))
+            )
+        if i == n_rules - 1 or rng.random() < 0.25:
+            conclusion = DONE
+        else:
+            conclusion = f"Goal{i}"
+            objectives.append(conclusion)
+        rules.append(Rule(tuple(dict.fromkeys(predicates)), conclusion))
+    spec = Specification(tuple(rules))
+
+    def state_update() -> StateUpdate:
+        state = rng.choice(names)
+        variables = states[state]
+        written = rng.sample(list(variables), rng.randint(1, len(variables)))
+        return StateUpdate(state, {v: rng.choice(pools[variables[v]]) for v in written})
+
+    critical_names = objectives + [DONE]
+    events: list[ActionEvent] = []
+    for k in range(n_events):
+        roll = rng.random()
+        if events and roll < 0.15:
+            previous = events[-1]
+            events.append(ActionEvent(f"e{k}", previous.phase, previous.updates, previous.critical))
+            continue
+        critical = rng.choice(critical_names) if roll < 0.35 else None
+        n_updates = rng.choice([0, 1]) if critical else rng.randint(1, 2)
+        updates = tuple(state_update() for _ in range(n_updates))
+        events.append(ActionEvent(f"e{k}", rng.choice(["pre", "post"]), updates, critical))
+    return schema, spec, events

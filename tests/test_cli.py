@@ -129,6 +129,18 @@ class TestVerify:
         assert "line 2: Cart.quantity" in result.stderr
         assert "not a finite number" in result.stderr
 
+    @pytest.mark.parametrize("kind", ["schema", "spec", "trace"])
+    def test_non_utf8_input_file_exits_one(self, runner, tmp_path, kind):
+        paths = {"schema": SCHEMA, "spec": SPEC, "trace": str(RESTAURANT / "traces" / "happy_path.jsonl")}
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"\xff\xfe\x00")
+        paths[kind] = str(bad)
+        result = runner.invoke(
+            main, ["verify", "--spec", paths["spec"], "--schema", paths["schema"], "--trace", paths["trace"]]
+        )
+        assert_clean_failure(result)
+        assert f"error: {kind} {bad}: " in result.stderr
+
 
 class TestVersion:
     def test_version_comes_from_the_package(self, runner):
@@ -298,6 +310,12 @@ class TestEval:
     def test_empty_cases_dir_exits_one(self, runner, tmp_path):
         result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
         assert result.exit_code == 1
+
+    def test_case_manifest_not_an_object_exits_one(self, runner, tmp_path):
+        (tmp_path / "case.json").write_text("[1]")
+        result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
+        assert_clean_failure(result)
+        assert "case manifest must be a JSON object" in result.stderr
 
 
 MALFORMED_MEMORY = {

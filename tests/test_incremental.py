@@ -1,0 +1,183 @@
+"""The session's incrementally maintained statuses against a full recomputation.
+
+``Session`` compiles its spec once and, after each event, re-evaluates only
+the predicates that read a written slot or a newly achieved objective.  The
+reference here re-derives every status from the world and the achieved
+objectives on every event, the way the engine itself once did.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import generators
+from intentguard import engine
+from intentguard.dsl import DONE, Constant, ObjectiveRef, evaluate_constraint, parse_specification
+from intentguard.engine import (
+    ActionEvent,
+    PredicateStatus,
+    RuleProgress,
+    Session,
+    StateUpdate,
+    VerdictKind,
+    event_fingerprint,
+)
+from intentguard.feedback import render_roadmap_lines
+from intentguard.schema import schema_from_dict
+
+from conftest import CLOCK, TODAY
+
+
+def full_walk_report(session: Session) -> list[RuleProgress]:
+    """Every rule's statuses, re-derived from scratch."""
+    report = []
+    for idx, rule in enumerate(session.spec.rules):
+        statuses = []
+        for pred in rule.predicates:
+            if isinstance(pred, ObjectiveRef):
+                achieved = pred.objective_name in session.achieved_objectives
+                statuses.append(PredicateStatus.SATISFIED if achieved else PredicateStatus.INDETERMINATE)
+                continue
+            values = [session.world.get((pred.state_name, c.variable)) for c in pred.constraints]
+            if all(value is None for value in values):
+                statuses.append(PredicateStatus.INDETERMINATE)
+                continue
+            failed = [c for c, value in zip(pred.constraints, values) if not evaluate_constraint(c, value, session.ctx)]
+            statuses.append(PredicateStatus.UNSATISFIED if failed else PredicateStatus.SATISFIED)
+        report.append(RuleProgress(idx, rule.conclusion, tuple(statuses)))
+    return report
+
+
+def done_rule_holds(report: list[RuleProgress]) -> bool:
+    return any(
+        all(s is PredicateStatus.SATISFIED for s in progress.statuses)
+        for progress in report
+        if progress.conclusion == DONE
+    )
+
+
+def test_cache_matches_full_recomputation_after_every_event():
+    seen: Counter = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        schema, spec, events = generators.verification_session(rng, TODAY)
+        session = Session(spec, schema, CLOCK)
+        previous_kind = previous_fingerprint = None
+        for event in events:
+            achieved_before = set(session.achieved_objectives)
+            verdict = session.submit_action(event)
+            expected = full_walk_report(session)
+            where = f"seed {seed}, event {event.action_id}"
+            assert session.progress_report() == expected, where
+            assert verdict.feedback.roadmap == tuple(render_roadmap_lines(expected, spec, schema)), where
+            assert (verdict.kind is VerdictKind.TASK_DONE) == done_rule_holds(expected), where
+
+            seen[verdict.kind] += 1
+            seen.update(s for progress in expected for s in progress.statuses)
+            fingerprint = event_fingerprint(event)
+            if previous_kind is VerdictKind.SOFT_BLOCK and fingerprint == previous_fingerprint:
+                assert verdict.kind is not VerdictKind.SOFT_BLOCK, where
+                seen["soft_block_then_resubmitted"] += 1
+            if event.critical not in (None, DONE) and event.critical not in achieved_before and verdict.achieved:
+                seen["critical_allow_newly_achieved"] += 1
+            previous_kind, previous_fingerprint = verdict.kind, fingerprint
+            if session.done:
+                break
+    # the streams reach every case the cache must follow
+    for case in (
+        VerdictKind.SOFT_BLOCK,
+        VerdictKind.HARD_BLOCK,
+        VerdictKind.TASK_DONE,
+        "soft_block_then_resubmitted",
+        "critical_allow_newly_achieved",
+        PredicateStatus.SATISFIED,
+        PredicateStatus.UNSATISFIED,
+    ):
+        assert seen[case] >= 10, (case, seen)
+
+
+WIDE_SCHEMA = schema_from_dict(
+    {
+        "app_id": "wide",
+        "states": [
+            {"name": f"S{i}", "description": f"state {i}", "variables": [{"x": "Number"}, {"flag": "Boolean"}]}
+            for i in range(40)
+        ],
+    }
+)
+
+
+def wide_spec(n_rules: int):
+    """Rules spread over ``S0``-``S3`` first; rules past the twentieth are
+    over ``S4``-``S39`` only."""
+    lines = []
+    for i in range(n_rules):
+        if i < 20:
+            a, b = i % 4, (i + 1) % 4
+        else:
+            a, b = 4 + i % 36, 4 + (i + 7) % 36
+        lines.append(f"S{a}(x >= {i % 5}) & S{b}(flag = true, x < {i % 7 + 1}) -> Done")
+    return parse_specification("\n".join(lines))
+
+
+def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch):
+    calls = Counter()
+    real = engine.evaluate_constraint
+
+    def counting(constraint, value, ctx):
+        calls["eval"] += 1
+        return real(constraint, value, ctx)
+
+    monkeypatch.setattr(engine, "evaluate_constraint", counting)
+    stream = [
+        StateUpdate("S0", {"x": Constant.number(3)}),
+        StateUpdate("S1", {"flag": Constant.boolean(True)}),
+        StateUpdate("S0", {"x": Constant.number(0)}),
+        StateUpdate("S2", {"x": Constant.number(9)}),
+        StateUpdate("S1", {"x": Constant.number(1)}),
+    ]
+
+    def evaluations_per_event(spec) -> list[int]:
+        session = Session(spec, WIDE_SCHEMA, CLOCK)
+        session.progress_report()  # compile outside the count
+        counts = []
+        for k, update in enumerate(stream):
+            calls.clear()
+            session.submit_action(ActionEvent(f"a{k}", "pre", (update,)))
+            counts.append(calls["eval"])
+        return counts
+
+    small = evaluations_per_event(wide_spec(20))
+    wide = evaluations_per_event(wide_spec(200))
+    assert all(count > 0 for count in small)
+    assert wide == small
+
+
+def test_statuses_recover_after_the_similarity_function_raises():
+    schema = schema_from_dict(
+        {"app_id": "fuzzy", "states": [{"name": "Shop", "description": "", "variables": [{"name": "Text"}, {"open": "Boolean"}]}]}
+    )
+    spec = parse_specification('Shop(name ~= "apples") & Shop(open = true) -> Done')
+    calls = []
+
+    def flaky(a, b):
+        # the soft check makes the first call; the second, from the status
+        # refresh after the world changed, fails
+        calls.append((a, b))
+        if len(calls) == 2:
+            raise RuntimeError("similarity backend unavailable")
+        return 1.0 if a == b else 0.0
+
+    session = Session(spec, schema, CLOCK, similarity=flaky)
+    session.submit_action(ActionEvent("a1", "pre", (StateUpdate("Shop", {"open": Constant.boolean(True)}),)))
+    name = ActionEvent("a2", "pre", (StateUpdate("Shop", {"name": Constant.text("apples")}),))
+    try:
+        session.submit_action(name)
+    except RuntimeError:
+        pass
+    else:
+        raise AssertionError("the similarity failure should reach the caller")
+    assert len(calls) == 2
+    assert session.progress_report() == full_walk_report(session)
+    assert session.submit_action(name).kind is VerdictKind.TASK_DONE
