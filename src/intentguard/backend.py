@@ -20,8 +20,6 @@ from typing import Protocol
 
 import requests
 
-DEFAULT_SIMILARITY_THRESHOLD = 0.7
-
 
 class BackendError(Exception):
     """Backend call failed; ``category`` is one of config|network|timeout|http|protocol."""

@@ -19,12 +19,13 @@ every constraint over it false, for every operator.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date, time
 from decimal import Decimal
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .schema import StateSchema, TypeKind, VarType
 
@@ -45,10 +46,6 @@ class Operator(Enum):
     IN = "in"
     NOT_IN = "not in"
 
-    @property
-    def symbol(self) -> str:
-        return self.value
-
 
 #: Unicode operator spellings accepted by the parser, mapped to canon.
 UNICODE_OPERATORS = {
@@ -61,6 +58,9 @@ UNICODE_OPERATORS = {
     "⊆": "in",
     "⊄": "not in",
 }
+
+#: ``a ~= b`` holds when the similarity of the normalized texts reaches this.
+SIMILARITY_THRESHOLD = 0.7
 
 ORDERING_OPERATORS = frozenset({Operator.GT, Operator.GE, Operator.LT, Operator.LE})
 SET_OPERATORS = frozenset({Operator.IN, Operator.NOT_IN})
@@ -189,145 +189,95 @@ class SpecSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     column: int
 
 
-_SINGLE_CHAR_TOKENS = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "[": "LBRACKET",
-    "]": "RBRACKET",
-    ",": "COMMA",
-    "&": "AND",
-}
-
-_OPERATOR_TEXTS = {"!=", "~=", ">=", "<=", "=", ">", "<"}
+# One alternative per token kind, tried in order at each position after
+# optional blanks.  END is a comment or the end of the line; ERROR takes any
+# character no other alternative starts with.  A string literal is matched
+# whole, so this is the one place that knows the escapes (\" and \\).
+_TOKEN_PATTERN = re.compile(
+    r"""
+    \s* (?:
+        (?P<END> \#.* | \Z )
+      | (?P<STRING> " (?: [^"\\] | \\["\\] )* " )
+      | (?P<DATE> \d{4}-\d\d-\d\d )
+      | (?P<TIME> \d\d?:\d\d )
+      | (?P<NUMBER> -?\d+ (?: \.\d* )? )
+      | (?P<ARROW> -> | → )
+      | (?P<OP> [!~<>]= | [=<>≠≃≥≤⊆⊄] | in(?!\w) )
+      | (?P<NOT_IN> not\s+in(?!\w) )
+      | (?P<IDENT> \w+ )
+      | (?P<AND> [&∧] )
+      | (?P<LPAREN> \( ) | (?P<RPAREN> \) ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] ) | (?P<COMMA> , )
+      | (?P<ERROR> . )
+    )
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _tokenize(line_text: str, lineno: int) -> list[_Token]:
+    """Tokens of one source line, ending in EOL; empty for a blank or comment
+    line.  Columns count from the line's first non-blank character."""
+    offset = len(line_text) - len(line_text.lstrip()) - 1
     tokens: list[_Token] = []
-    i = 0
-    n = len(line_text)
-    while i < n:
-        ch = line_text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in UNICODE_OPERATORS:
-            canon = UNICODE_OPERATORS[ch]
-            if canon == "&":
-                tokens.append(_Token("AND", "&", col))
-            elif canon == "->":
-                tokens.append(_Token("ARROW", "->", col))
-            elif canon == "in":
-                tokens.append(_Token("OP", "in", col))
-            elif canon == "not in":
-                tokens.append(_Token("OP", "not in", col))
-            else:
-                tokens.append(_Token("OP", canon, col))
-            i += 1
-            continue
-        if line_text.startswith("->", i):
-            tokens.append(_Token("ARROW", "->", col))
-            i += 2
-            continue
-        two = line_text[i : i + 2]
-        if two in _OPERATOR_TEXTS:
-            tokens.append(_Token("OP", two, col))
-            i += 2
-            continue
-        if ch in _OPERATOR_TEXTS:
-            tokens.append(_Token("OP", ch, col))
-            i += 1
-            continue
-        if ch in _SINGLE_CHAR_TOKENS:
-            tokens.append(_Token(_SINGLE_CHAR_TOKENS[ch], ch, col))
-            i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            while j < n:
-                c = line_text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise SpecSyntaxError("unterminated escape", lineno, j + 1)
-                    nxt = line_text[j + 1]
-                    if nxt not in ('"', "\\"):
-                        raise SpecSyntaxError(f"unsupported escape \\{nxt}", lineno, j + 1)
-                    buf.append(nxt)
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                buf.append(c)
-                j += 1
-            else:
-                raise SpecSyntaxError("unterminated string literal", lineno, col, ('"',))
-            if j >= n:
-                raise SpecSyntaxError("unterminated string literal", lineno, col, ('"',))
-            tokens.append(_Token("STRING", "".join(buf), col))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and line_text[i + 1].isdigit()):
-            j = i + (1 if ch == "-" else 0)
-            k = j
-            while k < n and line_text[k].isdigit():
-                k += 1
-            # date YYYY-MM-DD
-            if ch != "-" and k - j == 4 and line_text[k : k + 1] == "-":
-                rest = line_text[k : k + 6]
-                if len(rest) == 6 and rest[0] == "-" and rest[3] == "-" and rest[1:3].isdigit() and rest[4:6].isdigit():
-                    tokens.append(_Token("DATE", line_text[i : k + 6], col))
-                    i = k + 6
-                    continue
-            # time HH:MM
-            if ch != "-" and k - j <= 2 and line_text[k : k + 1] == ":":
-                rest = line_text[k + 1 : k + 3]
-                if len(rest) == 2 and rest.isdigit():
-                    tokens.append(_Token("TIME", line_text[i : k + 3], col))
-                    i = k + 3
-                    continue
-            if k < n and line_text[k] == ".":
-                m = k + 1
-                while m < n and line_text[m].isdigit():
-                    m += 1
-                if m == k + 1:
-                    raise SpecSyntaxError("malformed number", lineno, col, ("digit",))
-                tokens.append(_Token("NUMBER", line_text[i:m], col))
-                i = m
-                continue
-            tokens.append(_Token("NUMBER", line_text[i:k], col))
-            i = k
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (line_text[j].isalnum() or line_text[j] == "_"):
-                j += 1
-            word = line_text[i:j]
-            if word == "in":
-                tokens.append(_Token("OP", "in", col))
-            elif word == "not":
-                # only meaningful as "not in"
-                rest = line_text[j:].lstrip()
-                if rest.startswith("in") and (len(rest) == 2 or not (rest[2].isalnum() or rest[2] == "_")):
-                    consumed = len(line_text[j:]) - len(rest) + 2
-                    tokens.append(_Token("OP", "not in", col))
-                    j += consumed
-                else:
-                    raise SpecSyntaxError("'not' is only valid as part of 'not in'", lineno, col, ("not in",))
-            else:
-                tokens.append(_Token("IDENT", word, col))
-            i = j
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", lineno, col)
-    tokens.append(_Token("EOL", "", n + 1))
+    pos = 0
+    while True:
+        match = _TOKEN_PATTERN.match(line_text, pos)
+        kind = match.lastgroup
+        if kind == "END":
+            break
+        text = match.group(kind)
+        start = match.start(kind)
+        column = start - offset
+        if kind == "STRING":
+            text = text[1:-1]
+            if "\\" in text:
+                text = _ESCAPE.sub(r"\1", text)
+        elif kind == "NUMBER":
+            if text[-1] == ".":
+                raise SpecSyntaxError("malformed number", lineno, column, ("digit",))
+        elif kind == "NOT_IN":
+            kind, text = "OP", "not in"
+        elif kind == "IDENT" and text == "not":
+            raise SpecSyntaxError("'not' is only valid as part of 'not in'", lineno, column, ("not in",))
+        elif kind == "ERROR" and text == '"':
+            raise _string_error(line_text, start, lineno, offset)
+        # \w also takes numerics that are not letters (², ½): they may
+        # continue an identifier but not start one
+        elif kind == "ERROR" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+            raise SpecSyntaxError(f"unexpected character {text[0]!r}", lineno, column)
+        else:
+            text = UNICODE_OPERATORS.get(text, text)
+        tokens.append(_Token(kind, text, column))
+        pos = match.end()
+    if tokens:
+        tokens.append(_Token("EOL", "", pos - offset))
     return tokens
+
+
+def _string_error(line_text: str, quote: int, lineno: int, offset: int) -> SpecSyntaxError:
+    """Name why the string literal opened at ``quote`` failed to match: its
+    first bad escape, else the missing closing quote.  Trailing blanks are not
+    part of the line, so a backslash followed only by blanks is unterminated."""
+    end = len(line_text.rstrip())
+    backslash = line_text.find("\\", quote + 1, end)
+    while backslash != -1:
+        if backslash + 1 == end:
+            return SpecSyntaxError("unterminated escape", lineno, backslash - offset)
+        escaped = line_text[backslash + 1]
+        if escaped not in ('"', "\\"):
+            return SpecSyntaxError(f"unsupported escape \\{escaped}", lineno, backslash - offset)
+        backslash = line_text.find("\\", backslash + 2, end)
+    return SpecSyntaxError("unterminated string literal", lineno, quote - offset, ('"',))
+
+
+_OPERATOR_SPELLINGS = tuple(sorted(o.value for o in Operator))
 
 
 class _RuleParser:
@@ -379,7 +329,7 @@ class _RuleParser:
 
     def parse_constraint(self) -> Constraint:
         variable = self.expect("IDENT", ("variable name",)).text
-        op_tok = self.expect("OP", tuple(sorted(o.symbol for o in Operator)))
+        op_tok = self.expect("OP", _OPERATOR_SPELLINGS)
         operator = Operator(op_tok.text)
         constant = self.parse_literal()
         return Constraint(variable, operator, constant)
@@ -432,25 +382,6 @@ class _RuleParser:
         )
 
 
-def _strip_comment(line_text: str) -> str:
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(line_text):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "#":
-            return line_text[:i]
-    return line_text
-
-
 def parse_specification(text: str) -> Specification:
     """Parse DSL source into a :class:`Specification`.
 
@@ -461,10 +392,9 @@ def parse_specification(text: str) -> Specification:
     rules: list[Rule] = []
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, 1):
-        stripped = _strip_comment(raw).strip()
-        if not stripped:
-            continue
-        rules.append(_RuleParser(_tokenize(stripped, lineno), lineno).parse_rule())
+        tokens = _tokenize(raw, lineno)
+        if tokens:
+            rules.append(_RuleParser(tokens, lineno).parse_rule())
     if not rules:
         raise SpecSyntaxError("no rules found", max(len(lines), 1), 1, ("rule",))
     return Specification(tuple(rules), source_text=text)
@@ -502,7 +432,7 @@ def render_predicate(predicate: Predicate) -> str:
     if isinstance(predicate, ObjectiveRef):
         return predicate.objective_name
     inner = ", ".join(
-        f"{c.variable} {c.operator.symbol} {render_constant(c.constant)}" for c in predicate.constraints
+        f"{c.variable} {c.operator.value} {render_constant(c.constant)}" for c in predicate.constraints
     )
     return f"{predicate.state_name}({inner})"
 
@@ -578,13 +508,13 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
     op = constraint.operator
     if op not in _OPERATORS_FOR_TYPE[var_type.kind]:
         return (
-            f"operator '{op.symbol}' is not applicable to variable "
+            f"operator '{op.value}' is not applicable to variable "
             f"'{constraint.variable}' of type {var_type.describe()}"
         )
     if op in SET_OPERATORS:
         if constraint.constant.kind is not ConstKind.TEXT_LIST:
             return (
-                f"operator '{op.symbol}' on variable '{constraint.variable}' "
+                f"operator '{op.value}' on variable '{constraint.variable}' "
                 f"requires a list constant such as [\"a\", \"b\"]"
             )
         if var_type.kind is TypeKind.ENUM:
@@ -715,29 +645,29 @@ def _find_objective_cycle(spec: Specification) -> list[str] | None:
             if isinstance(pred, ObjectiveRef):
                 deps.add(pred.objective_name)
 
+    # Depth-first, dependencies in sorted order, with explicit stacks so a
+    # long precedence chain cannot exhaust the interpreter's recursion limit.
     WHITE, GREY, BLACK = 0, 1, 2
     color = {name: WHITE for name in edges}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GREY
-        stack.append(node)
-        for dep in sorted(edges.get(node, ())):
-            if color.get(dep, BLACK) == GREY:
-                return stack[stack.index(dep) :] + [dep]
-            if color.get(dep, BLACK) == WHITE:
-                found = visit(dep)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for name in sorted(edges):
-        if color[name] == WHITE:
-            found = visit(name)
-            if found is not None:
-                return found
+    for root in sorted(edges):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        pending = [iter(sorted(edges[root]))]
+        while pending:
+            for dep in pending[-1]:
+                state = color.get(dep, BLACK)
+                if state == GREY:
+                    return path[path.index(dep) :] + [dep]
+                if state == WHITE:
+                    color[dep] = GREY
+                    path.append(dep)
+                    pending.append(iter(sorted(edges[dep])))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None
 
 
@@ -758,7 +688,6 @@ class EvalContext:
 
     today: date
     similarity: Callable[[str, str], float]
-    threshold: float = 0.7
 
 
 def normalize_text(value: str) -> str:
@@ -786,10 +715,10 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
 
     if op in SET_OPERATORS:
         if const.kind is not ConstKind.TEXT_LIST:
-            raise EvalTypeError(f"operator '{op.symbol}' requires a list constant")
+            raise EvalTypeError(f"operator '{op.value}' requires a list constant")
         if value.kind not in (ConstKind.TEXT, ConstKind.ENUM):
             raise EvalTypeError(
-                f"operator '{op.symbol}' applies to Text or Enum values, got {value.kind.value}"
+                f"operator '{op.value}' applies to Text or Enum values, got {value.kind.value}"
             )
         if value.kind is ConstKind.TEXT:
             member = normalize_text(str(value.value)).casefold() in {
@@ -808,7 +737,7 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
     if op is Operator.APPROX:
         if const.kind is not ConstKind.TEXT:
             raise EvalTypeError("operator '~=' applies to Text only")
-        return ctx.similarity(normalize_text(str(value.value)), normalize_text(str(const.value))) >= ctx.threshold
+        return ctx.similarity(normalize_text(str(value.value)), normalize_text(str(const.value))) >= SIMILARITY_THRESHOLD
 
     if const.kind is ConstKind.TEXT:
         left, right = normalize_text(str(value.value)), normalize_text(str(const.value))
@@ -823,7 +752,7 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
         return left != right
     if op in ORDERING_OPERATORS:
         if const.kind not in (ConstKind.NUMBER, ConstKind.DATE, ConstKind.TIME):
-            raise EvalTypeError(f"operator '{op.symbol}' applies to Number, Date, or Time only")
+            raise EvalTypeError(f"operator '{op.value}' applies to Number, Date, or Time only")
         if op is Operator.GT:
             return left > right
         if op is Operator.GE:

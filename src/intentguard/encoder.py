@@ -372,7 +372,7 @@ def _constraint_refs(spec: Specification) -> dict[tuple[str, str], list[Constrai
                 continue
             for c in pred.constraints:
                 ref = ConstraintRef(
-                    pred.state_name, c.variable, c.operator.symbol, render_constant(c.constant)
+                    pred.state_name, c.variable, c.operator.value, render_constant(c.constant)
                 )
                 slot = by_slot.setdefault(ref.slot, [])
                 if ref not in slot:
@@ -390,7 +390,7 @@ def _with_constraint_added(spec: Specification, truth: Specification, ref: Const
         for pred in rule.predicates:
             if isinstance(pred, StatePredicate) and pred.state_name == ref.state:
                 for c in pred.constraints:
-                    if (c.variable, c.operator.symbol, render_constant(c.constant)) == (
+                    if (c.variable, c.operator.value, render_constant(c.constant)) == (
                         ref.variable,
                         ref.operator,
                         ref.constant,

@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from . import feedback as feedback_mod
-from .backend import DEFAULT_SIMILARITY_THRESHOLD, lexical_similarity
+from .backend import lexical_similarity
 from .dsl import (
     DONE,
     ConstKind,
@@ -258,7 +258,6 @@ class Session:
         schema: StateSchema,
         clock: datetime | date,
         similarity: Callable[[str, str], float] | None = None,
-        threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
     ):
         diagnostics = check_specification(spec, schema)
         if diagnostics:
@@ -269,7 +268,6 @@ class Session:
         self.ctx = EvalContext(
             today=today,
             similarity=similarity if similarity is not None else lexical_similarity,
-            threshold=threshold,
         )
         self.world: dict[tuple[str, str], Constant] = {}
         self.achieved_objectives: set[str] = set()

@@ -64,7 +64,7 @@ def used_predicates(spec: Specification) -> tuple[tuple[str, str, str], ...]:
             if not isinstance(pred, StatePredicate):
                 continue
             for constraint in pred.constraints:
-                seen.setdefault((pred.state_name, constraint.variable, constraint.operator.symbol), None)
+                seen.setdefault((pred.state_name, constraint.variable, constraint.operator.value), None)
     return tuple(seen)
 
 

@@ -13,6 +13,7 @@ from decimal import Decimal
 
 from intentguard.dsl import (
     DONE,
+    UNICODE_OPERATORS,
     ConstKind,
     Constant,
     Constraint,
@@ -21,6 +22,7 @@ from intentguard.dsl import (
     Rule,
     Specification,
     StatePredicate,
+    render_rule,
 )
 from intentguard.engine import ActionEvent, StateUpdate
 from intentguard.schema import StateSchema, schema_from_dict
@@ -115,6 +117,59 @@ def specification(rng: random.Random) -> Specification:
             objectives.append(conclusion)
         rules.append(Rule(tuple(predicates), conclusion))
     return Specification(tuple(rules))
+
+
+# ---------------------------------------------------------------------------
+# Source lines for parser golden tests: valid rules, restyled and mutated
+# ---------------------------------------------------------------------------
+
+# Fragments a mutation inserts or substitutes: every token kind with its
+# unicode spelling, near-misses of each literal form, and characters on the
+# scanner's boundaries (quotes, escapes, '#', blanks).  Non-decimal digits such
+# as '²' are left out: they stopped starting a number on purpose.
+_LINE_FRAGMENTS = (
+    "(", ")", "[", "]", ",", "&", "∧", "->", "→", "-", ">", "<", "=", "!=", "~=", ">=", "<=",
+    "≠", "≃", "≥", "≤", "⊆", "⊄", "!", "~", "in", "not", "not in", "not \tin", "in_", "x", "_a", "Done",
+    "true", "Today", '"', '"a"', "\\", '\\"', "\\\\", "\\n", "#", "# c", '"#"', '"a#b"', "1", "-3",
+    "1.5", "1.", "-", ".", ":", "2025-03-14", "2025-13-40", "19:00", "9:30", "25:00", "٣", "١٩:٣٠",
+    "٢٠٢٥-٠٣-١٤", "½", "x½", "\u00a0", "\t", " ", "  ", "@", "é", "汉",
+)
+_ASCII_SPELLING = {canon: uni for uni, canon in UNICODE_OPERATORS.items()}
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_BLANKS = (" ", "  ", "\t", "\u00a0")
+
+
+def spec_source_line(rng: random.Random) -> str:
+    """One rule's canonical text, restyled the ways input may differ
+    (unicode operators, blanks, indentation, comments, Arabic-Indic digits),
+    then hit by up to three mutations that insert, delete or replace text."""
+    line = render_rule(rng.choice(specification(rng).rules))
+    if rng.random() < 0.3:
+        for canon, uni in _ASCII_SPELLING.items():
+            if rng.random() < 0.5:
+                line = line.replace(f" {canon} ", f" {uni} ")
+    if rng.random() < 0.3:
+        line = line.replace(" ", rng.choice(_BLANKS))
+    if rng.random() < 0.15:
+        line = line.replace(" ", "")
+    if rng.random() < 0.15:
+        line = line.translate(_ARABIC_INDIC)
+    if rng.random() < 0.25:
+        line = "".join(rng.choice(_BLANKS) for _ in range(rng.randint(1, 3))) + line
+    if rng.random() < 0.25:
+        line += rng.choice(("", " ", "\t")) + "#" + rng.choice((" note", ' "quoted" #', "", ' a\\"b'))
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        at = rng.randint(0, len(line))
+        action = rng.random()
+        if action < 0.4:
+            line = line[:at] + rng.choice(_LINE_FRAGMENTS) + line[at:]
+        elif action < 0.7:
+            line = line[:at] + line[at + rng.randint(1, 3):]
+        elif action < 0.9:
+            line = line[:at] + rng.choice(_LINE_FRAGMENTS) + line[at + rng.randint(1, 3):]
+        else:
+            line = line[:at]
+    return line
 
 
 # ---------------------------------------------------------------------------

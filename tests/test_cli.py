@@ -168,6 +168,13 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--spec", str(bad), "--schema", SCHEMA])
         assert result.exit_code == 1
 
+    def test_non_decimal_digit_in_spec_exits_one(self, runner, tmp_path):
+        bad = tmp_path / "superscript.vsa"
+        bad.write_text("RestaurantInfo(name = ²) -> Done\n", encoding="utf-8")
+        result = runner.invoke(main, ["check", "--spec", str(bad), "--schema", SCHEMA])
+        assert_clean_failure(result)
+        assert f"error: spec {bad}: line 1, column 23: unexpected character '²'" in result.stderr
+
 
 class TestSchemaLint:
     def test_valid_schema(self, runner):

@@ -54,6 +54,21 @@ class TestCheck:
         assert codes(diagnostics) == [DiagnosticCode.CYCLE]
         assert "A -> B -> A" in diagnostics[0].message or "B -> A -> B" in diagnostics[0].message
 
+    def test_cycle_message_names_the_first_cycle_found(self, restaurant_schema):
+        # depth-first from A, dependencies in sorted order: B's cycle before Y's
+        spec = parse_specification(
+            "B & Y -> A\nC -> B\nB -> C\nA -> Y\nRestaurantInfo(name = \"R\") -> Done"
+        )
+        [diagnostic] = check_specification(spec, restaurant_schema)
+        assert diagnostic.message == "objective precedence is cyclic: B -> C -> B"
+
+    def test_deep_objective_chain_checks_clean(self, restaurant_schema):
+        depth = 1100
+        lines = ['RestaurantInfo(name = "R") -> O0']
+        lines += [f"O{i} -> O{i + 1}" for i in range(depth)]
+        lines.append(f"O{depth} -> Done")
+        assert check_specification(parse_specification("\n".join(lines)), restaurant_schema) == []
+
     def test_self_cycle(self, restaurant_schema):
         spec = parse_specification("A -> A\nRestaurantInfo(name = \"R\") -> Done")
         assert DiagnosticCode.CYCLE in codes(check_specification(spec, restaurant_schema))

@@ -112,11 +112,24 @@ class TestParse:
             ("S(x 1) -> Done", "unexpected"),
             ("-> Done", "unexpected"),
             ("S(x = 1) @ T(y = 2) -> Done", "unexpected character"),
+            ('S(x = "a\\', "column 9: unterminated escape"),
+            ('S(x = "a\\q") -> Done', r"column 9: unsupported escape \\q"),
+            ("S(x = 1.) -> Done", "column 7: malformed number"),
+            ('S(x not ["a"]) -> Done', "column 5: 'not' is only valid as part of 'not in'"),
+            ("\t  S(x = 1) @ -> Done", "column 10: unexpected character '@'"),
         ],
     )
     def test_syntax_errors(self, text, fragment):
         with pytest.raises(SpecSyntaxError, match=fragment):
             parse_specification(text)
+
+    def test_non_decimal_digit_is_an_unexpected_character(self):
+        with pytest.raises(SpecSyntaxError, match="unexpected character '²'") as exc_info:
+            parse_specification("S(x = ²) -> Done")
+        assert (exc_info.value.line, exc_info.value.column) == (1, 7)
+        # still allowed inside an identifier, and decimal digits of any script count
+        spec = parse_specification("S(x² = ٣) -> Done")
+        assert spec.rules[0].predicates[0].constraints[0] == Constraint("x²", Operator.EQ, Constant.number(3))
 
     def test_error_carries_position_and_expected(self):
         with pytest.raises(SpecSyntaxError) as exc_info:

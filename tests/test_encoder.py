@@ -46,6 +46,15 @@ class TestEncode:
         assert "TYPE_MISMATCH" in result.transcript[1].prompt
         assert "name" in result.transcript[1].prompt
 
+    def test_non_decimal_digit_draft_fails_the_syntax_gate(self, restaurant_schema, reservation_spec):
+        superscript = helpers.GOOD_DRAFT.replace("19:00", "²")
+        backend = MockBackend([{"role": "encoder", "response": superscript}] + helpers.clean_run())
+        result = encode(INSTRUCTION, restaurant_schema, backend)
+        assert result.iterations_used == 2
+        assert result.spec == reservation_spec
+        assert "syntax error: line 1, column" in result.transcript[1].prompt
+        assert "unexpected character '²'" in result.transcript[1].prompt
+
     def test_semantic_failure_is_repaired(self, restaurant_schema):
         backend = MockBackend(
             [
