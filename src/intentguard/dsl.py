@@ -164,7 +164,6 @@ class Rule:
 @dataclass(frozen=True)
 class Specification:
     rules: tuple[Rule, ...]
-    source_text: str | None = field(default=None, compare=False)
 
     def rules_concluding(self, objective: str) -> list[tuple[int, Rule]]:
         return [(i, r) for i, r in enumerate(self.rules) if r.conclusion == objective]
@@ -195,17 +194,22 @@ class _Token(NamedTuple):
     column: int
 
 
+#: Spellings of the Date and Time literals, shared by the token pattern and
+#: :func:`read_literal`.  ``\d`` is a decimal digit of any script.
+_DATE_SHAPE = r"\d{4}-\d\d-\d\d"
+_TIME_SHAPE = r"\d\d?:\d\d"
+
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
 # character no other alternative starts with.  A string literal is matched
 # whole, so this is the one place that knows the escapes (\" and \\).
 _TOKEN_PATTERN = re.compile(
-    r"""
+    rf"""
     \s* (?:
         (?P<END> \#.* | \Z )
       | (?P<STRING> " (?: [^"\\] | \\["\\] )* " )
-      | (?P<DATE> \d{4}-\d\d-\d\d )
-      | (?P<TIME> \d\d?:\d\d )
+      | (?P<DATE> {_DATE_SHAPE} )
+      | (?P<TIME> {_TIME_SHAPE} )
       | (?P<NUMBER> -?\d+ (?: \.\d* )? )
       | (?P<ARROW> -> | → )
       | (?P<OP> [!~<>]= | [=<>≠≃≥≤⊆⊄] | in(?!\w) )
@@ -342,18 +346,12 @@ class _RuleParser:
         if tok.kind == "NUMBER":
             self.advance()
             return Constant.number(tok.text)
-        if tok.kind == "DATE":
+        if tok.kind in ("DATE", "TIME"):
             self.advance()
             try:
-                return Constant.calendar(date.fromisoformat(tok.text))
+                return read_literal(ConstKind[tok.kind], tok.text, shaped=True)
             except ValueError:
-                raise SpecSyntaxError(f"invalid date {tok.text!r}", self.lineno, tok.column) from None
-        if tok.kind == "TIME":
-            self.advance()
-            hh, mm = tok.text.split(":")
-            if not (0 <= int(hh) <= 23 and 0 <= int(mm) <= 59):
-                raise SpecSyntaxError(f"invalid time {tok.text!r}", self.lineno, tok.column)
-            return Constant.clock(time(int(hh), int(mm)))
+                raise SpecSyntaxError(f"invalid {tok.kind.lower()} {tok.text!r}", self.lineno, tok.column) from None
         if tok.kind == "LBRACKET":
             self.advance()
             items: list[str] = []
@@ -397,17 +395,33 @@ def parse_specification(text: str) -> Specification:
             rules.append(_RuleParser(tokens, lineno).parse_rule())
     if not rules:
         raise SpecSyntaxError("no rules found", max(len(lines), 1), 1, ("rule",))
-    return Specification(tuple(rules), source_text=text)
+    return Specification(tuple(rules))
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Reading and rendering literals
 # ---------------------------------------------------------------------------
 
 
 def _quote(text: str) -> str:
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
+
+
+_LITERAL_SHAPES = {ConstKind.DATE: re.compile(_DATE_SHAPE), ConstKind.TIME: re.compile(_TIME_SHAPE)}
+
+
+def read_literal(kind: ConstKind, text: str, shaped: bool = False) -> Constant:
+    """The Date (``YYYY-MM-DD``) or Time (``H:MM``, ``HH:MM``) constant that
+    ``text`` spells; ``int()`` reads each field.  ``ValueError`` for any other
+    spelling, or a day or time that does not exist.  ``shaped`` skips the
+    shape match for text the token pattern has already matched."""
+    if not (shaped or _LITERAL_SHAPES[kind].fullmatch(text)):
+        raise ValueError(f"not a {kind.value} literal: {text!r}")
+    if kind is ConstKind.DATE:
+        return Constant.calendar(date(int(text[:4]), int(text[5:7]), int(text[8:])))
+    hours, minutes = text.split(":")
+    return Constant.clock(time(int(hours), int(minutes)))
 
 
 def render_constant(constant: Constant) -> str:

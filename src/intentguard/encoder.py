@@ -16,8 +16,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
-from typing import TYPE_CHECKING
 
 from .backend import Backend
 from .dsl import (
@@ -32,9 +32,7 @@ from .dsl import (
 )
 from .memory import PredicateMemory
 from .schema import StateSchema, describe_states
-
-if TYPE_CHECKING:
-    from .trace import Trace
+from .trace import Trace, replay
 
 
 class EncodeFailed(Exception):
@@ -84,6 +82,7 @@ class EncodeResult:
     from_memory: bool
 
 
+@cache
 def _prompt(name: str) -> str:
     return resources.files("intentguard").joinpath("prompts", name).read_text(encoding="utf-8")
 
@@ -282,7 +281,6 @@ def majority_encode(
 class RunOutcome:
     passed: bool
     encode_error: str | None = None
-    verdict_kinds: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -298,15 +296,13 @@ class FinalVerdict:
 def majority_verify(
     instruction: str,
     schema: StateSchema,
-    trace: "Trace",
+    trace: Trace,
     backend: Backend,
     config: EncodeConfig | None = None,
     memory: PredicateMemory | None = None,
 ) -> FinalVerdict:
     """Encode and replay ``majority_n`` times; the task verdict is the
     majority of per-run verdicts.  A failed encoding is a fail vote."""
-    from .trace import replay  # deferred: trace imports engine which is independent of this module
-
     config = config or EncodeConfig()
     votes: list[RunOutcome] = []
     for _ in range(config.majority_n):
@@ -315,13 +311,7 @@ def majority_verify(
         except EncodeFailed as exc:
             votes.append(RunOutcome(passed=False, encode_error=str(exc)))
             continue
-        outcome = replay(result.spec, schema, trace)
-        votes.append(
-            RunOutcome(
-                passed=outcome.done,
-                verdict_kinds=tuple(v.kind.value for v in outcome.verdicts),
-            )
-        )
+        votes.append(RunOutcome(passed=replay(result.spec, schema, trace).done))
     passed = sum(1 for v in votes if v.passed) * 2 > len(votes)
     return FinalVerdict(passed=passed, votes=tuple(votes))
 
@@ -430,7 +420,7 @@ def diff_specifications(
     candidate: Specification,
     ground_truth: Specification,
     schema: StateSchema,
-    wrong_trace: "Trace | None" = None,
+    wrong_trace: Trace | None = None,
 ) -> DiffReport:
     """Classify how a candidate encoding deviates from the ground truth.
 
@@ -442,8 +432,6 @@ def diff_specifications(
     candidate flips that trace's replay from completed to blocked — i.e. its
     absence alone lets the wrong execution through.
     """
-    from .trace import replay
-
     for label, spec in (("candidate", candidate), ("ground_truth", ground_truth)):
         diagnostics = check_specification(spec, schema)
         if diagnostics:

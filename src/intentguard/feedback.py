@@ -20,6 +20,7 @@ from .dsl import (
     Rule,
     Specification,
     StatePredicate,
+    render_constant,
 )
 from .schema import StateSchema
 
@@ -53,22 +54,19 @@ class FeedbackBundle:
 
 
 def feedback_constant(constant: Constant) -> str:
-    """Constant spelling used inside feedback sentences (quotes on text-like
-    values, bare capitalized booleans)."""
+    """Constant spelling used inside feedback sentences: text, ``"Today"`` and
+    list items quoted without escapes, booleans capitalized, every other kind
+    as its rule-language literal."""
     kind, value = constant.kind, constant.value
     if kind is ConstKind.TEXT:
         return f'"{value}"'
     if kind is ConstKind.BOOLEAN:
         return "True" if value else "False"
-    if kind is ConstKind.NUMBER:
-        return format(value, "f")
-    if kind is ConstKind.DATE:
-        return '"Today"' if constant.is_today else value.isoformat()
-    if kind is ConstKind.TIME:
-        return value.strftime("%H:%M")
-    if kind is ConstKind.ENUM:
-        return str(value)
-    return "[" + ", ".join(f'"{item}"' for item in value) + "]"
+    if constant.is_today:
+        return '"Today"'
+    if kind is ConstKind.TEXT_LIST:
+        return "[" + ", ".join(f'"{item}"' for item in value) + "]"
+    return render_constant(constant)
 
 
 def constraint_phrase(constraint: Constraint) -> str:

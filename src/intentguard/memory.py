@@ -11,7 +11,6 @@ instruction and the instructions it came from.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -27,10 +26,6 @@ class MemoryEntry:
     spec_text: str
     used_predicates: tuple[tuple[str, str, str], ...]  # (state, variable, operator)
     timestamp: str
-
-    def content_hash(self) -> str:
-        key = json.dumps([self.instruction, self.spec_text])
-        return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -68,6 +63,20 @@ def used_predicates(spec: Specification) -> tuple[tuple[str, str, str], ...]:
     return tuple(seen)
 
 
+def _entry_from_dict(item: dict) -> MemoryEntry:
+    instruction, spec_text, triples, timestamp = (
+        item[name] for name in ("instruction", "spec", "used_predicates", "timestamp")
+    )
+    for name, value in (("instruction", instruction), ("spec", spec_text), ("timestamp", timestamp)):
+        if not isinstance(value, str):
+            raise ValueError(f"memory entry field '{name}' must be a string, got {value!r}")
+    if not isinstance(triples, list) or not all(
+        isinstance(t, list) and len(t) == 3 and all(isinstance(part, str) for part in t) for t in triples
+    ):
+        raise ValueError(f"memory entry field 'used_predicates' must be a list of 3-string lists, got {triples!r}")
+    return MemoryEntry(instruction, spec_text, tuple(tuple(t) for t in triples), timestamp)
+
+
 class PredicateMemory:
     """Mutable in-process view of one memory file (single writer)."""
 
@@ -96,7 +105,7 @@ class PredicateMemory:
             timestamp=stamp,
         )
         bucket = self.entries.setdefault(app_id, [])
-        if any(existing.content_hash() == entry.content_hash() for existing in bucket):
+        if any((e.instruction, e.spec_text) == (instruction, entry.spec_text) for e in bucket):
             return False
         bucket.append(entry)
         return True
@@ -142,15 +151,7 @@ class PredicateMemory:
         entries: dict[str, list[MemoryEntry]] = {}
         try:
             for app_id, bucket in data.get("entries", {}).items():
-                entries[app_id] = [
-                    MemoryEntry(
-                        instruction=item["instruction"],
-                        spec_text=item["spec"],
-                        used_predicates=tuple(tuple(t) for t in item["used_predicates"]),
-                        timestamp=item["timestamp"],
-                    )
-                    for item in bucket
-                ]
+                entries[app_id] = [_entry_from_dict(item) for item in bucket]
         except KeyError as exc:
             raise ValueError(f"a memory entry lacks the field {exc}") from None
         except (AttributeError, TypeError) as exc:

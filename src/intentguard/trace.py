@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from datetime import date, datetime, time
+from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .dsl import TODAY, Constant, ConstKind, Specification
+from .dsl import TODAY, Constant, ConstKind, Specification, read_literal, render_constant
 from .engine import (
     ActionEvent,
     Session,
@@ -83,15 +83,14 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
         if raw.lower() == TODAY.lower():
             return Constant.today()
         try:
-            return Constant.calendar(date.fromisoformat(raw))
+            return read_literal(ConstKind.DATE, raw)
         except ValueError:
             raise TraceParseError(f"{where}: {raw!r} is not a date") from None
     if kind is TypeKind.TIME:
         if not isinstance(raw, str) or raw.count(":") != 1:
             raise TraceParseError(f"{where}: expected 'HH:MM', got {raw!r}")
-        hh, _, mm = raw.partition(":")
         try:
-            return Constant.clock(time(int(hh), int(mm)))
+            return read_literal(ConstKind.TIME, raw)
         except ValueError:
             raise TraceParseError(f"{where}: {raw!r} is not a valid time") from None
     if kind is TypeKind.ENUM:
@@ -190,24 +189,22 @@ def load_trace(path: str | Path, schema: StateSchema) -> Trace:
 
 def event_to_dict(event: ActionEvent) -> dict:
     def raw(value: Constant) -> object:
+        """JSON booleans, numbers and text; the literal spelling otherwise."""
         if value.kind is ConstKind.BOOLEAN:
             return bool(value.value)
+        if value.kind is ConstKind.TEXT:
+            return str(value.value)
+        if value.kind is ConstKind.TEXT_LIST:
+            raise ValueError(f"{value.kind.value} values cannot appear in trace events")
         if value.kind is ConstKind.NUMBER:
             as_decimal = value.value
             if as_decimal == as_decimal.to_integral_value():
                 return int(as_decimal)
             as_float = float(as_decimal)
             # keep the exact literal when binary floats would corrupt it
-            return as_float if Decimal(str(as_float)) == as_decimal else str(as_decimal)
-        if value.kind is ConstKind.TEXT:
-            return str(value.value)
-        if value.kind is ConstKind.DATE:
-            return TODAY if value.is_today else value.value.isoformat()
-        if value.kind is ConstKind.TIME:
-            return value.value.strftime("%H:%M")
-        if value.kind is ConstKind.ENUM:
-            return str(value.value)
-        raise ValueError(f"{value.kind.value} values cannot appear in trace events")
+            if Decimal(str(as_float)) == as_decimal:
+                return as_float
+        return render_constant(value)
 
     data: dict = {
         "action_id": event.action_id,

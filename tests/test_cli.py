@@ -287,6 +287,30 @@ class TestEncode:
         assert result.exit_code == 0, result.output
         assert "warm-started from memory" in result.output
 
+    @pytest.mark.parametrize(
+        "field, value, fragment",
+        [
+            ("instruction", 5, "'instruction' must be a string"),
+            ("used_predicates", [["A"]], "'used_predicates' must be a list"),
+            ("used_predicates", [[1, {}, 2]], "'used_predicates' must be a list"),
+        ],
+        ids=["instruction-not-text", "short-triple", "unhashable-triple"],
+    )
+    def test_malformed_memory_entry_exits_one(self, runner, tmp_path, field, value, fragment):
+        entry = {"instruction": "x", "spec": "S(a = 1) -> Done", "used_predicates": [], "timestamp": "t"}
+        memory_path = tmp_path / "memory.json"
+        memory_path.write_text(json.dumps({"entries": {"restaurant_demo": [{**entry, field: value}]}}))
+        result = runner.invoke(
+            main,
+            [
+                "encode", "--instruction", INSTRUCTION, "--schema", SCHEMA,
+                "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_happy.json"),
+                "--memory", str(memory_path),
+            ],
+        )
+        assert_clean_failure(result)
+        assert f"error: memory {memory_path}: memory entry field {fragment}" in result.stderr
+
 
 class TestEval:
     def test_shipped_cases_table_and_report(self, runner, tmp_path):

@@ -1,7 +1,7 @@
 """Seeded mutation fuzzing of the CLI over the restaurant fixtures.
 
-Each case mutates one input (schema, spec, trace or mock script), as text or
-as a JSON value, and runs the command that reads it.  Whatever the input, the
+Each case mutates one input (schema, spec, trace, mock script or predicate
+memory file), as text or as a JSON value, and runs the command that reads it.  Whatever the input, the
 command must end in exit code 0, 1 or 2, never in an escaped exception or a
 printed traceback.
 """
@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import random
+from datetime import datetime, timezone
 
 from click.testing import CliRunner
 
 from intentguard.cli import main
+from intentguard.dsl import parse_specification
+from intentguard.memory import PredicateMemory
 
 from conftest import FIXTURES
 
@@ -27,6 +30,7 @@ ORIGINALS = {
     "trace": (FIXTURES / "restaurant" / "traces" / "happy_path.jsonl").read_text(encoding="utf-8"),
     "fixture": (FIXTURES / "mock" / "encode_repair.json").read_text(encoding="utf-8"),
 }
+MEMORY_CASES = 100
 COMMANDS = {
     "schema": ("verify", "check", "lint"),
     "spec": ("verify", "check"),
@@ -88,8 +92,15 @@ def command_args(command: str, paths: dict[str, str]) -> list[str]:
         return ["check", "--spec", paths["spec"], "--schema", paths["schema"]]
     if command == "verify":
         return ["verify", "--spec", paths["spec"], "--schema", paths["schema"], "--trace", paths["trace"]]
+    memory = ["--memory", paths["memory"]] if "memory" in paths else []
     return ["encode", "--instruction", INSTRUCTION, "--schema", paths["schema"],
-            "--backend", "mock", "--fixture", paths["fixture"]]
+            "--backend", "mock", "--fixture", paths["fixture"], *memory]
+
+
+def assert_clean_exit(result, where: str) -> None:
+    assert result.exit_code in (0, 1, 2), where
+    assert result.exception is None or isinstance(result.exception, SystemExit), f"{where}\n{result.exception!r}"
+    assert "Traceback" not in result.output, where
 
 
 def test_mutated_inputs_never_escape_as_exceptions(tmp_path):
@@ -106,9 +117,28 @@ def test_mutated_inputs_never_escape_as_exceptions(tmp_path):
             path.write_text(text, encoding="utf-8")
             paths[name] = str(path)
         result = runner.invoke(main, command_args(command, paths))
-        where = f"case {case}: {command} with mutated {target}:\n{texts[target]!r}"
-        assert result.exit_code in (0, 1, 2), where
-        assert result.exception is None or isinstance(result.exception, SystemExit), f"{where}\n{result.exception!r}"
-        assert "Traceback" not in result.output, where
+        assert_clean_exit(result, f"case {case}: {command} with mutated {target}:\n{texts[target]!r}")
         exit_codes.append(result.exit_code)
     assert {0, 1, 2} <= set(exit_codes)
+
+
+def test_mutated_memory_files_never_escape_as_exceptions(tmp_path):
+    memory = PredicateMemory()
+    memory.record_success(
+        "restaurant_demo", INSTRUCTION, parse_specification(ORIGINALS["spec"]),
+        now=datetime(2025, 3, 14, tzinfo=timezone.utc),
+    )
+    original = json.dumps(memory.to_dict())
+    rng = random.Random(SEED)
+    runner = CliRunner()
+    exit_codes = []
+    for case in range(MEMORY_CASES):
+        text = mutate(rng, "memory", original)
+        paths = {"schema": str(FIXTURES / "restaurant" / "schema.json"),
+                 "fixture": str(FIXTURES / "mock" / "encode_repair.json"),
+                 "memory": str(tmp_path / f"{case}_memory.json")}
+        (tmp_path / f"{case}_memory.json").write_text(text, encoding="utf-8")
+        result = runner.invoke(main, command_args("encode", paths))
+        assert_clean_exit(result, f"case {case}: encode with mutated memory:\n{text!r}")
+        exit_codes.append(result.exit_code)
+    assert {0, 1} <= set(exit_codes)

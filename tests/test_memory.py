@@ -123,6 +123,28 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=fragment):
             PredicateMemory.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("instruction", 5),
+            ("spec", None),
+            ("timestamp", ["t"]),
+            ("used_predicates", "A.b.="),
+            ("used_predicates", [["A"]]),
+            ("used_predicates", [[1, {}, 2]]),
+            ("used_predicates", [["A", "b", "=", "x"]]),
+        ],
+    )
+    def test_wrong_field_type_raises_value_error(self, field, value):
+        entry = {"instruction": "x", "spec": "S(a = 1) -> Done", "used_predicates": [["S", "a", "="]], "timestamp": "t"}
+        with pytest.raises(ValueError, match=f"memory entry field '{field}' must be"):
+            PredicateMemory.from_dict({"entries": {"app": [{**entry, field: value}]}})
+
+    def test_well_typed_entry_loads(self):
+        entry = {"instruction": "x", "spec": "S(a = 1) -> Done", "used_predicates": [["S", "a", "="]], "timestamp": "t"}
+        memory = PredicateMemory.from_dict({"entries": {"app": [entry]}})
+        assert [c.state for c in memory.retrieve_candidates("app", "x")] == ["S"]
+
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "memory.json"
         path.write_text("{not json")

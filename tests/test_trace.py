@@ -7,12 +7,13 @@ from decimal import Decimal
 import pytest
 
 from intentguard.backend import MockBackend, SimilarityScorer
-from intentguard.dsl import Constant
+from intentguard.dsl import Constant, parse_specification
 from intentguard.schema import schema_from_dict
 from intentguard.trace import (
     Trace,
     TraceHeader,
     TraceParseError,
+    event_to_dict,
     load_trace,
     parse_trace,
     replay,
@@ -98,6 +99,46 @@ class TestParse:
         with pytest.raises(TraceParseError, match=fragment):
             parse_trace(trace_text(line), restaurant_schema)
 
+    @pytest.mark.parametrize(
+        "variable, raw, problem",
+        [
+            ("date", "20250314", "'20250314' is not a date"),
+            ("date", "2025-W11-5", "'2025-W11-5' is not a date"),
+            ("date", "2025-02-29", "'2025-02-29' is not a date"),
+            ("date", 20250314, "expected 'YYYY-MM-DD' or 'Today', got 20250314"),
+            ("time", "+1:30", "'+1:30' is not a valid time"),
+            ("time", "1_0:30", "'1_0:30' is not a valid time"),
+            ("time", "19:5", "'19:5' is not a valid time"),
+            ("time", " 9:5", "' 9:5' is not a valid time"),
+            ("time", "24:00", "'24:00' is not a valid time"),
+            ("time", "19:30:00", "expected 'HH:MM', got '19:30:00'"),
+            ("time", 1930, "expected 'HH:MM', got 1930"),
+        ],
+        ids=[
+            "basic-format-date", "week-date", "no-such-day", "date-not-text", "signed-hour",
+            "underscored-hour", "one-digit-minute", "blank-before-hour", "hour-24", "seconds", "time-not-text",
+        ],
+    )
+    def test_dates_and_times_take_only_the_rule_language_spellings(self, restaurant_schema, variable, raw, problem):
+        line = json.dumps({"action_id": "x", "updates": [{"state": "ReserveInfo", "values": {variable: raw}}]})
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text(line), restaurant_schema)
+        assert str(excinfo.value) == f"line 2: ReserveInfo.{variable}: {problem}"
+
+    def test_arabic_indic_date_and_time_read_the_same_in_spec_and_trace(self, restaurant_schema):
+        spec = parse_specification("ReserveInfo(date = ٢٠٢٥-٠٣-١٤, time = ١٩:٣٠) -> Done")
+        constants = {c.variable: c.constant for c in spec.rules[0].predicates[0].constraints}
+        line = json.dumps(
+            {"action_id": "x", "updates": [{"state": "ReserveInfo", "values": {"date": "٢٠٢٥-٠٣-١٤", "time": "١٩:٣٠"}}]},
+            ensure_ascii=False,
+        )
+        trace = parse_trace(trace_text(line), restaurant_schema)
+        assert trace.events[0].updates[0].values == constants == {
+            "date": Constant.calendar(date(2025, 3, 14)),
+            "time": Constant.clock(time(19, 30)),
+        }
+        assert replay(spec, restaurant_schema, trace).done is True
+
     @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", '"nan"', '"Infinity"'])
     def test_non_finite_numbers_rejected(self, groceries_schema, raw):
         line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
@@ -163,6 +204,48 @@ class TestWrite:
         path = tmp_path / "numbers.jsonl"
         write_trace(trace, path)
         assert load_trace(path, schema) == trace
+
+
+    def test_every_constant_kind_round_trips(self, tmp_path):
+        schema = schema_from_dict(
+            {
+                "app_id": "demo",
+                "states": [
+                    {
+                        "name": "S",
+                        "description": "",
+                        "variables": [
+                            {"txt": "Text"}, {"n": "Number"}, {"flag": "Boolean"},
+                            {"d": "Date"}, {"t": "Time"}, {"pay": "Enum[Card, Cash]"},
+                        ],
+                    }
+                ],
+            }
+        )
+        exact = Decimal("0.1000000000000000000001")  # no binary float holds it
+        values = [
+            {
+                "txt": Constant.text("Today"),
+                "n": Constant.number(7),
+                "flag": Constant.boolean(False),
+                "d": Constant.calendar(date(987, 1, 2)),
+                "t": Constant.clock(time(9, 5)),
+                "pay": Constant.enum("Cash"),
+            },
+            {"n": Constant.number(Decimal("2.5")), "d": Constant.today(), "t": Constant.clock(time(23, 59))},
+            {"n": Constant.number(exact)},
+        ]
+        trace = Trace(
+            header=TraceHeader("demo", "", "all kinds", datetime(2025, 3, 14)),
+            events=tuple(ActionEvent(f"e{i}", "pre", (StateUpdate("S", v),)) for i, v in enumerate(values)),
+        )
+        written = [event_to_dict(e)["updates"][0]["values"] for e in trace.events]
+        assert written[0] == {"txt": "Today", "n": 7, "flag": False, "d": "0987-01-02", "t": "09:05", "pay": "Cash"}
+        assert written[1] == {"n": 2.5, "d": "Today", "t": "23:59"}
+        assert written[2] == {"n": "0.1000000000000000000001"}
+        path = tmp_path / "kinds.jsonl"
+        write_trace(trace, path)
+        assert parse_trace(path.read_text(encoding="utf-8"), schema) == trace
 
 
 class TestReplay:
