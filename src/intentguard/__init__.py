@@ -12,8 +12,6 @@ from .backend import (
     HttpBackend,
     MockBackend,
     ScriptExhausted,
-    SimilarityScorer,
-    lexical_similarity,
 )
 from .dsl import (
     DONE,
@@ -33,6 +31,7 @@ from .dsl import (
     StatePredicate,
     check_specification,
     evaluate_constraint,
+    lexical_similarity,
     parse_specification,
     render_specification,
 )

@@ -709,6 +709,35 @@ def normalize_text(value: str) -> str:
     return unicodedata.normalize("NFC", value).strip()
 
 
+def _lexical_normalize(text: str) -> str:
+    folded = unicodedata.normalize("NFC", text).casefold()
+    kept = "".join(ch if (ch.isalnum() or ch.isspace()) else "" for ch in folded)
+    return " ".join(kept.split())
+
+
+def _trigrams(text: str) -> set[str]:
+    if len(text) < 3:
+        return {text}
+    return {text[i : i + 3] for i in range(len(text) - 2)}
+
+
+def lexical_similarity(a: str, b: str) -> float:
+    """The default scorer behind ``~=``: character-trigram Jaccard over
+    punctuation-stripped, casefolded text.
+
+    Punctuation is dropped before trigramming so spellings like "Joe's" and
+    "Joes" coincide; without that, near-identical names score well under the
+    equivalence threshold.
+    """
+    na, nb = _lexical_normalize(a), _lexical_normalize(b)
+    if na == nb:
+        return 1.0
+    if not na or not nb:
+        return 0.0
+    ga, gb = _trigrams(na), _trigrams(nb)
+    return len(ga & gb) / len(ga | gb)
+
+
 def _resolve_date(constant: Constant, ctx: EvalContext) -> date:
     return ctx.today if constant.is_today else constant.value  # type: ignore[return-value]
 

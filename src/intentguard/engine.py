@@ -33,7 +33,6 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from . import feedback as feedback_mod
-from .backend import lexical_similarity
 from .dsl import (
     DONE,
     ConstKind,
@@ -46,6 +45,7 @@ from .dsl import (
     StatePredicate,
     check_specification,
     evaluate_constraint,
+    lexical_similarity,
     render_constant,
 )
 from .schema import StateSchema, VarType
@@ -273,15 +273,6 @@ class Session:
         self.achieved_objectives: set[str] = set()
         self.pending_soft: str | None = None
         self.done = False
-
-    # -- helpers -----------------------------------------------------------
-
-    def value_of(self, state: str, variable: str) -> Constant | None:
-        return self.world.get((state, variable))
-
-    def world_view(self) -> dict[tuple[str, str], Constant]:
-        """Copy of the current valuation; handy for asserting no-mutation."""
-        return dict(self.world)
 
     @cached_property
     def _compiled(self) -> _CompiledSpec:

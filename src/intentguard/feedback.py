@@ -129,16 +129,15 @@ def achieved_suffix(statuses: Iterable["PredicateStatus"]) -> str:
     return f" So far, you have achieved {_join_steps(achieved)}." if achieved else ""
 
 
-def render_rule_roadmap(progress: "RuleProgress", spec: Specification, schema: StateSchema) -> str:
-    """One roadmap paragraph: the rule's goal, its numbered steps, and which
-    of them are already achieved (omitted while none are)."""
-    return roadmap_sentence(spec.rules[progress.rule_index], schema) + achieved_suffix(progress.statuses)
-
-
 def render_roadmap_lines(
     report: Iterable["RuleProgress"], spec: Specification, schema: StateSchema
 ) -> list[str]:
-    return [render_rule_roadmap(progress, spec, schema) for progress in report]
+    """One roadmap paragraph per rule: its goal, its numbered steps, and which
+    of them are already achieved (omitted while none are)."""
+    return [
+        roadmap_sentence(spec.rules[progress.rule_index], schema) + achieved_suffix(progress.statuses)
+        for progress in report
+    ]
 
 
 def render_soft(violations: Sequence["Violation"]) -> str:

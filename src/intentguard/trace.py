@@ -5,6 +5,9 @@ The header fixes everything replay needs for determinism::
     {"app_id": "...", "schema_path": "schema.json", "instruction": "...",
      "clock": "2025-03-14T12:00:00"}
 
+The clock is naive: ``Today`` resolves on its calendar date, and the rule
+language has no time zones.
+
 Each event line mirrors one state-update trigger firing::
 
     {"action_id": "a1", "phase": "pre",
@@ -19,6 +22,7 @@ Text variable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
@@ -102,6 +106,25 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
     raise AssertionError(f"unhandled type {kind}")
 
 
+_CLOCK_TIME = re.compile(r"(\d\d):(\d\d)(?::(\d\d)(?:\.(\d{6}))?)?")
+
+
+def _read_clock(text: str) -> datetime:
+    """The naive clock ``text`` spells: a ``YYYY-MM-DD`` date read as the rule
+    language reads it, alone or followed by ``THH:MM``, ``THH:MM:SS`` or
+    ``THH:MM:SS.ffffff`` as ``datetime.isoformat()`` writes them.
+    ``ValueError`` for any other spelling, including a UTC offset."""
+    day_text, sep, time_text = text.partition("T")
+    day = read_literal(ConstKind.DATE, day_text).value
+    if not sep:
+        return datetime(day.year, day.month, day.day)
+    match = _CLOCK_TIME.fullmatch(time_text)
+    if match is None:
+        raise ValueError(f"not a naive ISO time: {time_text!r}")
+    hour, minute, second, micro = (int(part or 0) for part in match.groups())
+    return datetime(day.year, day.month, day.day, hour, minute, second, micro)
+
+
 def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
     """Check field shapes, coerce raw values by their declared types, then
     apply the engine's event rules."""
@@ -155,7 +178,7 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
         if not isinstance(header_raw.get(key), str) or not header_raw[key]:
             raise TraceParseError(f"line {header_no}: header needs a non-empty '{key}'")
     try:
-        clock = datetime.fromisoformat(header_raw["clock"])
+        clock = _read_clock(header_raw["clock"])
     except ValueError as exc:
         raise TraceParseError(f"line {header_no}: clock {header_raw['clock']!r} is not ISO format") from exc
     header = TraceHeader(
@@ -188,7 +211,7 @@ def load_trace(path: str | Path, schema: StateSchema) -> Trace:
 
 
 def event_to_dict(event: ActionEvent) -> dict:
-    def raw(value: Constant) -> object:
+    def raw(value: Constant, where: str) -> object:
         """JSON booleans, numbers and text; the literal spelling otherwise."""
         if value.kind is ConstKind.BOOLEAN:
             return bool(value.value)
@@ -198,6 +221,8 @@ def event_to_dict(event: ActionEvent) -> dict:
             raise ValueError(f"{value.kind.value} values cannot appear in trace events")
         if value.kind is ConstKind.NUMBER:
             as_decimal = value.value
+            if not as_decimal.is_finite():
+                raise ValueError(f"{where}: {as_decimal} is not a finite number")
             if as_decimal == as_decimal.to_integral_value():
                 return int(as_decimal)
             as_float = float(as_decimal)
@@ -210,7 +235,7 @@ def event_to_dict(event: ActionEvent) -> dict:
         "action_id": event.action_id,
         "phase": event.phase,
         "updates": [
-            {"state": u.state, "values": {var: raw(val) for var, val in u.values.items()}}
+            {"state": u.state, "values": {var: raw(val, f"{u.state}.{var}") for var, val in u.values.items()}}
             for u in event.updates
         ],
     }
@@ -220,6 +245,10 @@ def event_to_dict(event: ActionEvent) -> dict:
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
+    if trace.header.clock.utcoffset() is not None:
+        # ``Today`` resolves on the clock's calendar date and rules have no
+        # zones, so an offset could not be read back
+        raise ValueError(f"clock {trace.header.clock.isoformat()} has a UTC offset; trace clocks are naive")
     header = {
         "app_id": trace.header.app_id,
         "schema_path": trace.header.schema_path,
@@ -237,13 +266,13 @@ class ReplayResult:
     done: bool = False
 
 
-def replay(spec: Specification, schema: StateSchema, trace: Trace, similarity=None) -> ReplayResult:
+def replay(spec: Specification, schema: StateSchema, trace: Trace) -> ReplayResult:
     """Run every event through a fresh session; stop at task completion.
 
     Pure rule evaluation: no model completions happen here, which is the whole
     point of encoding the instruction up front.
     """
-    session = Session(spec, schema, trace.header.clock, similarity=similarity)
+    session = Session(spec, schema, trace.header.clock)
     result = ReplayResult()
     for event in trace.events:
         verdict = session.submit_action(event)

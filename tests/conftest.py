@@ -4,9 +4,12 @@ from datetime import date, datetime
 from pathlib import Path
 
 import pytest
+import requests
 
 from intentguard import (
     EvalContext,
+    HttpBackend,
+    MockBackend,
     Session,
     lexical_similarity,
     load_schema,
@@ -51,6 +54,23 @@ def make_session(restaurant_schema, reservation_spec):
         return Session(spec or reservation_spec, schema or restaurant_schema, CLOCK, **kwargs)
 
     return factory
+
+
+def refuse_backends(monkeypatch) -> None:
+    """Make every way of reaching a model fail loudly, so code that still
+    succeeds has shown that it calls none."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a backend was called")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    monkeypatch.setattr(MockBackend, "complete", refuse)
+    monkeypatch.setattr(HttpBackend, "complete", refuse)
+
+
+@pytest.fixture
+def no_backend(monkeypatch):
+    refuse_backends(monkeypatch)
 
 
 def trace_fixture(*parts, schema):

@@ -63,6 +63,3 @@ class RecordingBackend:
     def complete(self, role, system_prompt, user_prompt):
         self.requests.append((role, user_prompt))
         return self.inner.complete(role, system_prompt, user_prompt)
-
-    def embed(self, text):
-        return self.inner.embed(text)

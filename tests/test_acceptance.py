@@ -16,7 +16,7 @@ from decimal import Decimal
 import pytest
 from click.testing import CliRunner
 
-from intentguard.backend import MockBackend, SimilarityScorer
+from intentguard.backend import MockBackend
 from intentguard.cli import main as cli_main
 from intentguard.dsl import (
     Constant,
@@ -30,12 +30,12 @@ from intentguard.dsl import (
 )
 from intentguard.encoder import EncodeConfig, EncodeFailed, diff_specifications, encode, majority_verify
 from intentguard.engine import ActionEvent, Session, StateUpdate, VerdictKind
-from intentguard.schema import schema_from_dict
-from intentguard.trace import Trace, TraceHeader, load_trace, replay
+from intentguard.schema import save_schema, schema_from_dict
+from intentguard.trace import Trace, TraceHeader, load_trace, replay, write_trace
 
 import generators
 import helpers
-from conftest import CLOCK, FIXTURES, TODAY
+from conftest import CLOCK, FIXTURES, TODAY, refuse_backends
 from test_dsl_eval import c as constraint_of
 
 RESTAURANT = FIXTURES / "restaurant"
@@ -82,11 +82,11 @@ def test_c03_soft_semantics_on_incremental_updates(apples_spec, groceries_schema
     trace = load_trace(FIXTURES / "groceries" / "traces" / "increment.jsonl", groceries_schema)
     kinds = []
     for event in trace.events:
-        before = session.world_view()
+        before = dict(session.world)
         verdict = session.submit_action(event)
         kinds.append(verdict.kind)
         if verdict.kind is VerdictKind.SOFT_BLOCK:
-            assert session.world_view() == before, "a warned update must be reverted bit-for-bit"
+            assert dict(session.world) == before, "a warned update must be reverted bit-for-bit"
     assert kinds == [
         VerdictKind.SOFT_BLOCK,
         VerdictKind.ALLOW,
@@ -95,7 +95,7 @@ def test_c03_soft_semantics_on_incremental_updates(apples_spec, groceries_schema
         VerdictKind.ALLOW,  # the final quantity=3 update is never blocked
         VerdictKind.TASK_DONE,
     ]
-    assert session.value_of("Cart", "quantity") == Constant.number(3)
+    assert session.world.get(("Cart", "quantity")) == Constant.number(3)
     passed(3, "quantity 1/2 warned then permitted on resubmission; quantity 3 sails through")
 
 
@@ -238,35 +238,26 @@ def _forty_step_trace() -> tuple:
     return spec, schema, trace
 
 
-def test_c11_cost_profile():
+def test_c11_cost_profile(monkeypatch, tmp_path):
     spec, schema, trace = _forty_step_trace()
     assert len(trace.events) == 40
 
-    backend = MockBackend([])
-    scorer = SimilarityScorer(mode="lexical", backend=backend)
-    started = time_mod.monotonic()
-    result = replay(spec, schema, trace, similarity=scorer)
-    elapsed = time_mod.monotonic() - started
-    assert result.done is True
-    assert backend.complete_calls == 0, "replay must never call the completion backend"
-    per_event = elapsed / len(trace.events)
-    assert per_event < 0.050
+    with monkeypatch.context() as patched:
+        refuse_backends(patched)  # replay and verify must never call a completion backend
+        started = time_mod.monotonic()
+        result = replay(spec, schema, trace)
+        elapsed = time_mod.monotonic() - started
+        assert result.done is True
+        per_event = elapsed / len(trace.events)
+        assert per_event < 0.050
 
-    # the command-line path over the same 40 events
-    import tempfile
-    from intentguard.schema import save_schema
-    from intentguard.trace import write_trace
-
-    with tempfile.TemporaryDirectory() as tmp:
-        spec_path = os.path.join(tmp, "long.vsa")
-        schema_path = os.path.join(tmp, "schema.json")
-        trace_path = os.path.join(tmp, "long.jsonl")
-        with open(spec_path, "w") as fh:
-            fh.write(render_specification(spec))
+        # the command-line path over the same 40 events
+        spec_path, schema_path, trace_path = tmp_path / "long.vsa", tmp_path / "schema.json", tmp_path / "long.jsonl"
+        spec_path.write_text(render_specification(spec))
         save_schema(schema, schema_path)
         write_trace(trace, trace_path)
         cli = CliRunner().invoke(
-            cli_main, ["verify", "--spec", spec_path, "--schema", schema_path, "--trace", trace_path]
+            cli_main, ["verify", "--spec", str(spec_path), "--schema", str(schema_path), "--trace", str(trace_path)]
         )
         assert cli.exit_code == 0, cli.output
         assert len(cli.output.strip().splitlines()) == 40

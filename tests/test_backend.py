@@ -6,16 +6,8 @@ import pytest
 import requests
 
 import intentguard.backend as backend_mod
-from intentguard.backend import (
-    BackendError,
-    HttpBackend,
-    MockBackend,
-    ScriptExhausted,
-    SimilarityScorer,
-    cosine_similarity,
-    lexical_similarity,
-    make_backend,
-)
+from intentguard import lexical_similarity
+from intentguard.backend import BackendError, HttpBackend, MockBackend, ScriptExhausted, make_backend
 
 
 class TestMockBackend:
@@ -45,13 +37,15 @@ class TestMockBackend:
         flat.write_text(json.dumps([{"role": "encoder", "response": "a"}]))
         assert MockBackend.from_fixture(flat).complete("encoder", "", "") == "a"
 
-        rich = tmp_path / "rich.json"
-        rich.write_text(
-            json.dumps({"turns": [{"role": "encoder", "response": "b"}], "embeddings": {"x": [1.0, 0.0]}})
-        )
-        backend = MockBackend.from_fixture(rich)
-        assert backend.complete("encoder", "", "") == "b"
-        assert backend.embed("x") == [1.0, 0.0]
+        # a list of turns is the only form: any object is refused, whatever its keys
+        turns = [{"role": "encoder", "response": "b"}]
+        for obj in ({"turns": turns, "embeddings": {"x": [1.0, 0.0]}}, {"turns": turns}, {"embeddings": {}}, {}):
+            rich = tmp_path / "rich.json"
+            rich.write_text(json.dumps(obj))
+            with pytest.raises(BackendError) as info:
+                MockBackend.from_fixture(rich)
+            assert info.value.category == "config"
+            assert str(info.value) == f"mock fixture {rich} needs a list of turns"
 
     @pytest.mark.parametrize(
         "turns",
@@ -69,11 +63,6 @@ class TestMockBackend:
         with pytest.raises(BackendError) as info:
             MockBackend.from_fixture(path)
         assert info.value.category == "config"
-
-    def test_missing_embedding(self):
-        mock = MockBackend([], embeddings={"known": [1.0]})
-        with pytest.raises(BackendError):
-            mock.embed("unknown")
 
     def test_make_backend_requires_fixture(self):
         with pytest.raises(BackendError):
@@ -135,15 +124,6 @@ class TestHttpBackend:
             self.make().complete("encoder", "", "")
         assert exc_info.value.category == "config"
 
-    def test_embed_parses_vector(self, monkeypatch):
-        monkeypatch.setenv("FAKE_KEY", "k")
-        monkeypatch.setattr(
-            backend_mod.requests,
-            "post",
-            lambda *a, **k: FakeResponse(payload={"data": [{"embedding": [0.5, 0.5]}]}),
-        )
-        assert self.make().embed("x") == [0.5, 0.5]
-
 
 class TestSimilarity:
     def test_identity_and_symmetry(self):
@@ -165,27 +145,3 @@ class TestSimilarity:
     def test_range(self):
         for a, b in (("a", "b"), ("short", "shorter"), ("Joe's", "Joes")):
             assert 0.0 <= lexical_similarity(a, b) <= 1.0
-
-    def test_cosine(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-        assert cosine_similarity([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
-        assert cosine_similarity([0.0], [0.0]) == 0.0
-
-    def test_scorer_caches_pairs(self):
-        mock = MockBackend([], embeddings={"a": [1.0, 0.0], "b": [1.0, 0.0]})
-        scorer = SimilarityScorer(mode="embedding", backend=mock)
-        first = scorer("a", "b")
-        second = scorer("b", "a")
-        assert first == second == pytest.approx(1.0)
-        assert mock.embed_calls == 2  # one embedding per distinct text, cached pair after
-
-    def test_embedding_mode_needs_backend(self):
-        with pytest.raises(BackendError):
-            SimilarityScorer(mode="embedding")
-
-    def test_lexical_scorer_never_touches_backend(self):
-        mock = MockBackend([])
-        scorer = SimilarityScorer(mode="lexical", backend=mock)
-        assert scorer("Settings", "Setting") == pytest.approx(5 / 6)
-        assert mock.complete_calls == 0 and mock.embed_calls == 0
-

@@ -23,6 +23,24 @@ def runner():
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = [
+    ("restaurant", "reservation.vsa", "happy_path", 0),
+    ("restaurant", "reservation.vsa", "unavailable_branch", 0),
+    ("restaurant", "reservation.vsa", "wrong_time", 2),
+    ("groceries", "apples.vsa", "increment", 0),
+    ("groceries", "apples.vsa", "short_count", 2),
+]
+
+
+def verify_fixture(runner, app, spec, trace):
+    base = FIXTURES / app
+    return runner.invoke(
+        main,
+        [
+            "verify", "--spec", str(base / spec), "--schema", str(base / "schema.json"),
+            "--trace", str(base / "traces" / f"{trace}.jsonl"),
+        ],
+    )
 
 
 def verdict_kinds(output: str) -> list[str]:
@@ -86,30 +104,20 @@ class TestVerify:
         args = ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl")]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
-    @pytest.mark.parametrize(
-        "app, spec, trace, exit_code",
-        [
-            ("restaurant", "reservation.vsa", "happy_path", 0),
-            ("restaurant", "reservation.vsa", "unavailable_branch", 0),
-            ("restaurant", "reservation.vsa", "wrong_time", 2),
-            ("groceries", "apples.vsa", "increment", 0),
-            ("groceries", "apples.vsa", "short_count", 2),
-        ],
-    )
+    @pytest.mark.parametrize("app, spec, trace, exit_code", GOLDEN_CASES)
     def test_verdict_stream_matches_golden(self, runner, app, spec, trace, exit_code):
         """``tests/golden/<app>_<trace>.jsonl`` holds the stdout recorded
         before the engine's validation was consolidated; any change to it must
         be deliberate and explained."""
-        base = FIXTURES / app
-        result = runner.invoke(
-            main,
-            [
-                "verify", "--spec", str(base / spec), "--schema", str(base / "schema.json"),
-                "--trace", str(base / "traces" / f"{trace}.jsonl"),
-            ],
-        )
+        result = verify_fixture(runner, app, spec, trace)
         assert result.exit_code == exit_code
         assert result.stdout_bytes == (GOLDEN / f"{app}_{trace}.jsonl").read_bytes()
+
+    def test_verify_calls_no_backend(self, runner, no_backend):
+        for app, spec, trace, exit_code in GOLDEN_CASES:
+            result = verify_fixture(runner, app, spec, trace)
+            assert result.exit_code == exit_code, result.output
+            assert result.stdout_bytes == (GOLDEN / f"{app}_{trace}.jsonl").read_bytes()
 
     @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_trace_number_exits_one(self, runner, tmp_path, raw):

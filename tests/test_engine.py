@@ -50,7 +50,7 @@ class TestSessionConstruction:
         session = make_session()
         assert session.achieved_objectives == set()
         assert session.done is False
-        assert session.world_view() == {}
+        assert dict(session.world) == {}
 
     def test_invalid_spec_is_rejected(self, restaurant_schema):
         bad = parse_specification("RestaurantInfo(name >= 100) -> Done")
@@ -127,9 +127,9 @@ class TestSoftVerification:
 
     def test_soft_check_does_not_mutate(self, make_session):
         session = make_session()
-        before = session.world_view()
+        before = dict(session.world)
         session.soft_check([name_update("S")])
-        assert session.world_view() == before
+        assert dict(session.world) == before
 
     def test_untouched_state_predicates_are_ignored(self, make_session):
         # date/time alone are consistent with both ReserveInfo predicates
@@ -164,12 +164,12 @@ class TestSoftVerification:
         wrong = event("w1", name_update("S"))
         blocked = session.submit_action(wrong)
         assert blocked.kind is VerdictKind.SOFT_BLOCK
-        assert session.world_view() == {}
+        assert dict(session.world) == {}
         assert blocked.feedback.soft is not None
 
         resubmitted = session.submit_action(event("w2", name_update("S")))
         assert resubmitted.kind is VerdictKind.ALLOW
-        assert session.value_of("RestaurantInfo", "name") == Constant.text("S")
+        assert session.world.get(("RestaurantInfo", "name")) == Constant.text("S")
 
     def test_intervening_event_resets_repeat_permit(self, make_session):
         session = make_session()
@@ -195,7 +195,7 @@ class TestSoftVerification:
         bad = event("x", StateUpdate("Cart", {"quantity": Constant.number(Decimal(literal))}))
         with pytest.raises(TraceError, match="finite"):
             session.submit_action(bad)
-        assert session.world_view() == {}
+        assert dict(session.world) == {}
 
     def test_validate_event_names_each_rule(self, restaurant_schema):
         cases = [
@@ -225,11 +225,11 @@ class TestHardVerification:
     def test_hard_block_is_persistent_for_identical_events(self, make_session):
         session = make_session()
         session.submit_action(event("a1", name_update("R")))
-        before = session.world_view()
+        before = dict(session.world)
         first = session.submit_action(event("a2", critical="Reserve"))
         second = session.submit_action(event("a3", critical="Reserve"))
         assert first.kind is second.kind is VerdictKind.HARD_BLOCK
-        assert session.world_view() == before
+        assert dict(session.world) == before
 
     def test_unmet_report_lists_false_constraints(self, make_session):
         session = make_session()
@@ -301,14 +301,14 @@ class TestHardVerification:
         )
         blocked = session.submit_action(bundled)
         assert blocked.kind is VerdictKind.HARD_BLOCK
-        assert session.value_of("Checkout", "placed") is None
+        assert session.world.get(("Checkout", "placed")) is None
 
         session.submit_action(event("c2", update("Cart", quantity=3, item=Constant.text("apples"))))
         allowed = session.submit_action(
             event("c3", StateUpdate("Checkout", {"placed": Constant.boolean(True)}), critical="PlaceOrder")
         )
         assert allowed.kind is VerdictKind.TASK_DONE
-        assert session.value_of("Checkout", "placed") == Constant.boolean(True)
+        assert session.world.get(("Checkout", "placed")) == Constant.boolean(True)
 
 
 class TestBranchAndDone:
@@ -404,11 +404,11 @@ class TestRandomizedInvariants:
         for e in events:
             if session.done:
                 break
-            before = session.world_view()
+            before = dict(session.world)
             achieved_before = set(session.achieved_objectives)
             verdict = session.submit_action(e)
             if verdict.kind in (VerdictKind.SOFT_BLOCK, VerdictKind.HARD_BLOCK):
-                assert session.world_view() == before
+                assert dict(session.world) == before
             if verdict.kind is VerdictKind.HARD_BLOCK:
                 assert session.achieved_objectives == achieved_before
             assert achieved_before <= session.achieved_objectives

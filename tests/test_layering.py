@@ -1,0 +1,38 @@
+"""The verify path is pure rule evaluation: no module it runs through may
+reach a completion backend or the HTTP client."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "intentguard"
+VERIFY_PATH = ["dsl.py", "schema.py", "engine.py", "feedback.py", "trace.py"]
+FORBIDDEN = ("intentguard.backend", "requests")
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Every dotted name an import statement can bind, with relative imports
+    resolved against the ``intentguard`` package."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"intentguard.{module}" if module else "intentguard"
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", VERIFY_PATH)
+def test_verify_path_never_imports_a_backend(module):
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    reached = {
+        name for name in imported_names(tree) for banned in FORBIDDEN if name == banned or name.startswith(banned + ".")
+    }
+    assert not reached, f"{module} imports {sorted(reached)}"
