@@ -49,7 +49,6 @@ from .engine import (
     UnknownObjective,
     Verdict,
     VerdictKind,
-    event_fingerprint,
     validate_event,
 )
 from .encoder import (
@@ -77,7 +76,6 @@ from .schema import (
     SchemaIssue,
     StateDef,
     StateSchema,
-    TypeKind,
     VarType,
     describe_states,
     load_schema,

@@ -27,7 +27,7 @@ from decimal import Decimal
 from enum import Enum
 from typing import Callable, NamedTuple, Union
 
-from .schema import StateSchema, TypeKind, VarType
+from .schema import ConstKind, StateSchema, VarType
 
 DONE = "Done"
 TODAY = "Today"
@@ -64,16 +64,6 @@ SIMILARITY_THRESHOLD = 0.7
 
 ORDERING_OPERATORS = frozenset({Operator.GT, Operator.GE, Operator.LT, Operator.LE})
 SET_OPERATORS = frozenset({Operator.IN, Operator.NOT_IN})
-
-
-class ConstKind(Enum):
-    TEXT = "Text"
-    NUMBER = "Number"
-    BOOLEAN = "Boolean"
-    DATE = "Date"
-    TIME = "Time"
-    ENUM = "Enum"
-    TEXT_LIST = "TextList"
 
 
 @dataclass(frozen=True)
@@ -164,9 +154,6 @@ class Rule:
 @dataclass(frozen=True)
 class Specification:
     rules: tuple[Rule, ...]
-
-    def rules_concluding(self, objective: str) -> list[tuple[int, Rule]]:
-        return [(i, r) for i, r in enumerate(self.rules) if r.conclusion == objective]
 
     def concluded_objectives(self) -> set[str]:
         return {r.conclusion for r in self.rules}
@@ -494,22 +481,12 @@ class Diagnostic:
 
 #: var type -> operators it supports
 _OPERATORS_FOR_TYPE = {
-    TypeKind.TEXT: frozenset({Operator.EQ, Operator.NEQ, Operator.APPROX, Operator.IN, Operator.NOT_IN}),
-    TypeKind.NUMBER: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    TypeKind.BOOLEAN: frozenset({Operator.EQ, Operator.NEQ}),
-    TypeKind.DATE: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    TypeKind.TIME: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    TypeKind.ENUM: frozenset({Operator.EQ, Operator.NEQ, Operator.IN, Operator.NOT_IN}),
-}
-
-#: var type -> constant kind expected on the right-hand side of scalar operators
-KIND_FOR_TYPE = {
-    TypeKind.TEXT: ConstKind.TEXT,
-    TypeKind.NUMBER: ConstKind.NUMBER,
-    TypeKind.BOOLEAN: ConstKind.BOOLEAN,
-    TypeKind.DATE: ConstKind.DATE,
-    TypeKind.TIME: ConstKind.TIME,
-    TypeKind.ENUM: ConstKind.ENUM,
+    ConstKind.TEXT: frozenset({Operator.EQ, Operator.NEQ, Operator.APPROX, Operator.IN, Operator.NOT_IN}),
+    ConstKind.NUMBER: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
+    ConstKind.BOOLEAN: frozenset({Operator.EQ, Operator.NEQ}),
+    ConstKind.DATE: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
+    ConstKind.TIME: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
+    ConstKind.ENUM: frozenset({Operator.EQ, Operator.NEQ, Operator.IN, Operator.NOT_IN}),
 }
 
 
@@ -531,7 +508,7 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
                 f"operator '{op.value}' on variable '{constraint.variable}' "
                 f"requires a list constant such as [\"a\", \"b\"]"
             )
-        if var_type.kind is TypeKind.ENUM:
+        if var_type.kind is ConstKind.ENUM:
             unknown = [item for item in constraint.constant.value if item not in var_type.variants]
             if unknown:
                 return (
@@ -539,13 +516,12 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
                     f"'{constraint.variable}' ({var_type.describe()})"
                 )
         return None
-    expected = KIND_FOR_TYPE[var_type.kind]
-    if constraint.constant.kind is not expected:
+    if constraint.constant.kind is not var_type.kind:
         return (
             f"variable '{constraint.variable}' has type {var_type.describe()} but the "
             f"constant {render_constant(constraint.constant)} is a {constraint.constant.kind.value}"
         )
-    if var_type.kind is TypeKind.ENUM and constraint.constant.value not in var_type.variants:
+    if var_type.kind is ConstKind.ENUM and constraint.constant.value not in var_type.variants:
         return (
             f"'{constraint.constant.value}' is not a variant of "
             f"'{constraint.variable}' ({var_type.describe()})"
@@ -562,7 +538,6 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
     must conclude ``Done``, and objective precedence must be acyclic.
     """
     diagnostics: list[Diagnostic] = []
-    states = {s.name: s for s in schema.states}
     referenced: dict[str, tuple[int, int | None]] = {}
 
     for idx, rule in enumerate(spec.rules):
@@ -592,13 +567,13 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
                 else:
                     referenced.setdefault(pred.objective_name, (idx, rule.line))
                 continue
-            state = states.get(pred.state_name)
+            state = schema.state(pred.state_name)
             if state is None:
                 diagnostics.append(
                     Diagnostic(
                         DiagnosticCode.UNKNOWN_STATE,
                         f"state '{pred.state_name}' is not declared; declared states: "
-                        f"{', '.join(sorted(states)) or '(none)'}",
+                        f"{', '.join(sorted({s.name for s in schema.states})) or '(none)'}",
                         rule.line,
                         idx,
                     )

@@ -5,27 +5,26 @@ and consumes :class:`ActionEvent` objects one at a time.  Ordinary updates go
 through predicate-level checking: if every predicate over every touched state
 is contradicted by the update, the update is reverted and a warning verdict is
 returned; resubmitting the identical event immediately afterwards is permitted
-on the grounds that it may be a legitimate intermediate step.  Events flagged
-``critical`` name an objective and pass only when a full rule concluding that
-objective is satisfied; a blocked critical event stays blocked no matter how
-often it is resubmitted.
+on the grounds that it may be a legitimate intermediate step (identical by
+:func:`event_fingerprint`, down to each value's literal spelling).  Events
+flagged ``critical`` name an objective and pass only when a full rule
+concluding that objective is satisfied; a blocked critical event stays
+blocked no matter how often it is resubmitted.
 
 A blocking verdict of either kind leaves the world untouched.  After every
 applied update the rules concluding ``Done`` are evaluated, and the first
 fully satisfied one terminates the session.
 
 A session compiles its specification on first use: an index from each
-``(state, variable)`` slot and each objective to the predicates that read it,
-every predicate's status, and every rule's roadmap line.  An event then costs
-what it touches: only the predicates over written slots or a newly achieved
-objective are re-evaluated, and only the roadmap lines of rules whose
-statuses changed are re-rendered.
+``(state, variable)`` slot and each objective to the predicates that read it
+and to the rules concluding it, every predicate's status, and every rule's
+roadmap line.  An event then costs what it touches: only the predicates over
+written slots or a newly achieved objective are re-evaluated, and only the
+roadmap lines of rules whose statuses changed are re-rendered.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
@@ -38,7 +37,6 @@ from .dsl import (
     ConstKind,
     Constant,
     EvalContext,
-    KIND_FOR_TYPE,
     ObjectiveRef,
     Predicate,
     Specification,
@@ -139,10 +137,6 @@ class Violation:
     predicate: StatePredicate
     failed_constraints: tuple
 
-    @property
-    def state_name(self) -> str:
-        return self.predicate.state_name
-
 
 @dataclass(frozen=True)
 class SoftCheckResult:
@@ -173,18 +167,19 @@ class _CompiledSpec:
     ``by_state`` maps a state to its ``(rule, predicate)`` pairs in rule
     order, for :meth:`Session.soft_check`.  ``by_slot`` maps a
     ``(state, variable)`` slot, and ``by_objective`` an objective, to the
-    ``(rule, predicate index)`` pairs that read it.  ``sentences`` holds each
-    rule's fixed roadmap sentence; ``lines`` adds its current "achieved"
-    suffix.  ``done_rules`` lists the rules concluding ``Done``.
+    ``(rule, predicate index)`` pairs that read it.  ``by_conclusion`` maps an
+    objective to the rules concluding it, in rule order.  ``sentences`` holds
+    each rule's fixed roadmap sentence; ``lines`` adds its current "achieved"
+    suffix.
     """
 
     by_state: dict[str, list[tuple[int, StatePredicate]]] = field(default_factory=dict)
     by_slot: dict[tuple[str, str], list[tuple[int, int]]] = field(default_factory=dict)
     by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    by_conclusion: dict[str, list[int]] = field(default_factory=dict)
     statuses: list[list[PredicateStatus]] = field(default_factory=list)
     sentences: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
-    done_rules: list[int] = field(default_factory=list)
 
 
 def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarType:
@@ -215,7 +210,7 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
             raise TraceError(f"update for '{update.state}' needs non-empty 'values'")
         for var, value in update.values.items():
             declared = declared_type(schema, update.state, var)
-            if value.kind is not KIND_FOR_TYPE[declared.kind]:
+            if value.kind is not declared.kind:
                 raise TraceError(
                     f"{update.state}.{var} ({declared.describe()}) cannot hold a {value.kind.value} value"
                 )
@@ -223,24 +218,20 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
                 raise TraceError(f"{update.state}.{var}: {value.value} is not a finite number")
 
 
-def event_fingerprint(event: ActionEvent) -> str:
-    """Content identity of an event: phase, sorted updates, critical flag.
+def event_fingerprint(event: ActionEvent) -> tuple:
+    """Content identity of an event: the tuple of its phase, its critical
+    flag, and each updated state's sorted ``(variable, literal)`` pairs,
+    sorted by state.
 
-    The action id is deliberately excluded; "the same action" resubmitted
-    under a fresh id must land on the same fingerprint.
+    A value counts by its literal spelling, so ``1`` and ``1.0`` are
+    different events.  The action id is deliberately excluded; "the same
+    action" resubmitted under a fresh id must land on the same identity.
     """
-    payload = {
-        "phase": event.phase,
-        "critical": event.critical,
-        "updates": sorted(
-            (
-                update.state,
-                sorted((var, render_constant(value)) for var, value in update.values.items()),
-            )
-            for update in event.updates
-        ),
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    updates = sorted(
+        (update.state, tuple(sorted((var, render_constant(value)) for var, value in update.values.items())))
+        for update in event.updates
+    )
+    return event.phase, event.critical, tuple(updates)
 
 
 class Session:
@@ -271,7 +262,7 @@ class Session:
         )
         self.world: dict[tuple[str, str], Constant] = {}
         self.achieved_objectives: set[str] = set()
-        self.pending_soft: str | None = None
+        self.pending_soft: tuple | None = None
         self.done = False
 
     @cached_property
@@ -292,8 +283,7 @@ class Session:
             compiled.statuses.append(statuses)
             compiled.sentences.append(sentence)
             compiled.lines.append(sentence + feedback_mod.achieved_suffix(statuses))
-            if rule.conclusion == DONE:
-                compiled.done_rules.append(r)
+            compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
         return compiled
 
     def _status(self, pred: Predicate) -> PredicateStatus:
@@ -400,7 +390,7 @@ class Session:
         predicates, ties to the earliest) and lists each unmet predicate with
         its false constraints.
         """
-        candidates = self.spec.rules_concluding(objective)
+        candidates = self._compiled.by_conclusion.get(objective)
         if not candidates:
             raise UnknownObjective(objective)
 
@@ -408,10 +398,10 @@ class Session:
         best_index = -1
         best_score = -1
         best_unmet: tuple[UnmetPredicate, ...] = ()
-        for idx, rule in candidates:
+        for idx in candidates:
             unmet: list[UnmetPredicate] = []
             satisfied_count = 0
-            for pred, status in zip(rule.predicates, statuses[idx]):
+            for pred, status in zip(self.spec.rules[idx].predicates, statuses[idx]):
                 if status is PredicateStatus.SATISFIED:
                     satisfied_count += 1
                 elif isinstance(pred, ObjectiveRef):
@@ -450,7 +440,7 @@ class Session:
         compiled = self._compiled
         return any(
             all(status is PredicateStatus.SATISFIED for status in compiled.statuses[r])
-            for r in compiled.done_rules
+            for r in compiled.by_conclusion.get(DONE, ())
         )
 
     # -- main entry point ----------------------------------------------------

@@ -31,24 +31,28 @@ from functools import cached_property
 from pathlib import Path
 
 
-class TypeKind(Enum):
+class ConstKind(Enum):
+    """A variable's declared type or a constant's kind; only constants (the
+    right-hand side of ``in``/``not in``) are ``TEXT_LIST``."""
+
     TEXT = "Text"
     NUMBER = "Number"
     BOOLEAN = "Boolean"
     DATE = "Date"
     TIME = "Time"
     ENUM = "Enum"
+    TEXT_LIST = "TextList"
 
 
 _TYPE_ALIASES = {
-    "text": TypeKind.TEXT,
-    "string": TypeKind.TEXT,
-    "str": TypeKind.TEXT,
-    "number": TypeKind.NUMBER,
-    "boolean": TypeKind.BOOLEAN,
-    "bool": TypeKind.BOOLEAN,
-    "date": TypeKind.DATE,
-    "time": TypeKind.TIME,
+    "text": ConstKind.TEXT,
+    "string": ConstKind.TEXT,
+    "str": ConstKind.TEXT,
+    "number": ConstKind.NUMBER,
+    "boolean": ConstKind.BOOLEAN,
+    "bool": ConstKind.BOOLEAN,
+    "date": ConstKind.DATE,
+    "time": ConstKind.TIME,
 }
 
 _ENUM_RE = re.compile(r"^enum\s*\[(?P<variants>.*)\]$", re.IGNORECASE)
@@ -56,11 +60,11 @@ _ENUM_RE = re.compile(r"^enum\s*\[(?P<variants>.*)\]$", re.IGNORECASE)
 
 @dataclass(frozen=True)
 class VarType:
-    kind: TypeKind
+    kind: ConstKind
     variants: tuple[str, ...] = ()
 
     def describe(self) -> str:
-        if self.kind is TypeKind.ENUM:
+        if self.kind is ConstKind.ENUM:
             return f"Enum[{', '.join(self.variants)}]"
         return self.kind.value
 
@@ -114,7 +118,7 @@ def parse_var_type(text: str) -> VarType | None:
     match = _ENUM_RE.match(text.strip())
     if match:
         variants = tuple(v.strip() for v in match.group("variants").split(",") if v.strip())
-        return VarType(TypeKind.ENUM, variants)
+        return VarType(ConstKind.ENUM, variants)
     return None
 
 
@@ -156,7 +160,7 @@ def _parse_variables(raw: object, path: str, issues: list[SchemaIssue]) -> dict[
                 )
             )
             continue
-        if var_type.kind is TypeKind.ENUM and not var_type.variants:
+        if var_type.kind is ConstKind.ENUM and not var_type.variants:
             issues.append(SchemaIssue(var_path, "EMPTY_ENUM", "an Enum type needs at least one variant"))
             continue
         variables[name] = var_type

@@ -39,7 +39,7 @@ from .engine import (
     declared_type,
     validate_event,
 )
-from .schema import StateSchema, TypeKind, VarType
+from .schema import StateSchema, VarType
 
 
 class TraceParseError(ValueError):
@@ -63,11 +63,11 @@ class Trace:
 def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
     """Turn a raw JSON value into a typed constant per the declared type."""
     kind = var_type.kind
-    if kind is TypeKind.TEXT:
+    if kind is ConstKind.TEXT:
         if not isinstance(raw, str):
             raise TraceParseError(f"{where}: expected a string, got {raw!r}")
         return Constant.text(raw)
-    if kind is TypeKind.NUMBER:
+    if kind is ConstKind.NUMBER:
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
             raise TraceParseError(f"{where}: expected a number, got {raw!r}")
         try:
@@ -77,11 +77,11 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
         if not number.is_finite():
             raise TraceParseError(f"{where}: {raw!r} is not a finite number")
         return Constant.number(number)
-    if kind is TypeKind.BOOLEAN:
+    if kind is ConstKind.BOOLEAN:
         if not isinstance(raw, bool):
             raise TraceParseError(f"{where}: expected true or false, got {raw!r}")
         return Constant.boolean(raw)
-    if kind is TypeKind.DATE:
+    if kind is ConstKind.DATE:
         if not isinstance(raw, str):
             raise TraceParseError(f"{where}: expected 'YYYY-MM-DD' or 'Today', got {raw!r}")
         if raw.lower() == TODAY.lower():
@@ -90,14 +90,14 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
             return read_literal(ConstKind.DATE, raw)
         except ValueError:
             raise TraceParseError(f"{where}: {raw!r} is not a date") from None
-    if kind is TypeKind.TIME:
+    if kind is ConstKind.TIME:
         if not isinstance(raw, str) or raw.count(":") != 1:
             raise TraceParseError(f"{where}: expected 'HH:MM', got {raw!r}")
         try:
             return read_literal(ConstKind.TIME, raw)
         except ValueError:
             raise TraceParseError(f"{where}: {raw!r} is not a valid time") from None
-    if kind is TypeKind.ENUM:
+    if kind is ConstKind.ENUM:
         if not isinstance(raw, str) or raw not in var_type.variants:
             raise TraceParseError(
                 f"{where}: expected one of {list(var_type.variants)}, got {raw!r}"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from intentguard.dsl import DiagnosticCode, check_specification, parse_specification
-from intentguard.schema import schema_from_dict
+from intentguard.schema import ConstKind, StateDef, StateSchema, VarType, schema_from_dict
 
 ENUM_SCHEMA = schema_from_dict(
     {
@@ -45,6 +45,14 @@ class TestCheck:
         assert codes(diagnostics) == [DiagnosticCode.UNKNOWN_STATE, DiagnosticCode.UNKNOWN_VARIABLE]
         assert "Nowhere" in diagnostics[0].message
         assert "rating" in diagnostics[1].message
+
+    def test_a_state_declared_twice_resolves_to_its_first_declaration(self):
+        # the engine reads the first declaration, so the checker must too
+        number = VarType(ConstKind.NUMBER)
+        schema = StateSchema("twice", (StateDef("S", "", {"x": number}), StateDef("S", "", {"y": number})))
+        diagnostics = check_specification(parse_specification("S(y = 1) -> Done"), schema)
+        assert codes(diagnostics) == [DiagnosticCode.UNKNOWN_VARIABLE]
+        assert check_specification(parse_specification("S(x = 1) -> Done"), schema) == []
 
     def test_two_cycle_between_objectives(self, restaurant_schema):
         spec = parse_specification(

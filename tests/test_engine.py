@@ -444,3 +444,18 @@ class TestFingerprint:
         one = event("x", update("Cart", quantity=1), update("Checkout", placed=True))
         two = event("x", update("Checkout", placed=True), update("Cart", quantity=1))
         assert event_fingerprint(one) == event_fingerprint(two)
+
+    def test_values_count_by_literal_spelling(self):
+        one = event("x", update("Cart", quantity=Decimal("1")))
+        one_point_zero = event("x", update("Cart", quantity=Decimal("1.0")))
+        assert event_fingerprint(one) != event_fingerprint(one_point_zero)
+
+    def test_resubmission_must_repeat_the_literal(self, groceries_schema, apples_spec):
+        session = Session(apples_spec, groceries_schema, CLOCK)
+        assert session.submit_action(event("a", update("Cart", quantity=Decimal("1.0")))).kind is VerdictKind.SOFT_BLOCK
+        assert session.submit_action(event("b", update("Cart", quantity=Decimal("1")))).kind is VerdictKind.SOFT_BLOCK
+
+        session = Session(apples_spec, groceries_schema, CLOCK)
+        assert session.submit_action(event("a", update("Cart", quantity=Decimal("1.0")))).kind is VerdictKind.SOFT_BLOCK
+        assert session.submit_action(event("b", update("Cart", quantity=Decimal("1.0")))).kind is VerdictKind.ALLOW
+        assert session.world[("Cart", "quantity")] == Constant.number("1.0")

@@ -1,5 +1,6 @@
 """The verify path is pure rule evaluation: no module it runs through may
-reach a completion backend or the HTTP client."""
+reach a completion backend or the HTTP client.  The schema module is the
+bottom layer and imports no other intentguard module."""
 
 from __future__ import annotations
 
@@ -36,3 +37,10 @@ def test_verify_path_never_imports_a_backend(module):
         name for name in imported_names(tree) for banned in FORBIDDEN if name == banned or name.startswith(banned + ".")
     }
     assert not reached, f"{module} imports {sorted(reached)}"
+
+
+def test_schema_is_the_bottom_layer():
+    # ConstKind lives in schema.py so every other module can import it from below
+    tree = ast.parse((SOURCE / "schema.py").read_text(encoding="utf-8"))
+    reached = {name for name in imported_names(tree) if name == "intentguard" or name.startswith("intentguard.")}
+    assert not reached, f"schema.py imports {sorted(reached)}"

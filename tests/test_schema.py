@@ -5,8 +5,8 @@ import json
 import pytest
 
 from intentguard.schema import (
+    ConstKind,
     SchemaError,
-    TypeKind,
     describe_states,
     load_schema,
     save_schema,
@@ -38,15 +38,15 @@ class TestLoad:
         schema = load_schema(path)
         assert len(schema.states) == 1
         assert schema.states[0].variables == {"name": schema.states[0].variables["name"]}
-        assert schema.states[0].variables["name"].kind is TypeKind.TEXT
+        assert schema.states[0].variables["name"].kind is ConstKind.TEXT
 
     def test_running_example_has_three_states_five_variables(self, restaurant_schema):
         assert len(restaurant_schema.states) == 3
         assert sum(len(s.variables) for s in restaurant_schema.states) == 5
         reserve_info = restaurant_schema.state("ReserveInfo")
-        assert reserve_info.variables["date"].kind is TypeKind.DATE
-        assert reserve_info.variables["time"].kind is TypeKind.TIME
-        assert reserve_info.variables["available"].kind is TypeKind.BOOLEAN
+        assert reserve_info.variables["date"].kind is ConstKind.DATE
+        assert reserve_info.variables["time"].kind is ConstKind.TIME
+        assert reserve_info.variables["available"].kind is ConstKind.BOOLEAN
 
     def test_duplicate_state_names(self):
         with pytest.raises(SchemaError) as exc_info:
@@ -85,7 +85,7 @@ class TestLoad:
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"pay": "Enum[Card, Cash]"}]}]}
         )
         var = schema.states[0].variables["pay"]
-        assert var.kind is TypeKind.ENUM
+        assert var.kind is ConstKind.ENUM
         assert var.variants == ("Card", "Cash")
         assert var.describe() == "Enum[Card, Cash]"
 
