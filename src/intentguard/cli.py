@@ -16,11 +16,13 @@ Exit codes: 0 on success (verify: task completed; check/lint: clean),
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import __version__
+from ._files import write_text_atomic
 from .backend import BackendError, make_backend
 from .dsl import check_specification, parse_specification, render_specification, SpecSyntaxError
 from .encoder import EncodeConfig, EncodeFailed, majority_encode
@@ -34,6 +36,15 @@ from .trace import TraceParseError, load_trace, replay
 def _fail(message: str) -> "click.exceptions.Exit":
     click.echo(f"error: {message}", err=True)
     return click.exceptions.Exit(1)
+
+
+@contextmanager
+def _writing_or_exit(path: str):
+    """Turn a failed write of ``path`` into an error message and exit 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise _fail(f"cannot write {path}: {exc}")
 
 
 def _load_schema_or_exit(path: str):
@@ -124,7 +135,8 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
 
     rendered = render_specification(chosen.spec)
     if out_path:
-        Path(out_path).write_text(rendered, encoding="utf-8")
+        with _writing_or_exit(out_path):
+            write_text_atomic(out_path, rendered)
     else:
         click.echo(rendered, nl=False)
     if log_path:
@@ -138,7 +150,8 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
 
 def _write_transcript(path: str, transcript) -> None:
     lines = [json.dumps(entry.to_json_dict(), sort_keys=True) for entry in transcript]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with _writing_or_exit(path):
+        write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 @main.command("check")
@@ -214,15 +227,16 @@ def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
 
     report = run_eval(cases, backend=backend, config=config, memory=memory)
     if memory is not None:
-        memory.save(memory_path)
+        with _writing_or_exit(memory_path):
+            memory.save(memory_path)
 
     click.echo(format_report_table(report))
     for case in report.cases:
         if case.error:
             click.echo(f"case {case.name}: {case.error}", err=True)
     if out_path:
-        Path(out_path).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                                  encoding="utf-8")
+        with _writing_or_exit(out_path):
+            write_text_atomic(out_path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @main.group("schema")

@@ -127,6 +127,9 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
         expected = data.get("expected")
         if expected not in ("pass", "fail"):
             raise ValueError(f"{path}: expected must be 'pass' or 'fail'")
+        for key in ("schema", "trace", "spec", "fixture", "instruction"):
+            if key in data and not isinstance(data[key], str):
+                raise ValueError(f"{path}: '{key}' must be a string")
         resolve = lambda key: (path.parent / data[key]).resolve() if data.get(key) else None
         schema_path = resolve("schema")
         trace_path = resolve("trace")

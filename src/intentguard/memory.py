@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from ._files import write_text_atomic
 from .dsl import Specification, StatePredicate, parse_specification, render_specification
 
 
@@ -159,7 +160,7 @@ class PredicateMemory:
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_text_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "PredicateMemory":

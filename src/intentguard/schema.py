@@ -30,6 +30,8 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
+from ._files import write_text_atomic
+
 
 class ConstKind(Enum):
     """A variable's declared type or a constant's kind; only constants (the
@@ -242,7 +244,7 @@ def schema_to_dict(schema: StateSchema) -> dict:
 
 
 def save_schema(schema: StateSchema, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schema_to_dict(schema), indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(schema_to_dict(schema), indent=2) + "\n")
 
 
 def describe_states(schema: StateSchema) -> str:

@@ -28,6 +28,7 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
+from ._files import write_text_atomic
 from .dsl import TODAY, Constant, ConstKind, Specification, read_literal, render_constant
 from .engine import (
     ActionEvent,
@@ -257,7 +258,7 @@ def write_trace(trace: Trace, path: str | Path) -> None:
     }
     lines = [json.dumps(header, sort_keys=True)]
     lines.extend(json.dumps(event_to_dict(e), sort_keys=True) for e in trace.events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 @dataclass

@@ -380,3 +380,22 @@ def test_malformed_memory_file_exits_one(runner, tmp_path, command, content):
     result = runner.invoke(main, args + ["--memory", str(memory_path)])
     assert_clean_failure(result)
     assert f"memory {memory_path}" in result.stderr
+
+
+ENCODE_HAPPY = [
+    "encode", "--instruction", INSTRUCTION, "--schema", SCHEMA,
+    "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_happy.json"),
+]
+EVAL_SHIPPED = ["eval", "--cases", str(FIXTURES / "eval_cases")]
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [(ENCODE_HAPPY, "--out"), (ENCODE_HAPPY, "--log"), (EVAL_SHIPPED, "--out"), (EVAL_SHIPPED, "--memory")],
+    ids=["encode-out", "encode-log", "eval-out", "eval-memory"],
+)
+def test_unwritable_target_exits_one(runner, tmp_path, args, option):
+    target = tmp_path / "missing" / "file.txt"
+    result = runner.invoke(main, args + [option, str(target)])
+    assert_clean_failure(result)
+    assert f"error: cannot write {target}:" in result.stderr

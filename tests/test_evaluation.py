@@ -45,6 +45,13 @@ class TestCaseLoading:
         with pytest.raises(ValueError, match="expected"):
             load_cases(tmp_path)
 
+    @pytest.mark.parametrize("key", ["schema", "trace", "spec", "fixture", "instruction"])
+    def test_path_and_text_fields_must_be_strings(self, tmp_path, key):
+        case = {"expected": "pass", "schema": "s", "trace": "t", key: 5}
+        (tmp_path / "case.json").write_text(json.dumps(case))
+        with pytest.raises(ValueError, match=f"'{key}' must be a string"):
+            load_cases(tmp_path)
+
 
 class TestRunEval:
     def test_perfect_engine_on_shipped_cases(self):

@@ -1,6 +1,6 @@
 """The verify path is pure rule evaluation: no module it runs through may
 reach a completion backend or the HTTP client.  The schema module is the
-bottom layer and imports no other intentguard module."""
+bottom layer: it imports no other intentguard module but the file writer."""
 
 from __future__ import annotations
 
@@ -39,8 +39,14 @@ def test_verify_path_never_imports_a_backend(module):
     assert not reached, f"{module} imports {sorted(reached)}"
 
 
+
+def intentguard_imports(module: str) -> set[str]:
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    return {name for name in imported_names(tree) if name == "intentguard" or name.startswith("intentguard.")}
+
+
 def test_schema_is_the_bottom_layer():
-    # ConstKind lives in schema.py so every other module can import it from below
-    tree = ast.parse((SOURCE / "schema.py").read_text(encoding="utf-8"))
-    reached = {name for name in imported_names(tree) if name == "intentguard" or name.startswith("intentguard.")}
-    assert not reached, f"schema.py imports {sorted(reached)}"
+    # ConstKind lives in schema.py so every other module can import it from
+    # below; its only dependency is the file writer, which depends on nothing
+    assert intentguard_imports("schema.py") <= {"intentguard._files", "intentguard._files.write_text_atomic"}
+    assert intentguard_imports("_files.py") == set()
