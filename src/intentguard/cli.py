@@ -40,11 +40,12 @@ def _fail(message: str) -> "click.exceptions.Exit":
 
 @contextmanager
 def _writing_or_exit(path: str):
-    """Turn a failed write of ``path`` into an error message and exit 1."""
+    """Turn a failed write of ``path`` into an error message and exit 1.  The
+    message gives the system's reason, not the temporary file it names."""
     try:
         yield
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc}")
+        raise _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_schema_or_exit(path: str):

@@ -398,4 +398,4 @@ def test_unwritable_target_exits_one(runner, tmp_path, args, option):
     target = tmp_path / "missing" / "file.txt"
     result = runner.invoke(main, args + [option, str(target)])
     assert_clean_failure(result)
-    assert f"error: cannot write {target}:" in result.stderr
+    assert f"error: cannot write {target}: No such file or directory" in result.stderr
