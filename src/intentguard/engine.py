@@ -131,11 +131,12 @@ class RuleProgress:
 
 @dataclass(frozen=True)
 class Violation:
-    """One predicate contradicted by a proposed update."""
+    """One predicate that does not hold, with its false constraints (none for
+    an objective not yet achieved)."""
 
     rule_index: int
-    predicate: StatePredicate
-    failed_constraints: tuple
+    predicate: Predicate
+    failed_constraints: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,11 @@ class SoftCheckResult:
 
 
 @dataclass(frozen=True)
-class UnmetPredicate:
-    predicate: Predicate
-    failed_constraints: tuple = ()
-
-
-@dataclass(frozen=True)
 class HardCheckResult:
     objective: str
     satisfied: bool
     rule_index: int
-    unmet: tuple[UnmetPredicate, ...] = ()
+    unmet: tuple[Violation, ...] = ()
 
 
 @dataclass
@@ -343,7 +338,9 @@ class Session:
         constraint on an updated variable evaluating false under the
         post-update valuation.  Constraints on variables the update does not
         touch are treated as not-yet-violated.  A touched state no predicate
-        mentions keeps the update consistent.
+        mentions keeps the update consistent, and so does an empty update.
+        The check stops once one touched state is not contradicted, at the
+        first predicate over it with no false constraint.
         """
         touched: dict[str, dict[str, Constant]] = {}
         for update in updates:
@@ -351,16 +348,10 @@ class Session:
 
         by_state = self._compiled.by_state
         violations: list[Violation] = []
-        all_states_contradicted = True
-        any_predicate_seen = False
         for state_name, written in touched.items():
             predicates = by_state.get(state_name)
             if not predicates:
-                all_states_contradicted = False
-                continue
-            any_predicate_seen = True
-            state_violations: list[Violation] = []
-            state_contradicted = True
+                return SoftCheckResult(passed=True)
             for idx, pred in predicates:
                 failed = tuple(
                     c
@@ -368,57 +359,49 @@ class Session:
                     if c.variable in written
                     and not evaluate_constraint(c, written[c.variable], self.ctx)
                 )
-                if failed:
-                    state_violations.append(Violation(idx, pred, failed))
-                else:
-                    state_contradicted = False
-            if state_contradicted:
-                violations.extend(state_violations)
-            else:
-                all_states_contradicted = False
+                if not failed:
+                    return SoftCheckResult(passed=True)
+                violations.append(Violation(idx, pred, failed))
 
-        if any_predicate_seen and all_states_contradicted:
-            violations.sort(key=lambda v: v.rule_index)
-            return SoftCheckResult(passed=False, violations=tuple(violations))
-        return SoftCheckResult(passed=True)
+        if not violations:
+            return SoftCheckResult(passed=True)
+        violations.sort(key=lambda v: v.rule_index)
+        return SoftCheckResult(passed=False, violations=tuple(violations))
 
     def hard_check(self, objective: str) -> HardCheckResult:
         """Rule-level check: is some rule concluding ``objective`` fully
         satisfied right now?
 
-        When none is, the report covers the closest rule (most satisfied
-        predicates, ties to the earliest) and lists each unmet predicate with
-        its false constraints.
+        The cached predicate statuses decide, and the first satisfied rule
+        settles it.  When none is, the report covers only the closest rule
+        (most satisfied predicates, ties to the earliest) and lists each unmet
+        predicate with its false constraints; those of that rule are the only
+        constraints this check evaluates.
         """
         candidates = self._compiled.by_conclusion.get(objective)
         if not candidates:
             raise UnknownObjective(objective)
+        for idx in candidates:
+            if self._holds(idx):
+                return HardCheckResult(objective, satisfied=True, rule_index=idx)
 
         statuses = self._compiled.statuses
-        best_index = -1
-        best_score = -1
-        best_unmet: tuple[UnmetPredicate, ...] = ()
-        for idx in candidates:
-            unmet: list[UnmetPredicate] = []
-            satisfied_count = 0
-            for pred, status in zip(self.spec.rules[idx].predicates, statuses[idx]):
-                if status is PredicateStatus.SATISFIED:
-                    satisfied_count += 1
-                elif isinstance(pred, ObjectiveRef):
-                    unmet.append(UnmetPredicate(pred))
-                else:
-                    failed = tuple(
-                        c for c in pred.constraints
-                        if not evaluate_constraint(c, self.world.get((pred.state_name, c.variable)), self.ctx)
-                    )
-                    unmet.append(UnmetPredicate(pred, failed))
-            if not unmet:
-                return HardCheckResult(objective, satisfied=True, rule_index=idx)
-            if satisfied_count > best_score:
-                best_score = satisfied_count
-                best_index = idx
-                best_unmet = tuple(unmet)
-        return HardCheckResult(objective, satisfied=False, rule_index=best_index, unmet=best_unmet)
+        closest = max(candidates, key=lambda r: (statuses[r].count(PredicateStatus.SATISFIED), -r))
+        unmet: list[Violation] = []
+        for pred, status in zip(self.spec.rules[closest].predicates, statuses[closest]):
+            if status is PredicateStatus.SATISFIED:
+                continue
+            failed = () if isinstance(pred, ObjectiveRef) else tuple(
+                c for c in pred.constraints
+                if not evaluate_constraint(c, self.world.get((pred.state_name, c.variable)), self.ctx)
+            )
+            unmet.append(Violation(closest, pred, failed))
+        return HardCheckResult(objective, satisfied=False, rule_index=closest, unmet=tuple(unmet))
+
+    def _holds(self, rule_index: int) -> bool:
+        """Every predicate of the rule is satisfied."""
+        statuses = self._compiled.statuses[rule_index]
+        return statuses.count(PredicateStatus.SATISFIED) == len(statuses)
 
     def progress_report(self) -> list[RuleProgress]:
         """Snapshot of every rule's predicate statuses.
@@ -437,11 +420,7 @@ class Session:
         ]
 
     def _done_rule_satisfied(self) -> bool:
-        compiled = self._compiled
-        return any(
-            all(status is PredicateStatus.SATISFIED for status in compiled.statuses[r])
-            for r in compiled.by_conclusion.get(DONE, ())
-        )
+        return any(self._holds(r) for r in self._compiled.by_conclusion.get(DONE, ()))
 
     # -- main entry point ----------------------------------------------------
 
@@ -452,8 +431,7 @@ class Session:
             raise SessionDone("the task already completed; no further events are accepted")
         validate_event(event, self.schema)
 
-        fingerprint = event_fingerprint(event)
-        is_repeat = fingerprint == self.pending_soft
+        is_repeat = self.pending_soft is not None and event_fingerprint(event) == self.pending_soft
         self.pending_soft = None
 
         if event.critical is not None:
@@ -468,7 +446,7 @@ class Session:
         if not is_repeat:
             result = self.soft_check(event.updates)
             if not result.passed:
-                self.pending_soft = fingerprint
+                self.pending_soft = event_fingerprint(event)
                 return self._verdict(event, VerdictKind.SOFT_BLOCK, violations=result.violations)
         self._apply(event)
         return self._finish_allowed(event, ())
