@@ -227,10 +227,6 @@ def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     memory = _load_memory_or_exit(memory_path)
 
     report = run_eval(cases, backend=backend, config=config, memory=memory)
-    if memory is not None:
-        with _writing_or_exit(memory_path):
-            memory.save(memory_path)
-
     click.echo(format_report_table(report))
     for case in report.cases:
         if case.error:
@@ -238,6 +234,10 @@ def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     if out_path:
         with _writing_or_exit(out_path):
             write_text_atomic(out_path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    # last, so that a memory file that cannot be written costs no report
+    if memory is not None:
+        with _writing_or_exit(memory_path):
+            memory.save(memory_path)
 
 
 @main.group("schema")

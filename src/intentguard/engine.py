@@ -194,7 +194,8 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
 
     The phase is ``pre`` or ``post``; the event carries updates or a critical
     flag; no update is empty; every state and variable is declared; every value
-    has its variable's declared kind, and numbers are finite.
+    has its variable's declared kind, numbers are finite, and Enum values are
+    declared variants.
     """
     if event.phase not in ("pre", "post"):
         raise TraceError(f"phase must be 'pre' or 'post', got {event.phase!r}")
@@ -211,6 +212,8 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
                 )
             if value.kind is ConstKind.NUMBER and not value.value.is_finite():
                 raise TraceError(f"{update.state}.{var}: {value.value} is not a finite number")
+            if value.kind is ConstKind.ENUM and value.value not in declared.variants:
+                raise TraceError(f"{update.state}.{var} ({declared.describe()}) has no variant '{value.value}'")
 
 
 def event_fingerprint(event: ActionEvent) -> tuple:

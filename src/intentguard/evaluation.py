@@ -186,9 +186,10 @@ def run_eval(
 ) -> EvalReport:
     """Evaluate every case; per-case errors are recorded and the run continues.
 
-    When ``memory`` is given it is also populated: a case whose replay
-    completes contributes its (instruction, spec) pair, which is exactly the
-    warm-start condition later encodings benefit from.
+    When ``memory`` is given it is also populated: a true positive, a case
+    labelled ``pass`` whose replay completes, contributes its (instruction,
+    spec) pair.  A case labelled ``fail`` that completes anyway is a spec that
+    let the wrong trace through, which is exactly what memory must not teach.
     """
     config = config or EncodeConfig()
     report = EvalReport()
@@ -205,7 +206,7 @@ def run_eval(
             continue
         result.passed = passed
         result.classification = report.classify(case.expected, passed)
-        if memory is not None and verified_spec is not None:
+        if memory is not None and verified_spec is not None and result.classification == "TP":
             memory.record_success(schema.app_id, case.instruction, verified_spec)
     return report
 

@@ -44,11 +44,10 @@ def _tokens(text: str) -> set[str]:
     return set(_WORD_RE.findall(text.lower()))
 
 
-def _token_jaccard(a: str, b: str) -> float:
-    ta, tb = _tokens(a), _tokens(b)
-    if not ta or not tb:
+def _jaccard(a: set[str], b: set[str]) -> float:
+    if not a or not b:
         return 0.0
-    return len(ta & tb) / len(ta | tb)
+    return len(a & b) / len(a | b)
 
 
 def used_predicates(spec: Specification) -> tuple[tuple[str, str, str], ...]:
@@ -120,9 +119,10 @@ class PredicateMemory:
         between the new instruction and each such entry's instruction.  Ties
         break lexicographically, so insertion order never matters.
         """
+        words = _tokens(instruction)
         scores: dict[tuple[str, str, str], float] = {}
         for entry in self.entries.get(app_id, []):
-            overlap = _token_jaccard(instruction, entry.instruction)
+            overlap = _jaccard(words, _tokens(entry.instruction))
             for triple in entry.used_predicates:
                 scores[triple] = scores.get(triple, 0.0) + 1.0 + overlap
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

@@ -399,3 +399,13 @@ def test_unwritable_target_exits_one(runner, tmp_path, args, option):
     result = runner.invoke(main, args + [option, str(target)])
     assert_clean_failure(result)
     assert f"error: cannot write {target}: No such file or directory" in result.stderr
+
+
+def test_unwritable_memory_still_prints_and_writes_the_report(runner, tmp_path):
+    target = tmp_path / "missing" / "memory.json"
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, EVAL_SHIPPED + ["--memory", str(target), "--out", str(out)])
+    assert_clean_failure(result)
+    assert f"error: cannot write {target}: No such file or directory" in result.stderr
+    assert "counts: TP=" in result.stdout
+    assert json.loads(out.read_text(encoding="utf-8"))["cases"]

@@ -159,6 +159,25 @@ class TestSoftVerification:
         result = session.soft_check([StateUpdate("ReserveInfo", {"available": Constant.boolean(True)})])
         assert result.passed is True
 
+    def test_one_consistent_state_lets_a_two_state_update_pass(self, make_session):
+        # the name contradicts rules 0 and 2, but available=true satisfies rule 0
+        session = make_session()
+        available = StateUpdate("ReserveInfo", {"available": Constant.boolean(True)})
+        assert session.soft_check([name_update("S"), available]).passed is True
+
+    def test_two_contradicted_states_report_both_in_rule_order(self, make_session):
+        session = make_session()
+        late = StateUpdate("ReserveInfo", {"time": Constant.clock(time(20, 0))})
+        result = session.soft_check([late, name_update("S")])
+        assert result.passed is False
+        assert [(v.rule_index, v.predicate.state_name) for v in result.violations] == [
+            (0, "ReserveInfo"),
+            (0, "RestaurantInfo"),
+            (2, "ReserveInfo"),
+            (2, "RestaurantInfo"),
+        ]
+        assert {c.variable for v in result.violations for c in v.failed_constraints} == {"time", "name"}
+
     def test_soft_block_reverts_and_repeat_is_permitted(self, make_session):
         session = make_session()
         wrong = event("w1", name_update("S"))
@@ -196,6 +215,21 @@ class TestSoftVerification:
         with pytest.raises(TraceError, match="finite"):
             session.submit_action(bad)
         assert dict(session.world) == {}
+
+    def test_undeclared_enum_variant_raises(self):
+        # hand-built events go through the same checks as trace lines
+        schema = schema_from_dict(
+            {"app_id": "shop", "states": [{"name": "Order", "description": "", "variables": [{"status": "Enum[Open, Paid]"}]}]}
+        )
+        session = Session(parse_specification("Order(status != Paid) -> Done"), schema, CLOCK)
+        bogus = event("x", StateUpdate("Order", {"status": Constant.enum("Bogus")}))
+        with pytest.raises(TraceError) as info:
+            session.submit_action(bogus)
+        assert str(info.value) == "Order.status (Enum[Open, Paid]) has no variant 'Bogus'"
+        assert dict(session.world) == {}
+        assert session.submit_action(event("y", StateUpdate("Order", {"status": Constant.enum("Open")}))).kind is (
+            VerdictKind.TASK_DONE
+        )
 
     def test_validate_event_names_each_rule(self, restaurant_schema):
         cases = [

@@ -158,6 +158,26 @@ class TestRunEval:
         # the wrong/blocked cases must not be recorded
         assert all("20:00" not in e.spec_text for e in entries)
 
+    def test_memory_skips_a_wrong_trace_the_spec_let_through(self, tmp_path):
+        # without the time constraint the 20:00 reservation completes: a FN
+        spec = tmp_path / "no_time.vsa"
+        spec.write_text(
+            'RestaurantInfo(name = "R") & ReserveInfo(date = Today, available = true) -> Reserve\n'
+            "Reserve & ReserveResult(success = true) -> Done\n"
+        )
+        case = {
+            "instruction": "Reserve restaurant R before 7 PM.",
+            "schema": str(FIXTURES / "restaurant" / "schema.json"),
+            "trace": str(FIXTURES / "restaurant" / "traces" / "wrong_time.jsonl"),
+            "spec": str(spec),
+            "expected": "fail",
+        }
+        (tmp_path / "case.json").write_text(json.dumps(case))
+        memory = PredicateMemory()
+        report = run_eval(load_cases(tmp_path), memory=memory)
+        assert [c.classification for c in report.cases] == ["FN"]
+        assert memory.entries == {}
+
     def test_memory_collects_encoded_successes_too(self, tmp_path):
         case = {
             "instruction": "Reserve restaurant R before 7 PM.",

@@ -3,7 +3,10 @@
 ``Session`` compiles its spec once and, after each event, re-evaluates only
 the predicates that read a written slot or a newly achieved objective.  The
 reference here re-derives every status from the world and the achieved
-objectives on every event, the way the engine itself once did.
+objectives on every event, the way the engine itself once did.  Likewise the
+soft and hard checks, which stop as soon as their verdict is settled, are
+held against naive versions that evaluate every predicate of every touched
+state and every candidate rule.
 """
 
 from __future__ import annotations
@@ -16,11 +19,15 @@ from intentguard import engine
 from intentguard.dsl import DONE, Constant, ObjectiveRef, evaluate_constraint, parse_specification
 from intentguard.engine import (
     ActionEvent,
+    HardCheckResult,
     PredicateStatus,
     RuleProgress,
     Session,
+    SoftCheckResult,
     StateUpdate,
+    UnknownObjective,
     VerdictKind,
+    Violation,
     event_fingerprint,
 )
 from intentguard.feedback import render_roadmap_lines
@@ -49,6 +56,64 @@ def full_walk_report(session: Session) -> list[RuleProgress]:
     return report
 
 
+def naive_soft_check(session: Session, updates) -> SoftCheckResult:
+    """The soft check evaluating every predicate over every touched state: the
+    update fails when some touched state is constrained and every touched
+    state has each of its predicates contradicted on a written variable."""
+    touched: dict[str, dict] = {}
+    for update in updates:
+        touched.setdefault(update.state, {}).update(update.values)
+    violations = []
+    any_predicate_seen = False
+    all_states_contradicted = True
+    for state_name, written in touched.items():
+        state_violations = []
+        for idx, rule in enumerate(session.spec.rules):
+            for pred in rule.predicates:
+                if isinstance(pred, ObjectiveRef) or pred.state_name != state_name:
+                    continue
+                failed = tuple(
+                    c for c in pred.constraints
+                    if c.variable in written and not evaluate_constraint(c, written[c.variable], session.ctx)
+                )
+                state_violations.append(Violation(idx, pred, failed) if failed else None)
+        any_predicate_seen = any_predicate_seen or bool(state_violations)
+        if state_violations and None not in state_violations:
+            violations.extend(state_violations)
+        else:
+            all_states_contradicted = False
+    if any_predicate_seen and all_states_contradicted:
+        return SoftCheckResult(False, tuple(sorted(violations, key=lambda v: v.rule_index)))
+    return SoftCheckResult(True)
+
+
+def naive_hard_check(session: Session, objective: str) -> HardCheckResult:
+    """The hard check evaluating every rule concluding ``objective`` from
+    scratch; the report covers the rule with the most satisfied predicates,
+    ties to the earliest."""
+    best = None
+    for progress in full_walk_report(session):
+        if progress.conclusion != objective:
+            continue
+        unmet = []
+        for pred, status in zip(session.spec.rules[progress.rule_index].predicates, progress.statuses):
+            if status is PredicateStatus.SATISFIED:
+                continue
+            failed = () if isinstance(pred, ObjectiveRef) else tuple(
+                c for c in pred.constraints
+                if not evaluate_constraint(c, session.world.get((pred.state_name, c.variable)), session.ctx)
+            )
+            unmet.append(Violation(progress.rule_index, pred, failed))
+        if not unmet:
+            return HardCheckResult(objective, True, progress.rule_index)
+        score = len(progress.statuses) - len(unmet)
+        if best is None or score > best[0]:
+            best = (score, HardCheckResult(objective, False, progress.rule_index, tuple(unmet)))
+    if best is None:
+        raise UnknownObjective(objective)
+    return best[1]
+
+
 def done_rule_holds(report: list[RuleProgress]) -> bool:
     return any(
         all(s is PredicateStatus.SATISFIED for s in progress.statuses)
@@ -65,10 +130,14 @@ def test_cache_matches_full_recomputation_after_every_event():
         session = Session(spec, schema, CLOCK)
         previous_kind = previous_fingerprint = None
         for event in events:
+            where = f"seed {seed}, event {event.action_id}"
+            if event.critical is None:
+                assert session.soft_check(event.updates) == naive_soft_check(session, event.updates), where
+            else:
+                assert session.hard_check(event.critical) == naive_hard_check(session, event.critical), where
             achieved_before = set(session.achieved_objectives)
             verdict = session.submit_action(event)
             expected = full_walk_report(session)
-            where = f"seed {seed}, event {event.action_id}"
             assert session.progress_report() == expected, where
             assert verdict.feedback.roadmap == tuple(render_roadmap_lines(expected, spec, schema)), where
             assert (verdict.kind is VerdictKind.TASK_DONE) == done_rule_holds(expected), where

@@ -144,6 +144,19 @@ class TestParse:
         with pytest.raises(TraceParseError, match=r"^line 2: Cart\.quantity: .* is not a finite number"):
             parse_trace(trace_text(line), groceries_schema)
 
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [("Bogus", "Order.status (Enum[Open, Paid]) has no variant 'Bogus'"), (1, "Order.status: expected one of ['Open', 'Paid'], got 1")],
+    )
+    def test_enum_values_must_be_declared_variants(self, raw, problem):
+        schema = schema_from_dict(
+            {"app_id": "shop", "states": [{"name": "Order", "description": "", "variables": [{"status": "Enum[Open, Paid]"}]}]}
+        )
+        line = json.dumps({"action_id": "x", "updates": [{"state": "Order", "values": {"status": raw}}]})
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text(line), schema)
+        assert str(excinfo.value) == f"line 2: {problem}"
+
     @pytest.mark.parametrize("line", ["[1, 2]", '"event"', "3"])
     def test_event_line_must_be_an_object(self, restaurant_schema, line):
         with pytest.raises(TraceParseError, match="line 2: an event must be a JSON object"):
