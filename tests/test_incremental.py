@@ -67,18 +67,22 @@ def naive_soft_check(session: Session, updates) -> SoftCheckResult:
     any_predicate_seen = False
     all_states_contradicted = True
     for state_name, written in touched.items():
+        predicates = [
+            (idx, pred)
+            for idx, rule in enumerate(session.spec.rules)
+            for pred in rule.predicates
+            if not isinstance(pred, ObjectiveRef) and pred.state_name == state_name
+        ]
+        any_predicate_seen = any_predicate_seen or bool(predicates)
         state_violations = []
-        for idx, rule in enumerate(session.spec.rules):
-            for pred in rule.predicates:
-                if isinstance(pred, ObjectiveRef) or pred.state_name != state_name:
-                    continue
-                failed = tuple(
-                    c for c in pred.constraints
-                    if c.variable in written and not evaluate_constraint(c, written[c.variable], session.ctx)
-                )
-                state_violations.append(Violation(idx, pred, failed) if failed else None)
-        any_predicate_seen = any_predicate_seen or bool(state_violations)
-        if state_violations and None not in state_violations:
+        for idx, pred in predicates:
+            failed = tuple(
+                c for c in pred.constraints
+                if c.variable in written and not evaluate_constraint(c, written[c.variable], session.ctx)
+            )
+            if failed:
+                state_violations.append(Violation(idx, pred, failed))
+        if predicates and len(state_violations) == len(predicates):
             violations.extend(state_violations)
         else:
             all_states_contradicted = False
