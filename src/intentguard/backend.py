@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 from pathlib import Path
 from typing import Protocol
 
@@ -90,8 +91,18 @@ class MockBackend:
             return queue[cursor]
 
 
+#: Further attempts after a 429 or 5xx reply; the waits between attempts are
+#: ``RETRY_DELAY_S``, then twice that, and so on.
+HTTP_RETRIES = 3
+RETRY_DELAY_S = 0.5
+_sleep = time.sleep
+
+
 class HttpBackend:
-    """Chat-completions client for any endpoint speaking the common JSON shape."""
+    """Chat-completions client for any endpoint speaking the common JSON shape.
+
+    A reply of 429 or 5xx is retried up to ``HTTP_RETRIES`` times with
+    exponential backoff; any other failure ends the call at once."""
 
     def __init__(
         self,
@@ -125,14 +136,20 @@ class HttpBackend:
         }
         if self.seed is not None:
             payload["seed"] = self.seed
-        try:
-            response = requests.post(
-                f"{self.endpoint}/chat/completions", headers=self._headers(), json=payload, timeout=self.timeout_s
-            )
-        except requests.Timeout as exc:
-            raise BackendError(f"request timed out after {self.timeout_s}s", category="timeout") from exc
-        except requests.RequestException as exc:
-            raise BackendError(str(exc), category="network") from exc
+        headers = self._headers()
+        for attempt in range(HTTP_RETRIES + 1):
+            if attempt:
+                _sleep(RETRY_DELAY_S * 2 ** (attempt - 1))
+            try:
+                response = requests.post(
+                    f"{self.endpoint}/chat/completions", headers=headers, json=payload, timeout=self.timeout_s
+                )
+            except requests.Timeout as exc:
+                raise BackendError(f"request timed out after {self.timeout_s}s", category="timeout") from exc
+            except requests.RequestException as exc:
+                raise BackendError(str(exc), category="network") from exc
+            if response.status_code != 429 and response.status_code < 500:
+                break
         if response.status_code != 200:
             raise BackendError(f"HTTP {response.status_code}: {response.text[:300]}", category="http")
         try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import date, time
 from decimal import Decimal
 from enum import Enum
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from .schema import ConstKind, StateSchema, VarType
 
@@ -175,12 +175,6 @@ class SpecSyntaxError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}{hint}")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    column: int
-
-
 #: Spellings of the Date and Time literals, shared by the token pattern and
 #: :func:`read_literal`.  ``\d`` is a decimal digit of any script.
 _DATE_SHAPE = r"\d{4}-\d\d-\d\d"
@@ -188,8 +182,11 @@ _TIME_SHAPE = r"\d\d?:\d\d"
 
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
-# character no other alternative starts with.  A string literal is matched
-# whole, so this is the one place that knows the escapes (\" and \\).
+# character no other alternative starts with, so the pattern matches at every
+# position and ``finditer`` skips no text.  A string literal is matched whole,
+# so this is the one place that knows the escapes (\" and \\).  A line is
+# tokenized whole before any of it is parsed: a lexical error anywhere on the
+# line wins over a syntax error earlier on it.
 _TOKEN_PATTERN = re.compile(
     rf"""
     \s* (?:
@@ -210,23 +207,33 @@ _TOKEN_PATTERN = re.compile(
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r'\\(["\\])')
+#: Token kinds whose matched text is already the token's text.
+_PLAIN_KINDS = frozenset({"DATE", "TIME", "LPAREN", "RPAREN", "LBRACKET", "RBRACKET", "COMMA"})
 
 
-def _tokenize(line_text: str, lineno: int) -> list[_Token]:
-    """Tokens of one source line, ending in EOL; empty for a blank or comment
-    line.  Columns count from the line's first non-blank character."""
+def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
+    """``(kind, text, column)`` tokens of one source line, ending in EOL; empty
+    for a blank or comment line.  Columns count from the line's first
+    non-blank character."""
     offset = len(line_text) - len(line_text.lstrip()) - 1
-    tokens: list[_Token] = []
-    pos = 0
-    while True:
-        match = _TOKEN_PATTERN.match(line_text, pos)
+    tokens: list[tuple[str, str, int]] = []
+    for match in _TOKEN_PATTERN.finditer(line_text):
         kind = match.lastgroup
         if kind == "END":
             break
-        text = match.group(kind)
+        text = match[kind]
         start = match.start(kind)
         column = start - offset
-        if kind == "STRING":
+        if kind in _PLAIN_KINDS:
+            pass
+        elif kind == "IDENT":
+            if text == "not":
+                raise SpecSyntaxError("'not' is only valid as part of 'not in'", lineno, column, ("not in",))
+            # \w also takes numerics that are not letters (², ½): they may
+            # continue an identifier but not start one
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise SpecSyntaxError(f"unexpected character {text[0]!r}", lineno, column)
+        elif kind == "STRING":
             text = text[1:-1]
             if "\\" in text:
                 text = _ESCAPE.sub(r"\1", text)
@@ -235,20 +242,15 @@ def _tokenize(line_text: str, lineno: int) -> list[_Token]:
                 raise SpecSyntaxError("malformed number", lineno, column, ("digit",))
         elif kind == "NOT_IN":
             kind, text = "OP", "not in"
-        elif kind == "IDENT" and text == "not":
-            raise SpecSyntaxError("'not' is only valid as part of 'not in'", lineno, column, ("not in",))
-        elif kind == "ERROR" and text == '"':
-            raise _string_error(line_text, start, lineno, offset)
-        # \w also takes numerics that are not letters (², ½): they may
-        # continue an identifier but not start one
-        elif kind == "ERROR" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
-            raise SpecSyntaxError(f"unexpected character {text[0]!r}", lineno, column)
+        elif kind == "ERROR":
+            if text == '"':
+                raise _string_error(line_text, start, lineno, offset)
+            raise SpecSyntaxError(f"unexpected character {text!r}", lineno, column)
         else:
             text = UNICODE_OPERATORS.get(text, text)
-        tokens.append(_Token(kind, text, column))
-        pos = match.end()
+        tokens.append((kind, text, column))
     if tokens:
-        tokens.append(_Token("EOL", "", pos - offset))
+        tokens.append(("EOL", "", match.start() - offset))
     return tokens
 
 
@@ -268,103 +270,93 @@ def _string_error(line_text: str, quote: int, lineno: int, offset: int) -> SpecS
     return SpecSyntaxError("unterminated string literal", lineno, quote - offset, ('"',))
 
 
-_OPERATOR_SPELLINGS = tuple(sorted(o.value for o in Operator))
+_OPERATORS = {o.value: o for o in Operator}
+_OPERATOR_SPELLINGS = tuple(sorted(_OPERATORS))
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[_Token], lineno: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.lineno = lineno
+def _unexpected(token: tuple[str, str, int], lineno: int, expected: tuple[str, ...]) -> SpecSyntaxError:
+    kind, text, column = token
+    message = f"unexpected {kind} {text!r}" if kind != "EOL" else "unexpected end of line"
+    return SpecSyntaxError(message, lineno, column, expected)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse_rule(tokens: list[tuple[str, str, int]], lineno: int) -> Rule:
+    """The rule one line's tokens spell.  Every token list ends in EOL and no
+    step reads past a token it has not checked, so indexing stays in range."""
+    predicates: list[Predicate] = []
+    i = 0
+    while True:
+        kind, name, _ = tokens[i]
+        if kind != "IDENT":
+            raise _unexpected(tokens[i], lineno, ("state name", "objective name"))
+        i += 1
+        if tokens[i][0] != "LPAREN":
+            predicates.append(ObjectiveRef(name))
+        else:
+            constraints: list[Constraint] = []
+            while True:
+                if tokens[i + 1][0] != "IDENT":
+                    raise _unexpected(tokens[i + 1], lineno, ("variable name",))
+                if tokens[i + 2][0] != "OP":
+                    raise _unexpected(tokens[i + 2], lineno, _OPERATOR_SPELLINGS)
+                constant, after = _parse_literal(tokens, i + 3, lineno)
+                constraints.append(Constraint(tokens[i + 1][1], _OPERATORS[tokens[i + 2][1]], constant))
+                i = after
+                if tokens[i][0] != "COMMA":
+                    break
+            if tokens[i][0] != "RPAREN":
+                raise _unexpected(tokens[i], lineno, ("')'", "','"))
+            i += 1
+            predicates.append(StatePredicate(name, tuple(constraints)))
+        if tokens[i][0] != "AND":
+            break
+        i += 1
+    if tokens[i][0] != "ARROW":
+        raise _unexpected(tokens[i], lineno, ("'->'", "'&'"))
+    kind, conclusion, _ = tokens[i + 1]
+    if kind != "IDENT":
+        raise _unexpected(tokens[i + 1], lineno, ("objective name",))
+    if tokens[i + 2][0] != "EOL":
+        raise _unexpected(tokens[i + 2], lineno, ("end of line",))
+    return Rule(tuple(predicates), conclusion, line=lineno)
 
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise SpecSyntaxError(
-                f"unexpected {tok.kind} {tok.text!r}" if tok.kind != "EOL" else "unexpected end of line",
-                self.lineno,
-                tok.column,
-                expected,
-            )
-        return self.advance()
 
-    def parse_rule(self) -> Rule:
-        predicates = [self.parse_predicate()]
-        while self.peek().kind == "AND":
-            self.advance()
-            predicates.append(self.parse_predicate())
-        self.expect("ARROW", ("'->'", "'&'"))
-        conclusion = self.expect("IDENT", ("objective name",)).text
-        self.expect("EOL", ("end of line",))
-        return Rule(tuple(predicates), conclusion, line=self.lineno)
-
-    def parse_predicate(self) -> Predicate:
-        name = self.expect("IDENT", ("state name", "objective name")).text
-        if self.peek().kind != "LPAREN":
-            return ObjectiveRef(name)
-        self.advance()
-        constraints = [self.parse_constraint()]
-        while self.peek().kind == "COMMA":
-            self.advance()
-            constraints.append(self.parse_constraint())
-        self.expect("RPAREN", ("')'", "','"))
-        return StatePredicate(name, tuple(constraints))
-
-    def parse_constraint(self) -> Constraint:
-        variable = self.expect("IDENT", ("variable name",)).text
-        op_tok = self.expect("OP", _OPERATOR_SPELLINGS)
-        operator = Operator(op_tok.text)
-        constant = self.parse_literal()
-        return Constraint(variable, operator, constant)
-
-    def parse_literal(self) -> Constant:
-        tok = self.peek()
-        if tok.kind == "STRING":
-            self.advance()
-            return Constant.text(tok.text)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Constant.number(tok.text)
-        if tok.kind in ("DATE", "TIME"):
-            self.advance()
-            try:
-                return read_literal(ConstKind[tok.kind], tok.text, shaped=True)
-            except ValueError:
-                raise SpecSyntaxError(f"invalid {tok.kind.lower()} {tok.text!r}", self.lineno, tok.column) from None
-        if tok.kind == "LBRACKET":
-            self.advance()
-            items: list[str] = []
-            if self.peek().kind == "STRING":
-                items.append(self.advance().text)
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    items.append(self.expect("STRING", ("string literal",)).text)
-            self.expect("RBRACKET", ("']'", "string literal"))
-            return Constant.text_list(tuple(items))
-        if tok.kind == "IDENT":
-            self.advance()
-            lowered = tok.text.lower()
-            if lowered == "true":
-                return Constant.boolean(True)
-            if lowered == "false":
-                return Constant.boolean(False)
-            if lowered == "today":
-                return Constant.today()
-            return Constant.enum(tok.text)
-        raise SpecSyntaxError(
-            f"unexpected {tok.kind} {tok.text!r}" if tok.kind != "EOL" else "unexpected end of line",
-            self.lineno,
-            tok.column,
-            ("constant literal",),
-        )
+def _parse_literal(tokens: list[tuple[str, str, int]], i: int, lineno: int) -> tuple[Constant, int]:
+    """The constant starting at ``tokens[i]``, and the index after it."""
+    kind, text, column = tokens[i]
+    if kind == "STRING":
+        return Constant.text(text), i + 1
+    if kind == "NUMBER":
+        return Constant.number(text), i + 1
+    if kind == "IDENT":
+        lowered = text.lower()
+        if lowered == "true":
+            return Constant.boolean(True), i + 1
+        if lowered == "false":
+            return Constant.boolean(False), i + 1
+        if lowered == "today":
+            return Constant.today(), i + 1
+        return Constant.enum(text), i + 1
+    if kind == "DATE" or kind == "TIME":
+        try:
+            return read_literal(ConstKind[kind], text, shaped=True), i + 1
+        except ValueError:
+            raise SpecSyntaxError(f"invalid {kind.lower()} {text!r}", lineno, column) from None
+    if kind != "LBRACKET":
+        raise _unexpected(tokens[i], lineno, ("constant literal",))
+    items: list[str] = []
+    i += 1
+    if tokens[i][0] == "STRING":
+        items.append(tokens[i][1])
+        i += 1
+        while tokens[i][0] == "COMMA":
+            if tokens[i + 1][0] != "STRING":
+                raise _unexpected(tokens[i + 1], lineno, ("string literal",))
+            items.append(tokens[i + 1][1])
+            i += 2
+    if tokens[i][0] != "RBRACKET":
+        raise _unexpected(tokens[i], lineno, ("']'", "string literal"))
+    return Constant.text_list(tuple(items)), i + 1
 
 
 def parse_specification(text: str) -> Specification:
@@ -379,7 +371,7 @@ def parse_specification(text: str) -> Specification:
     for lineno, raw in enumerate(lines, 1):
         tokens = _tokenize(raw, lineno)
         if tokens:
-            rules.append(_RuleParser(tokens, lineno).parse_rule())
+            rules.append(_parse_rule(tokens, lineno))
     if not rules:
         raise SpecSyntaxError("no rules found", max(len(lines), 1), 1, ("rule",))
     return Specification(tuple(rules))
@@ -541,9 +533,13 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
     referenced: dict[str, tuple[int, int | None]] = {}
 
     for idx, rule in enumerate(spec.rules):
-        seen: set[Predicate] = set()
+        # grouped by state or objective name and compared with == only within
+        # a group, so no predicate is hashed
+        seen: dict[str, list[Predicate]] = {}
         for pred in rule.predicates:
-            if pred in seen:
+            key = pred.objective_name if isinstance(pred, ObjectiveRef) else pred.state_name
+            same_name = seen.setdefault(key, [])
+            if pred in same_name:
                 diagnostics.append(
                     Diagnostic(
                         DiagnosticCode.DUPLICATE_PREDICATE,
@@ -553,7 +549,7 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
                     )
                 )
                 continue
-            seen.add(pred)
+            same_name.append(pred)
             if isinstance(pred, ObjectiveRef):
                 if pred.objective_name == DONE:
                     diagnostics.append(

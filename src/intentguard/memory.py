@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +28,12 @@ class MemoryEntry:
     spec_text: str
     used_predicates: tuple[tuple[str, str, str], ...]  # (state, variable, operator)
     timestamp: str
+    #: the instruction's distinct words, read by every retrieval; derived, so
+    #: not stored.  Interned, so that entries share the words they have in common.
+    words: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "words", tuple(map(sys.intern, _tokens(self.instruction))))
 
 
 @dataclass(frozen=True)
@@ -44,10 +51,12 @@ def _tokens(text: str) -> set[str]:
     return set(_WORD_RE.findall(text.lower()))
 
 
-def _jaccard(a: set[str], b: set[str]) -> float:
+def _jaccard(a: set[str], b: tuple[str, ...]) -> float:
+    """Jaccard index of two word sets; ``b`` holds no word twice."""
     if not a or not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a.intersection(b))
+    return shared / (len(a) + len(b) - shared)
 
 
 def used_predicates(spec: Specification) -> tuple[tuple[str, str, str], ...]:
@@ -122,7 +131,7 @@ class PredicateMemory:
         words = _tokens(instruction)
         scores: dict[tuple[str, str, str], float] = {}
         for entry in self.entries.get(app_id, []):
-            overlap = _jaccard(words, _tokens(entry.instruction))
+            overlap = _jaccard(words, entry.words)
             for triple in entry.used_predicates:
                 scores[triple] = scores.get(triple, 0.0) + 1.0 + overlap
         ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))

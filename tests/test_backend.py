@@ -82,8 +82,70 @@ class FakeResponse:
 
 
 class TestHttpBackend:
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """Backoff waits, recorded instead of slept."""
+        waits = []
+        monkeypatch.setattr(backend_mod, "_sleep", waits.append)
+        return waits
+
     def make(self):
         return HttpBackend(endpoint="https://llm.example/v1", model="m", api_key_env="FAKE_KEY", timeout_s=5)
+
+    def scripted(self, monkeypatch, *replies):
+        """Stub ``requests.post`` to answer with ``replies`` in turn (the last
+        one repeats); returns the list of posted URLs."""
+        monkeypatch.setenv("FAKE_KEY", "k")
+        posts = []
+
+        def fake_post(url, **kwargs):
+            posts.append(url)
+            reply = replies[min(len(posts), len(replies)) - 1]
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+        return posts
+
+    @pytest.mark.parametrize("status", [429, 500, 503])
+    def test_success_after_one_retryable_reply(self, monkeypatch, sleeps, status):
+        ok = FakeResponse(payload={"choices": [{"message": {"content": "hello"}}]})
+        posts = self.scripted(monkeypatch, FakeResponse(status_code=status, text="busy"), ok)
+        backend = self.make()
+        assert backend.complete("encoder", "", "") == "hello"
+        assert len(posts) == 2
+        assert sleeps == [backend_mod.RETRY_DELAY_S]
+        assert backend.complete_calls == 1
+
+    def test_gives_up_after_the_retry_limit(self, monkeypatch, sleeps):
+        posts = self.scripted(monkeypatch, FakeResponse(status_code=503, text="down"))
+        backend = self.make()
+        with pytest.raises(BackendError) as exc_info:
+            backend.complete("encoder", "", "")
+        assert exc_info.value.category == "http"
+        assert str(exc_info.value) == "HTTP 503: down"
+        assert len(posts) == backend_mod.HTTP_RETRIES + 1
+        assert sleeps == [backend_mod.RETRY_DELAY_S * 2**k for k in range(backend_mod.HTTP_RETRIES)]
+        assert backend.complete_calls == 1
+
+    @pytest.mark.parametrize(
+        "reply, category",
+        [
+            (FakeResponse(status_code=400, text="bad request"), "http"),
+            (FakeResponse(status_code=404, text="no such model"), "http"),
+            (FakeResponse(payload=None), "protocol"),
+            (requests.Timeout("too slow"), "timeout"),
+            (requests.ConnectionError("refused"), "network"),
+        ],
+    )
+    def test_other_failures_are_not_retried(self, monkeypatch, sleeps, reply, category):
+        posts = self.scripted(monkeypatch, reply, FakeResponse(payload={"choices": [{"message": {"content": "x"}}]}))
+        with pytest.raises(BackendError) as exc_info:
+            self.make().complete("encoder", "", "")
+        assert exc_info.value.category == category
+        assert len(posts) == 1
+        assert sleeps == []
 
     def test_complete_parses_choice(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "k")

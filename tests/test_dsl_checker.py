@@ -99,6 +99,31 @@ class TestCheck:
         spec = parse_specification('RestaurantInfo(name = "R") & RestaurantInfo(name = "R") -> Done')
         assert DiagnosticCode.DUPLICATE_PREDICATE in codes(check_specification(spec, restaurant_schema))
 
+    @staticmethod
+    def duplicates(source):
+        return [
+            d
+            for d in check_specification(parse_specification(source), ENUM_SCHEMA)
+            if d.code is DiagnosticCode.DUPLICATE_PREDICATE
+        ]
+
+    def test_same_state_with_different_constraints_is_not_a_duplicate(self):
+        assert self.duplicates("Payment(amount = 1) & Payment(amount = 2) -> Done") == []
+
+    def test_objective_reference_beside_same_named_state_is_not_a_duplicate(self):
+        assert self.duplicates("Payment & Payment(amount = 1) -> Done") == []
+
+    def test_numbers_in_duplicates_compare_by_value(self):
+        (found,) = self.duplicates("Payment(amount = 1) & Payment(amount = 1.0) -> Done")
+        assert found.message == "predicate Payment(amount = 1.0) appears more than once in the rule"
+
+    def test_every_further_copy_is_reported_at_its_rule(self):
+        found = self.duplicates(
+            "Payment(amount = 2) -> Done\n"
+            "Payment(amount = 1) & Payment(amount = 1) & Payment(amount = 1) -> Done"
+        )
+        assert [(d.rule_index, d.line) for d in found] == [(1, 2), (1, 2)]
+
     def test_multiple_rules_for_one_objective_are_allowed(self, restaurant_schema):
         spec = parse_specification(
             'RestaurantInfo(name = "R") -> Reserve\n'

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+import re
 from datetime import datetime, timezone
 
 import pytest
 
+import intentguard.memory as memory_mod
 from intentguard.dsl import parse_specification
 from intentguard.memory import PredicateMemory, used_predicates
 
@@ -79,6 +82,40 @@ class TestRetrieve:
         query = "reserve a table at restaurant R"
         assert forward.retrieve_candidates("app", query) == backward.retrieve_candidates("app", query)
 
+    def test_stored_instructions_are_not_tokenized_again(self, reservation_spec, monkeypatch):
+        memory = PredicateMemory()
+        memory.record_success("app", INSTRUCTION, reservation_spec, now=FIXED_NOW)
+        memory.record_success("app", "play focus music", OTHER_SPEC, now=FIXED_NOW)
+        seen = []
+        tokens = memory_mod._tokens
+        monkeypatch.setattr(memory_mod, "_tokens", lambda text: seen.append(text) or tokens(text))
+        memory.retrieve_candidates("app", "reserve a table")
+        memory.retrieve_candidates("app", "play some music")
+        assert seen == ["reserve a table", "play some music"]
+
+    def test_ranking_follows_the_documented_score(self, reservation_spec):
+        entries = [
+            (INSTRUCTION, reservation_spec),
+            ("play focus music", OTHER_SPEC),
+            ("queue the focus playlist, then reserve", parse_specification('Playlist(title = "Focus") -> Done')),
+        ]
+        memory = PredicateMemory()
+        for instruction, spec in entries:
+            memory.record_success("app", instruction, spec, now=FIXED_NOW)
+        query = "Queue focus music, then reserve restaurant R"
+
+        def words(text):
+            return set(re.findall(r"[a-z0-9']+", text.lower()))
+
+        expected = {}
+        for instruction, spec in entries:
+            a, b = words(query), words(instruction)
+            for triple in used_predicates(spec):
+                expected[triple] = expected.get(triple, 0.0) + 1.0 + len(a & b) / len(a | b)
+        ranked = memory.retrieve_candidates("app", query)
+        assert [(c.state, c.variable, c.operator) for c in ranked] == sorted(expected, key=lambda t: (-expected[t], t))
+        assert [c.score for c in ranked] == [pytest.approx(expected[(c.state, c.variable, c.operator)]) for c in ranked]
+
     def test_candidates_never_invented(self, reservation_spec):
         memory = PredicateMemory()
         memory.record_success("app", INSTRUCTION, reservation_spec, now=FIXED_NOW)
@@ -96,6 +133,23 @@ class TestPersistence:
         memory.save(path)
         loaded = PredicateMemory.load(path)
         assert loaded.entries == memory.entries
+
+    def test_save_writes_only_the_stored_fields(self, tmp_path):
+        memory = PredicateMemory()
+        memory.record_success("app", "Play focus music", OTHER_SPEC, now=FIXED_NOW)
+        entry = memory.entries["app"][0]
+        assert "words" not in repr(entry)
+        path = tmp_path / "memory.json"
+        memory.save(path)
+        stored = {
+            "instruction": "Play focus music",
+            "spec": 'Playlist(title = "Focus") -> Queue\nQueue & Player(playing = true) -> Done\n',
+            "timestamp": "2025-03-14T12:00:00+00:00",
+            "used_predicates": [["Playlist", "title", "="], ["Player", "playing", "="]],
+        }
+        expected = json.dumps({"entries": {"app": [stored]}}, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+        assert sorted(PredicateMemory.load(path).entries["app"][0].words) == ["focus", "music", "play"]
 
     def test_load_or_empty_on_missing_file(self, tmp_path):
         memory = PredicateMemory.load_or_empty(tmp_path / "absent.json")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from intentguard.dsl import SpecSyntaxError, parse_specification, render_specification
+from intentguard.dsl import _TOKEN_PATTERN, SpecSyntaxError, parse_specification, render_specification
 
 import generators
 
@@ -87,6 +87,20 @@ def test_every_line_reproduces_its_recorded_outcome():
         if actual != entry:
             mismatches.append((entry, actual))
     assert not mismatches, f"{len(mismatches)} lines changed outcome; first: {mismatches[0]}"
+
+
+def test_every_token_prefix_parses_or_raises_a_syntax_error():
+    """A line cut after any of its tokens is a line the parser runs out of
+    tokens on; it must say so with ``SpecSyntaxError``, never ``IndexError``."""
+    crashes = []
+    for entry in load_corpus():
+        for match in _TOKEN_PATTERN.finditer(entry["line"]):
+            if match.lastgroup == "END":
+                break
+            prefix = outcome(entry["line"][: match.end()])
+            if "crash" in prefix:
+                crashes.append(prefix)
+    assert not crashes, f"{len(crashes)} prefixes crashed; first: {crashes[0]}"
 
 
 if __name__ == "__main__":
