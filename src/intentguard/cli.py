@@ -133,6 +133,8 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
         raise _fail(str(exc))
     except BackendError as exc:
         raise _fail(f"backend: {exc}")
+    except ValueError as exc:
+        raise _fail(str(exc))
 
     rendered = render_specification(chosen.spec)
     if out_path:

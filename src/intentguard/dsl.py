@@ -155,9 +155,6 @@ class Rule:
 class Specification:
     rules: tuple[Rule, ...]
 
-    def concluded_objectives(self) -> set[str]:
-        return {r.conclusion for r in self.rules}
-
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -527,12 +524,21 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
     Checks, in order per rule: state and variable resolution, constraint type
     compatibility, duplicate predicates, reserved-objective misuse.  Spec-wide:
     every referenced objective must be concluded somewhere, at least one rule
-    must conclude ``Done``, and objective precedence must be acyclic.
+    must conclude ``Done``, and objective precedence must be acyclic.  The
+    rules are walked once: the spec-wide checks read what that walk recorded.
     """
     diagnostics: list[Diagnostic] = []
-    referenced: dict[str, tuple[int, int | None]] = {}
 
+    def report(code: DiagnosticCode, message: str, idx: int | None = None) -> None:
+        line = spec.rules[idx].line if idx is not None else None
+        diagnostics.append(Diagnostic(code, message, line, idx))
+
+    # each concluded objective -> the objectives its rules reference
+    references: dict[str, set[str]] = {}
+    # each referenced objective but Done -> the index of the first rule referencing it
+    first_reference: dict[str, int] = {}
     for idx, rule in enumerate(spec.rules):
+        referenced = references.setdefault(rule.conclusion, set())
         # grouped by state or objective name and compared with == only within
         # a group, so no predicate is hashed
         seen: dict[str, list[Predicate]] = {}
@@ -540,96 +546,65 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
             key = pred.objective_name if isinstance(pred, ObjectiveRef) else pred.state_name
             same_name = seen.setdefault(key, [])
             if pred in same_name:
-                diagnostics.append(
-                    Diagnostic(
-                        DiagnosticCode.DUPLICATE_PREDICATE,
-                        f"predicate {render_predicate(pred)} appears more than once in the rule",
-                        rule.line,
-                        idx,
-                    )
+                report(
+                    DiagnosticCode.DUPLICATE_PREDICATE,
+                    f"predicate {render_predicate(pred)} appears more than once in the rule",
+                    idx,
                 )
                 continue
             same_name.append(pred)
             if isinstance(pred, ObjectiveRef):
+                referenced.add(pred.objective_name)
                 if pred.objective_name == DONE:
-                    diagnostics.append(
-                        Diagnostic(
-                            DiagnosticCode.RESERVED_OBJECTIVE,
-                            f"'{DONE}' is reserved for rule conclusions and cannot be used as a predicate",
-                            rule.line,
-                            idx,
-                        )
+                    report(
+                        DiagnosticCode.RESERVED_OBJECTIVE,
+                        f"'{DONE}' is reserved for rule conclusions and cannot be used as a predicate",
+                        idx,
                     )
                 else:
-                    referenced.setdefault(pred.objective_name, (idx, rule.line))
+                    first_reference.setdefault(pred.objective_name, idx)
                 continue
             state = schema.state(pred.state_name)
             if state is None:
-                diagnostics.append(
-                    Diagnostic(
-                        DiagnosticCode.UNKNOWN_STATE,
-                        f"state '{pred.state_name}' is not declared; declared states: "
-                        f"{', '.join(sorted({s.name for s in schema.states})) or '(none)'}",
-                        rule.line,
-                        idx,
-                    )
+                report(
+                    DiagnosticCode.UNKNOWN_STATE,
+                    f"state '{pred.state_name}' is not declared; declared states: "
+                    f"{', '.join(sorted({s.name for s in schema.states})) or '(none)'}",
+                    idx,
                 )
                 continue
             for constraint in pred.constraints:
                 var_type = state.variables.get(constraint.variable)
                 if var_type is None:
-                    diagnostics.append(
-                        Diagnostic(
-                            DiagnosticCode.UNKNOWN_VARIABLE,
-                            f"state '{pred.state_name}' has no variable '{constraint.variable}'; "
-                            f"declared variables: {', '.join(sorted(state.variables))}",
-                            rule.line,
-                            idx,
-                        )
+                    report(
+                        DiagnosticCode.UNKNOWN_VARIABLE,
+                        f"state '{pred.state_name}' has no variable '{constraint.variable}'; "
+                        f"declared variables: {', '.join(sorted(state.variables))}",
+                        idx,
                     )
                     continue
                 problem = constraint_type_error(var_type, constraint)
                 if problem is not None:
-                    diagnostics.append(
-                        Diagnostic(DiagnosticCode.TYPE_MISMATCH, problem, rule.line, idx)
-                    )
+                    report(DiagnosticCode.TYPE_MISMATCH, problem, idx)
 
-    concluded = spec.concluded_objectives()
-    for name, (idx, line) in sorted(referenced.items(), key=lambda kv: kv[1][0]):
-        if name not in concluded:
-            diagnostics.append(
-                Diagnostic(
-                    DiagnosticCode.UNDEFINED_OBJECTIVE,
-                    f"objective '{name}' is used as a predicate but no rule concludes it",
-                    line,
-                    idx,
-                )
+    for name, idx in first_reference.items():
+        if name not in references:
+            report(
+                DiagnosticCode.UNDEFINED_OBJECTIVE,
+                f"objective '{name}' is used as a predicate but no rule concludes it",
+                idx,
             )
-
-    if DONE not in concluded:
-        diagnostics.append(
-            Diagnostic(DiagnosticCode.NO_DONE_RULE, f"no rule concludes the reserved objective '{DONE}'")
-        )
-
-    cycle = _find_objective_cycle(spec)
+    if DONE not in references:
+        report(DiagnosticCode.NO_DONE_RULE, f"no rule concludes the reserved objective '{DONE}'")
+    cycle = _find_objective_cycle(references)
     if cycle is not None:
-        diagnostics.append(
-            Diagnostic(
-                DiagnosticCode.CYCLE,
-                "objective precedence is cyclic: " + " -> ".join(cycle),
-            )
-        )
+        report(DiagnosticCode.CYCLE, "objective precedence is cyclic: " + " -> ".join(cycle))
     return diagnostics
 
 
-def _find_objective_cycle(spec: Specification) -> list[str] | None:
-    edges: dict[str, set[str]] = {}
-    for rule in spec.rules:
-        deps = edges.setdefault(rule.conclusion, set())
-        for pred in rule.predicates:
-            if isinstance(pred, ObjectiveRef):
-                deps.add(pred.objective_name)
-
+def _find_objective_cycle(edges: dict[str, set[str]]) -> list[str] | None:
+    """The first cycle in the graph from each concluded objective to the
+    objectives its rules reference, as a path that ends where it starts."""
     # Depth-first, dependencies in sorted order, with explicit stacks so a
     # long precedence chain cannot exhaust the interpreter's recursion limit.
     WHITE, GREY, BLACK = 0, 1, 2

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 
-from .backend import Backend
+from .backend import Backend, BackendError
 from .dsl import (
+    Constraint,
     Rule,
     Specification,
     SpecSyntaxError,
@@ -129,7 +130,8 @@ def decode_spec(spec: Specification, backend: Backend, transcript: list[Transcri
     """Ask the decoder role to describe the spec in plain English.
 
     The prompt embeds the canonical rendering of every rule, so the decoder
-    sees exactly what the verifier will run.
+    sees exactly what the verifier will run.  A blank reply raises
+    :class:`BackendError` with category ``protocol``.
     """
     if not spec.rules:
         raise ValueError("cannot decode a specification with no rules")
@@ -137,6 +139,8 @@ def decode_spec(spec: Specification, backend: Backend, transcript: list[Transcri
     response = backend.complete("decoder", _prompt("decoder_system.txt"), prompt)
     if transcript is not None:
         transcript.append(TranscriptEntry("decoder", prompt, response))
+    if not response.strip():
+        raise BackendError("decoder returned an empty description", category="protocol")
     return response
 
 
@@ -197,8 +201,11 @@ def encode(
     Each iteration drafts, syntax-checks, then semantically decode-checks;
     any failure becomes the structured feedback of the next draft.  Raises
     :class:`EncodeFailed` with the last gate's findings after
-    ``max_repair_iterations`` drafts.
+    ``max_repair_iterations`` drafts, and ``ValueError`` for a blank
+    instruction before any completion.
     """
+    if not instruction.strip():
+        raise ValueError("encode needs a non-empty instruction")
     config = config or EncodeConfig()
     candidates = None
     if memory is not None:
@@ -354,8 +361,12 @@ class DiffReport:
         )
 
 
-def _constraint_refs(spec: Specification) -> dict[tuple[str, str], list[ConstraintRef]]:
-    by_slot: dict[tuple[str, str], list[ConstraintRef]] = {}
+def _constraint_refs(
+    spec: Specification,
+) -> dict[tuple[str, str], dict[ConstraintRef, tuple[Constraint, set[str]]]]:
+    """Each distinct constraint of the spec by slot, in rule order, with the
+    constraint it names and the conclusions of the rules that hold it."""
+    by_slot: dict[tuple[str, str], dict[ConstraintRef, tuple[Constraint, set[str]]]] = {}
     for rule in spec.rules:
         for pred in rule.predicates:
             if not isinstance(pred, StatePredicate):
@@ -364,38 +375,23 @@ def _constraint_refs(spec: Specification) -> dict[tuple[str, str], list[Constrai
                 ref = ConstraintRef(
                     pred.state_name, c.variable, c.operator.value, render_constant(c.constant)
                 )
-                slot = by_slot.setdefault(ref.slot, [])
-                if ref not in slot:
-                    slot.append(ref)
+                _, conclusions = by_slot.setdefault(ref.slot, {}).setdefault(ref, (c, set()))
+                conclusions.add(rule.conclusion)
     return by_slot
 
 
-def _with_constraint_added(spec: Specification, truth: Specification, ref: ConstraintRef) -> Specification:
-    """Insert a truth constraint into the candidate next to its natural home:
-    rules sharing the truth rule's conclusion, else rules already touching the
-    state, else every rule."""
-    target_constraint = None
-    target_conclusions: set[str] = set()
-    for rule in truth.rules:
-        for pred in rule.predicates:
-            if isinstance(pred, StatePredicate) and pred.state_name == ref.state:
-                for c in pred.constraints:
-                    if (c.variable, c.operator.value, render_constant(c.constant)) == (
-                        ref.variable,
-                        ref.operator,
-                        ref.constant,
-                    ):
-                        target_constraint = c
-                        target_conclusions.add(rule.conclusion)
-    if target_constraint is None:
-        return spec
-
-    rule_indices = [i for i, r in enumerate(spec.rules) if r.conclusion in target_conclusions]
+def _with_constraint_added(
+    spec: Specification, state: str, constraint: Constraint, conclusions: set[str]
+) -> Specification:
+    """Insert a truth constraint over ``state`` into the candidate next to its
+    natural home: rules sharing a conclusion of the truth rules that hold it,
+    else rules already touching the state, else every rule."""
+    rule_indices = [i for i, r in enumerate(spec.rules) if r.conclusion in conclusions]
     if not rule_indices:
         rule_indices = [
             i
             for i, r in enumerate(spec.rules)
-            if any(isinstance(p, StatePredicate) and p.state_name == ref.state for p in r.predicates)
+            if any(isinstance(p, StatePredicate) and p.state_name == state for p in r.predicates)
         ]
     if not rule_indices:
         rule_indices = list(range(len(spec.rules)))
@@ -407,11 +403,11 @@ def _with_constraint_added(spec: Specification, truth: Specification, ref: Const
             continue
         predicates = list(rule.predicates)
         for j, pred in enumerate(predicates):
-            if isinstance(pred, StatePredicate) and pred.state_name == ref.state:
-                predicates[j] = StatePredicate(pred.state_name, pred.constraints + (target_constraint,))
+            if isinstance(pred, StatePredicate) and pred.state_name == state:
+                predicates[j] = StatePredicate(pred.state_name, pred.constraints + (constraint,))
                 break
         else:
-            predicates.append(StatePredicate(ref.state, (target_constraint,)))
+            predicates.append(StatePredicate(state, (constraint,)))
         new_rules.append(Rule(tuple(predicates), rule.conclusion, line=rule.line))
     return Specification(tuple(new_rules))
 
@@ -464,7 +460,7 @@ def diff_specifications(
         candidate_allows = replay(candidate, schema, wrong_trace).done
         if candidate_allows:
             for ref in missing:
-                patched = _with_constraint_added(candidate, ground_truth, ref)
+                patched = _with_constraint_added(candidate, ref.state, *truth_slots[ref.slot][ref])
                 if not replay(patched, schema, wrong_trace).done:
                     critical.append(ref)
 

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from ._files import write_text_atomic
-from .dsl import Specification, StatePredicate, parse_specification, render_specification
+from .dsl import Specification, StatePredicate, render_specification
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,3 @@ class PredicateMemory:
     def load_or_empty(cls, path: str | Path) -> "PredicateMemory":
         p = Path(path)
         return cls.load(p) if p.exists() else cls()
-
-    def specs_for(self, app_id: str) -> list[Specification]:
-        return [parse_specification(e.spec_text) for e in self.entries.get(app_id, [])]

@@ -242,6 +242,30 @@ class TestEncode:
         assert result.exit_code == 1
         assert "3 iterations" in result.output
 
+    def test_blank_instruction_exits_one(self, runner):
+        result = runner.invoke(
+            main,
+            [
+                "encode", "--instruction", "  ", "--schema", SCHEMA,
+                "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_happy.json"),
+            ],
+        )
+        assert_clean_failure(result)
+        assert "non-empty instruction" in result.stderr
+
+    def test_blank_decoder_reply_exits_one(self, runner, tmp_path):
+        import helpers
+
+        fixture = tmp_path / "blank_decoder.json"
+        turns = [{"role": "encoder", "response": helpers.GOOD_DRAFT}, {"role": "decoder", "response": "   "}]
+        fixture.write_text(json.dumps(turns))
+        result = runner.invoke(
+            main,
+            ["encode", "--instruction", INSTRUCTION, "--schema", SCHEMA, "--backend", "mock", "--fixture", str(fixture)],
+        )
+        assert_clean_failure(result)
+        assert "error: backend: decoder" in result.stderr
+
     def test_mock_without_fixture_exits_one(self, runner):
         result = runner.invoke(main, ["encode", "--instruction", "x", "--schema", SCHEMA, "--backend", "mock"])
         assert result.exit_code == 1

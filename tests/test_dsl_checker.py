@@ -148,6 +148,11 @@ class TestCheck:
         bad = parse_specification('Payment(method in ["Card", "Bitcoin"]) -> Done')
         assert codes(check_specification(bad, ENUM_SCHEMA)) == [DiagnosticCode.TYPE_MISMATCH]
 
+    def test_set_operator_on_a_non_list_constant(self):
+        [diagnostic] = check_specification(parse_specification("Payment(method in Card) -> Done"), ENUM_SCHEMA)
+        assert diagnostic.code is DiagnosticCode.TYPE_MISMATCH
+        assert diagnostic.message == 'operator \'in\' on variable \'method\' requires a list constant such as ["a", "b"]'
+
     def test_ordering_on_boolean(self):
         spec = parse_specification("Payment(confirmed > 1) -> Done")
         diagnostics = check_specification(spec, ENUM_SCHEMA)
@@ -168,3 +173,46 @@ class TestCheck:
         diagnostics = check_specification(spec, restaurant_schema)
         assert diagnostics[0].line == 3
         assert diagnostics[0].rule_index == 1
+
+    def test_every_code_in_one_spec(self):
+        # each finding's code, message, line and rule index, in reporting order
+        spec = parse_specification(
+            "Payment(amount = 1) & Payment(amount = 1) -> A\n"
+            "# a comment line shifts the line numbers\n"
+            "Nowhere(x = 1) & Payment(tip = 2, method in Card) & Done & Gone -> B\n"
+            "Missing & B -> C\n"
+            "C & A & Missing -> B\n"
+        )
+        found = [(d.code, d.message, d.line, d.rule_index) for d in check_specification(spec, ENUM_SCHEMA)]
+        assert found == [
+            (DiagnosticCode.DUPLICATE_PREDICATE, "predicate Payment(amount = 1) appears more than once in the rule", 1, 0),
+            (DiagnosticCode.UNKNOWN_STATE, "state 'Nowhere' is not declared; declared states: Payment", 3, 1),
+            (
+                DiagnosticCode.UNKNOWN_VARIABLE,
+                "state 'Payment' has no variable 'tip'; declared variables: amount, confirmed, method",
+                3,
+                1,
+            ),
+            (
+                DiagnosticCode.TYPE_MISMATCH,
+                'operator \'in\' on variable \'method\' requires a list constant such as ["a", "b"]',
+                3,
+                1,
+            ),
+            (
+                DiagnosticCode.RESERVED_OBJECTIVE,
+                "'Done' is reserved for rule conclusions and cannot be used as a predicate",
+                3,
+                1,
+            ),
+            (DiagnosticCode.UNDEFINED_OBJECTIVE, "objective 'Gone' is used as a predicate but no rule concludes it", 3, 1),
+            (
+                DiagnosticCode.UNDEFINED_OBJECTIVE,
+                "objective 'Missing' is used as a predicate but no rule concludes it",
+                4,
+                2,
+            ),
+            (DiagnosticCode.NO_DONE_RULE, "no rule concludes the reserved objective 'Done'", None, None),
+            (DiagnosticCode.CYCLE, "objective precedence is cyclic: B -> C -> B", None, None),
+        ]
+        assert {code for code, *_ in found} == set(DiagnosticCode)

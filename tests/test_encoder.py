@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from intentguard.backend import MockBackend, ScriptExhausted
+from intentguard.backend import BackendError, MockBackend, ScriptExhausted
 from intentguard.dsl import Specification, parse_specification, render_rule
 from intentguard.encoder import (
     EncodeConfig,
@@ -20,6 +20,7 @@ from intentguard.encoder import (
 )
 from intentguard.memory import PredicateMemory
 from intentguard.schema import schema_from_dict
+from intentguard.trace import parse_trace
 
 import helpers
 from conftest import trace_fixture
@@ -110,6 +111,12 @@ class TestEncode:
         assert results[0].spec == results[1].spec
         assert results[0].transcript == results[1].transcript
 
+    def test_blank_instruction_rejected_before_any_completion(self, restaurant_schema):
+        backend = MockBackend(helpers.clean_run())
+        with pytest.raises(ValueError, match="non-empty instruction"):
+            encode("  ", restaurant_schema, backend)
+        assert backend.complete_calls == 0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EncodeConfig(max_repair_iterations=0)
@@ -134,6 +141,11 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_spec(Specification(rules=()), backend)
         assert backend.complete_calls == 0
+
+    def test_blank_reply_is_a_protocol_error(self, reservation_spec):
+        with pytest.raises(BackendError) as exc_info:
+            decode_spec(reservation_spec, MockBackend([{"role": "decoder", "response": " \n"}]))
+        assert exc_info.value.category == "protocol"
 
 
 class TestSemanticCheck:
@@ -304,3 +316,44 @@ class TestDiff:
         candidate = parse_specification("Nowhere(x = 1) -> Done")
         with pytest.raises(SchemaMismatch):
             diff_specifications(candidate, reservation_spec, restaurant_schema)
+
+    # A missing truth constraint is put back into the candidate's rules with
+    # the truth rule's conclusion, else its rules over the state, else all of
+    # them; it counts as critical when that blocks a wrong trace the candidate
+    # lets through.  In this one the cart holds two apples, not three.
+    WRONG_COUNT = (
+        '{"app_id": "groceries_demo", "instruction": "Buy three apples.", "clock": "2025-03-14T12:00:00"}\n'
+        '{"action_id": "g1", "updates": [{"state": "Cart", "values": {"item": "apples", "quantity": 2}}]}\n'
+        '{"action_id": "g2", "updates": [{"state": "Cart", "values": {"item": "apples", "quantity": 2}}]}\n'
+        '{"action_id": "g3", "updates": [], "critical": "Grab"}\n'
+        '{"action_id": "g4", "updates": [{"state": "Checkout", "values": {"placed": true}}]}\n'
+    )
+
+    def critical_slots(self, candidate, truth, groceries_schema):
+        report = diff_specifications(
+            parse_specification(candidate),
+            parse_specification(truth),
+            groceries_schema,
+            parse_trace(self.WRONG_COUNT, groceries_schema),
+        )
+        assert [ref.slot for ref in report.missing_predicates] == [("Cart", "quantity")]
+        return [ref.slot for ref in report.critical_missing]
+
+    def test_missing_constraint_goes_to_rules_with_the_truth_conclusion(self, groceries_schema):
+        # the Done rule gets a Cart predicate appended; put in the Grab rule
+        # over Cart instead, it would block Grab and let Done through
+        candidate = 'Checkout(placed = true) -> Done\nCart(item = "apples") -> Grab'
+        truth = "Cart(quantity = 3) & Checkout(placed = true) -> Done"
+        assert self.critical_slots(candidate, truth, groceries_schema) == [("Cart", "quantity")]
+
+    def test_missing_constraint_goes_to_rules_over_its_state(self, groceries_schema):
+        truth = "Cart(quantity = 3) -> Pick\nPick & Checkout(placed = true) -> Done"
+        grab_unused = 'Cart(item = "apples") -> Grab\nCheckout(placed = true) -> Done'
+        assert self.critical_slots(grab_unused, truth, groceries_schema) == []
+        grab_needed = 'Cart(item = "apples") -> Grab\nGrab & Checkout(placed = true) -> Done'
+        assert self.critical_slots(grab_needed, truth, groceries_schema) == [("Cart", "quantity")]
+
+    def test_missing_constraint_goes_to_every_rule_otherwise(self, groceries_schema):
+        truth = "Cart(quantity = 3) -> Pick\nPick & Checkout(placed = true) -> Done"
+        candidate = "Checkout(placed = true) -> Grab\nCheckout(placed = true) -> Done"
+        assert self.critical_slots(candidate, truth, groceries_schema) == [("Cart", "quantity")]

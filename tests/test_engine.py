@@ -125,6 +125,9 @@ class TestSoftVerification:
         for violation in result.violations:
             assert violation.failed_constraints[0].variable == "name"
 
+    def test_empty_update_passes(self, make_session):
+        assert make_session().soft_check([]).passed is True
+
     def test_soft_check_does_not_mutate(self, make_session):
         session = make_session()
         before = dict(session.world)

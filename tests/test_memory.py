@@ -160,7 +160,8 @@ class TestPersistence:
         memory.record_success("app", INSTRUCTION, reservation_spec, now=FIXED_NOW)
         path = tmp_path / "memory.json"
         memory.save(path)
-        assert PredicateMemory.load(path).specs_for("app") == [reservation_spec]
+        stored = PredicateMemory.load(path).entries["app"]
+        assert [parse_specification(entry.spec_text) for entry in stored] == [reservation_spec]
 
 
 class TestMalformedFiles:

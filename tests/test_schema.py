@@ -80,6 +80,22 @@ class TestLoad:
         assert issue.code == "UNKNOWN_TYPE"
         assert issue.path == "states[0].variables.x"
 
+    @pytest.mark.parametrize(
+        "variables, path, code",
+        [
+            (["x"], "states[0].variables[0]", "BAD_VARIABLE"),
+            ([{"x": "Text", "y": "Text"}], "states[0].variables[0]", "BAD_VARIABLE"),
+            ("x: Text", "states[0].variables", "BAD_VARIABLE"),
+            ([{"x": 3}], "states[0].variables.x", "UNKNOWN_TYPE"),
+        ],
+        ids=["item-not-object", "two-key-item", "neither-list-nor-object", "type-not-text"],
+    )
+    def test_malformed_variables_report_field_path(self, variables, path, code):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "demo", "states": [{"name": "S", "description": "", "variables": variables}]})
+        issue = exc_info.value.issues[0]
+        assert (issue.path, issue.code) == (path, code)
+
     def test_enum_type_with_variants(self):
         schema = schema_from_dict(
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"pay": "Enum[Card, Cash]"}]}]}

@@ -91,6 +91,12 @@ class TestParse:
                 '{"action_id": "x", "phase": "pre", "updates": [{"state": "ReserveInfo", "values": {"time": "25:99"}}]}',
                 "not a valid time",
             ),
+            ('{"action_id": "x", "updates": [], "critical": 3}', "critical must be an objective name"),
+            ('{"action_id": "x", "updates": [{"values": {"name": "R"}}]}', "each update needs a 'state' name"),
+            (
+                '{"action_id": "x", "updates": [{"state": "RestaurantInfo", "values": ["R"]}]}',
+                "update for 'RestaurantInfo' needs a 'values' object",
+            ),
             ("not json", "not valid JSON"),
         ],
     )
@@ -143,6 +149,16 @@ class TestParse:
         line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
         with pytest.raises(TraceParseError, match=r"^line 2: Cart\.quantity: .* is not a finite number"):
             parse_trace(trace_text(line), groceries_schema)
+
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [("true", "expected a number, got True"), ("[1]", "expected a number, got [1]"), ('"abc"', "'abc' is not a number")],
+    )
+    def test_numbers_must_be_json_numbers_or_numeric_text(self, groceries_schema, raw, problem):
+        line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text(line), groceries_schema)
+        assert str(excinfo.value) == f"line 2: Cart.quantity: {problem}"
 
     @pytest.mark.parametrize(
         "raw, problem",
