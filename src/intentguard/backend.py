@@ -37,18 +37,6 @@ class Backend(Protocol):
     def complete(self, role: str, system_prompt: str, user_prompt: str) -> str: ...
 
 
-def make_backend(kind: str, fixture_path: str | None = None, **http_options) -> "Backend":
-    """Build the backend the CLI selected; ``http_options`` are passed to
-    :class:`HttpBackend` as they are."""
-    if kind == "mock":
-        if fixture_path is None:
-            raise BackendError("mock backend needs a fixture file", category="config")
-        return MockBackend.from_fixture(fixture_path)
-    if kind == "http":
-        return HttpBackend(**http_options)
-    raise BackendError(f"unknown backend kind {kind!r}", category="config")
-
-
 class MockBackend:
     """Deterministic scripted backend.
 
@@ -157,6 +145,10 @@ class HttpBackend:
         except ValueError as exc:
             raise BackendError("response body is not JSON", category="protocol") from exc
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError("response is missing choices[0].message.content", category="protocol") from exc
+        # a refusal or a tool call comes back with content null
+        if not isinstance(content, str):
+            raise BackendError("choices[0].message.content is not a string", category="protocol")
+        return content

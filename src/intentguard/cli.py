@@ -23,7 +23,7 @@ import click
 
 from . import __version__
 from ._files import write_text_atomic
-from .backend import BackendError, make_backend
+from .backend import BackendError, HttpBackend, MockBackend
 from .dsl import check_specification, parse_specification, render_specification, SpecSyntaxError
 from .encoder import EncodeConfig, EncodeFailed, majority_encode
 from .engine import EngineError, InvalidSpecification
@@ -79,8 +79,14 @@ def _backend_options(fn):
 
 
 def _make_backend(backend_kind, fixture, **http_options):
+    """The backend ``--backend`` names: the mock replaying ``--fixture``, or
+    an :class:`HttpBackend` built from the remaining options."""
+    if backend_kind == "http":
+        return HttpBackend(**http_options)
+    if fixture is None:
+        raise _fail("mock backend needs a fixture file")
     try:
-        return make_backend(backend_kind, fixture, **http_options)
+        return MockBackend.from_fixture(fixture)
     except (OSError, BackendError, ValueError) as exc:
         raise _fail(str(exc))
 

@@ -19,6 +19,7 @@ every constraint over it false, for every operator.
 
 from __future__ import annotations
 
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -33,18 +34,42 @@ DONE = "Done"
 TODAY = "Today"
 
 
-class Operator(Enum):
-    """Comparison operators usable inside constraints."""
+#: The variable kinds each family of operators applies to; a list is only ever a constant.
+_DECLARABLE = tuple(kind for kind in ConstKind if kind is not ConstKind.TEXT_LIST)
+_ORDERED = (ConstKind.NUMBER, ConstKind.DATE, ConstKind.TIME)
+_CHOICE = (ConstKind.TEXT, ConstKind.ENUM)
 
-    EQ = "="
-    NEQ = "!="
-    APPROX = "~="
-    GT = ">"
-    GE = ">="
-    LT = "<"
-    LE = "<="
-    IN = "in"
-    NOT_IN = "not in"
+
+class Operator(Enum):
+    """Comparison operators usable inside constraints.
+
+    A member's ``value`` is its canonical spelling.  It also carries the rest
+    of what the operator means: ``kinds``, the variable kinds it applies to;
+    ``list_constant``, whether its constant is a string list; ``phrase``, its
+    wording in feedback; and ``compare``, the test it makes of the normalized
+    value against the normalized constant, or None for ``~=``, which scores
+    similarity instead.
+    """
+
+    EQ = ("=", _DECLARABLE, False, "equal to", operator.eq)
+    NEQ = ("!=", _DECLARABLE, False, "not equal to", operator.ne)
+    APPROX = ("~=", (ConstKind.TEXT,), False, "similar to", None)
+    GT = (">", _ORDERED, False, "greater than", operator.gt)
+    GE = (">=", _ORDERED, False, "greater than or equal to", operator.ge)
+    LT = ("<", _ORDERED, False, "less than", operator.lt)
+    LE = ("<=", _ORDERED, False, "less than or equal to", operator.le)
+    IN = ("in", _CHOICE, True, "one of", lambda item, items: item in items)
+    NOT_IN = ("not in", _CHOICE, True, "not one of", lambda item, items: item not in items)
+
+    def __new__(cls, spelling: str, kinds: tuple[ConstKind, ...], list_constant: bool, phrase: str,
+                compare: Callable[[object, object], bool] | None) -> "Operator":
+        member = object.__new__(cls)
+        member._value_ = spelling
+        member.kinds = kinds
+        member.list_constant = list_constant
+        member.phrase = phrase
+        member.compare = compare
+        return member
 
 
 #: Unicode operator spellings accepted by the parser, mapped to canon.
@@ -61,9 +86,6 @@ UNICODE_OPERATORS = {
 
 #: ``a ~= b`` holds when the similarity of the normalized texts reaches this.
 SIMILARITY_THRESHOLD = 0.7
-
-ORDERING_OPERATORS = frozenset({Operator.GT, Operator.GE, Operator.LT, Operator.LE})
-SET_OPERATORS = frozenset({Operator.IN, Operator.NOT_IN})
 
 
 @dataclass(frozen=True)
@@ -468,17 +490,6 @@ class Diagnostic:
         return f"{self.code.value}{where}: {self.message}"
 
 
-#: var type -> operators it supports
-_OPERATORS_FOR_TYPE = {
-    ConstKind.TEXT: frozenset({Operator.EQ, Operator.NEQ, Operator.APPROX, Operator.IN, Operator.NOT_IN}),
-    ConstKind.NUMBER: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    ConstKind.BOOLEAN: frozenset({Operator.EQ, Operator.NEQ}),
-    ConstKind.DATE: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    ConstKind.TIME: frozenset({Operator.EQ, Operator.NEQ}) | ORDERING_OPERATORS,
-    ConstKind.ENUM: frozenset({Operator.EQ, Operator.NEQ, Operator.IN, Operator.NOT_IN}),
-}
-
-
 def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | None:
     """Return a human-readable incompatibility message, or None if compatible.
 
@@ -486,12 +497,12 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
     checked first, then the constant's kind against the variable's type.
     """
     op = constraint.operator
-    if op not in _OPERATORS_FOR_TYPE[var_type.kind]:
+    if var_type.kind not in op.kinds:
         return (
             f"operator '{op.value}' is not applicable to variable "
             f"'{constraint.variable}' of type {var_type.describe()}"
         )
-    if op in SET_OPERATORS:
+    if op.list_constant:
         if constraint.constant.kind is not ConstKind.TEXT_LIST:
             return (
                 f"operator '{op.value}' on variable '{constraint.variable}' "
@@ -692,61 +703,32 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
     """Evaluate one constraint against an observed value.
 
     An unobserved value (``None``) makes the constraint false for every
-    operator, including ``!=`` and ``not in``.  A defined value whose kind
-    conflicts with the constant raises :class:`EvalTypeError` instead of
-    silently evaluating, since it signals a schema/trace mismatch rather than
-    a normal failure.
+    operator, including ``!=`` and ``not in``.  A value of a kind the operator
+    does not apply to, or a constant of the wrong kind, raises
+    :class:`EvalTypeError` instead of silently evaluating, since it signals a
+    schema/trace mismatch rather than a normal failure.  Text is compared
+    after NFC and trimming, and casefolded for list membership; a Date
+    ``Today`` is the context's date.
     """
     if value is None:
         return False
     op = constraint.operator
     const = constraint.constant
-
-    if op in SET_OPERATORS:
-        if const.kind is not ConstKind.TEXT_LIST:
-            raise EvalTypeError(f"operator '{op.value}' requires a list constant")
-        if value.kind not in (ConstKind.TEXT, ConstKind.ENUM):
-            raise EvalTypeError(
-                f"operator '{op.value}' applies to Text or Enum values, got {value.kind.value}"
-            )
-        if value.kind is ConstKind.TEXT:
-            member = normalize_text(str(value.value)).casefold() in {
-                normalize_text(item).casefold() for item in const.value
-            }
-        else:
-            member = value.value in const.value
-        return member if op is Operator.IN else not member
-
-    if value.kind is not const.kind:
+    kind = value.kind
+    if kind not in op.kinds or const.kind is not (ConstKind.TEXT_LIST if op.list_constant else kind):
         raise EvalTypeError(
-            f"constraint on '{constraint.variable}' compares a {const.kind.value} constant "
-            f"against a {value.kind.value} value"
+            f"constraint on '{constraint.variable}': operator '{op.value}' with a "
+            f"{const.kind.value} constant does not apply to a {kind.value} value"
         )
-
-    if op is Operator.APPROX:
-        if const.kind is not ConstKind.TEXT:
-            raise EvalTypeError("operator '~=' applies to Text only")
-        return ctx.similarity(normalize_text(str(value.value)), normalize_text(str(const.value))) >= SIMILARITY_THRESHOLD
-
-    if const.kind is ConstKind.TEXT:
-        left, right = normalize_text(str(value.value)), normalize_text(str(const.value))
-    elif const.kind is ConstKind.DATE:
+    left, right = value.value, const.value
+    if kind is ConstKind.TEXT:
+        left = normalize_text(left)
+        if op.list_constant:
+            left, right = left.casefold(), {normalize_text(item).casefold() for item in right}
+        else:
+            right = normalize_text(right)
+    elif kind is ConstKind.DATE:
         left, right = _resolve_date(value, ctx), _resolve_date(const, ctx)
-    else:
-        left, right = value.value, const.value
-
-    if op is Operator.EQ:
-        return left == right
-    if op is Operator.NEQ:
-        return left != right
-    if op in ORDERING_OPERATORS:
-        if const.kind not in (ConstKind.NUMBER, ConstKind.DATE, ConstKind.TIME):
-            raise EvalTypeError(f"operator '{op.value}' applies to Number, Date, or Time only")
-        if op is Operator.GT:
-            return left > right
-        if op is Operator.GE:
-            return left >= right
-        if op is Operator.LT:
-            return left < right
-        return left <= right
-    raise AssertionError(f"unhandled operator {op}")
+    if op.compare is None:
+        return ctx.similarity(left, right) >= SIMILARITY_THRESHOLD
+    return op.compare(left, right)

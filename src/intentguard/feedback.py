@@ -16,7 +16,6 @@ from .dsl import (
     Constant,
     Constraint,
     ObjectiveRef,
-    Operator,
     Rule,
     Specification,
     StatePredicate,
@@ -26,19 +25,6 @@ from .schema import StateSchema
 
 if TYPE_CHECKING:
     from .engine import HardCheckResult, PredicateStatus, RuleProgress, Violation
-
-OPERATOR_PHRASES = {
-    Operator.EQ: "equal to",
-    Operator.NEQ: "not equal to",
-    Operator.APPROX: "similar to",
-    Operator.GT: "greater than",
-    Operator.GE: "greater than or equal to",
-    Operator.LT: "less than",
-    Operator.LE: "less than or equal to",
-    Operator.IN: "one of",
-    Operator.NOT_IN: "not one of",
-}
-
 
 @dataclass(frozen=True)
 class FeedbackBundle:
@@ -71,7 +57,7 @@ def feedback_constant(constant: Constant) -> str:
 
 def constraint_phrase(constraint: Constraint) -> str:
     return (
-        f"'{constraint.variable}' {OPERATOR_PHRASES[constraint.operator]} "
+        f"'{constraint.variable}' {constraint.operator.phrase} "
         f"{feedback_constant(constraint.constant)}"
     )
 

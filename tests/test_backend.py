@@ -7,7 +7,7 @@ import requests
 
 import intentguard.backend as backend_mod
 from intentguard import lexical_similarity
-from intentguard.backend import BackendError, HttpBackend, MockBackend, ScriptExhausted, make_backend
+from intentguard.backend import BackendError, HttpBackend, MockBackend, ScriptExhausted
 
 
 class TestMockBackend:
@@ -63,10 +63,6 @@ class TestMockBackend:
         with pytest.raises(BackendError) as info:
             MockBackend.from_fixture(path)
         assert info.value.category == "config"
-
-    def test_make_backend_requires_fixture(self):
-        with pytest.raises(BackendError):
-            make_backend("mock")
 
 
 class FakeResponse:
@@ -137,6 +133,7 @@ class TestHttpBackend:
             (FakeResponse(payload=None), "protocol"),
             (requests.Timeout("too slow"), "timeout"),
             (requests.ConnectionError("refused"), "network"),
+            (FakeResponse(payload={"choices": [{"message": {"content": None}}]}), "protocol"),
         ],
     )
     def test_other_failures_are_not_retried(self, monkeypatch, sleeps, reply, category):

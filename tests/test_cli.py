@@ -269,6 +269,7 @@ class TestEncode:
     def test_mock_without_fixture_exits_one(self, runner):
         result = runner.invoke(main, ["encode", "--instruction", "x", "--schema", SCHEMA, "--backend", "mock"])
         assert result.exit_code == 1
+        assert "error: mock backend needs a fixture file" in result.output
 
     def test_majority_encode_keeps_modal_spec(self, runner, tmp_path):
         import helpers

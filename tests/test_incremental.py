@@ -3,7 +3,8 @@
 ``Session`` compiles its spec once and, after each event, re-evaluates only
 the predicates that read a written slot or a newly achieved objective.  The
 reference here re-derives every status from the world and the achieved
-objectives on every event, the way the engine itself once did.  Likewise the
+objectives on every event, the way the engine itself once did, judging each
+constraint with the reference evaluator in ``reference_eval``.  Likewise the
 soft and hard checks, which stop as soon as their verdict is settled, are
 held against naive versions that evaluate every predicate of every touched
 state and every candidate rule.
@@ -15,8 +16,9 @@ import random
 from collections import Counter
 
 import generators
+import reference_eval
 from intentguard import engine
-from intentguard.dsl import DONE, Constant, ObjectiveRef, evaluate_constraint, parse_specification
+from intentguard.dsl import DONE, Constant, ObjectiveRef, parse_specification
 from intentguard.engine import (
     ActionEvent,
     HardCheckResult,
@@ -50,7 +52,7 @@ def full_walk_report(session: Session) -> list[RuleProgress]:
             if all(value is None for value in values):
                 statuses.append(PredicateStatus.INDETERMINATE)
                 continue
-            failed = [c for c, value in zip(pred.constraints, values) if not evaluate_constraint(c, value, session.ctx)]
+            failed = [c for c, value in zip(pred.constraints, values) if not reference_eval.holds(c, value, session.ctx)]
             statuses.append(PredicateStatus.UNSATISFIED if failed else PredicateStatus.SATISFIED)
         report.append(RuleProgress(idx, rule.conclusion, tuple(statuses)))
     return report
@@ -78,7 +80,7 @@ def naive_soft_check(session: Session, updates) -> SoftCheckResult:
         for idx, pred in predicates:
             failed = tuple(
                 c for c in pred.constraints
-                if c.variable in written and not evaluate_constraint(c, written[c.variable], session.ctx)
+                if c.variable in written and not reference_eval.holds(c, written[c.variable], session.ctx)
             )
             if failed:
                 state_violations.append(Violation(idx, pred, failed))
@@ -105,7 +107,7 @@ def naive_hard_check(session: Session, objective: str) -> HardCheckResult:
                 continue
             failed = () if isinstance(pred, ObjectiveRef) else tuple(
                 c for c in pred.constraints
-                if not evaluate_constraint(c, session.world.get((pred.state_name, c.variable)), session.ctx)
+                if not reference_eval.holds(c, session.world.get((pred.state_name, c.variable)), session.ctx)
             )
             unmet.append(Violation(progress.rule_index, pred, failed))
         if not unmet:
