@@ -695,8 +695,48 @@ def lexical_similarity(a: str, b: str) -> float:
     return len(ga & gb) / len(ga | gb)
 
 
-def _resolve_date(constant: Constant, ctx: EvalContext) -> date:
-    return ctx.today if constant.is_today else constant.value  # type: ignore[return-value]
+#: A compiled constraint: whether it holds of an observed value (None when
+#: unobserved) under a context's clock and similarity function.
+ConstraintTest = Callable[[Union[Constant, None], EvalContext], bool]
+
+#: Loaded once: on CPython 3.11 a ``ConstKind.X`` load costs about as much as
+#: the rest of a compile, and a session compiles every constraint it holds.
+_TEXT, _DATE = ConstKind.TEXT, ConstKind.DATE
+
+
+def _day(raw: object, ctx: EvalContext) -> object:
+    return ctx.today if raw == TODAY else raw
+
+
+def compile_constraint(constraint: Constraint, kind: ConstKind) -> ConstraintTest:
+    """Compile ``constraint`` into a test of values of ``kind``, its variable's kind.
+
+    The test answers what :func:`evaluate_constraint` answers for a value of
+    that kind, without the kind checks, which the static check and
+    ``validate_event`` already make on the verify path.  The constant is
+    normalized here, once: Text by NFC and trimming, and a list into a
+    frozenset, casefolded for Text.  A Date ``Today`` on either side is read
+    from the context at call time, so one test serves any clock.
+    """
+    op, right = constraint.operator, constraint.constant.value
+    compare = op.compare
+    if kind is _TEXT:
+        if op.list_constant:
+            items = frozenset(normalize_text(item).casefold() for item in right)
+            return lambda value, ctx: value is not None and compare(normalize_text(value.value).casefold(), items)
+        right = normalize_text(right)
+        if compare is None:
+            return lambda value, ctx: (
+                value is not None and ctx.similarity(normalize_text(value.value), right) >= SIMILARITY_THRESHOLD
+            )
+        return lambda value, ctx: value is not None and compare(normalize_text(value.value), right)
+    if kind is _DATE:
+        if right == TODAY:
+            return lambda value, ctx: value is not None and compare(_day(value.value, ctx), ctx.today)
+        return lambda value, ctx: value is not None and compare(_day(value.value, ctx), right)
+    if op.list_constant:
+        right = frozenset(right)
+    return lambda value, ctx: value is not None and compare(value.value, right)
 
 
 def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: EvalContext) -> bool:
@@ -706,9 +746,8 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
     operator, including ``!=`` and ``not in``.  A value of a kind the operator
     does not apply to, or a constant of the wrong kind, raises
     :class:`EvalTypeError` instead of silently evaluating, since it signals a
-    schema/trace mismatch rather than a normal failure.  Text is compared
-    after NFC and trimming, and casefolded for list membership; a Date
-    ``Today`` is the context's date.
+    schema/trace mismatch rather than a normal failure.  Otherwise the answer
+    is that of :func:`compile_constraint`'s test for the value's kind.
     """
     if value is None:
         return False
@@ -720,15 +759,4 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
             f"constraint on '{constraint.variable}': operator '{op.value}' with a "
             f"{const.kind.value} constant does not apply to a {kind.value} value"
         )
-    left, right = value.value, const.value
-    if kind is ConstKind.TEXT:
-        left = normalize_text(left)
-        if op.list_constant:
-            left, right = left.casefold(), {normalize_text(item).casefold() for item in right}
-        else:
-            right = normalize_text(right)
-    elif kind is ConstKind.DATE:
-        left, right = _resolve_date(value, ctx), _resolve_date(const, ctx)
-    if op.compare is None:
-        return ctx.similarity(left, right) >= SIMILARITY_THRESHOLD
-    return op.compare(left, right)
+    return compile_constraint(constraint, kind)(value, ctx)

@@ -17,10 +17,13 @@ fully satisfied one terminates the session.
 
 A session compiles its specification on first use: an index from each
 ``(state, variable)`` slot and each objective to the predicates that read it
-and to the rules concluding it, every predicate's status, and every rule's
-roadmap line.  An event then costs what it touches: only the predicates over
-written slots or a newly achieved objective are re-evaluated, and only the
-roadmap lines of rules whose statuses changed are re-rendered.
+and to the rules concluding it, every constraint compiled into a test with
+its constant already normalized (:func:`~intentguard.dsl.compile_constraint`),
+every predicate's status, and every rule's roadmap line.  An event then costs
+what it touches: only the predicates over written slots or a newly achieved
+objective are re-evaluated, and only the roadmap lines of rules whose
+statuses changed are re-rendered.  With the built-in similarity function, a
+session scores each distinct pair of texts once.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ from .dsl import (
     DONE,
     ConstKind,
     Constant,
+    ConstraintTest,
     EvalContext,
     ObjectiveRef,
     Predicate,
     Specification,
-    StatePredicate,
     check_specification,
-    evaluate_constraint,
+    compile_constraint,
+    evaluate_constraint,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     lexical_similarity,
     render_constant,
 )
@@ -159,19 +163,21 @@ class _CompiledSpec:
     predicates indexed by what they read, plus every predicate's current
     status and every rule's current roadmap line.
 
-    ``by_state`` maps a state to its ``(rule, predicate)`` pairs in rule
-    order, for :meth:`Session.soft_check`.  ``by_slot`` maps a
+    ``by_state`` maps a state to the ``(rule, predicate index)`` pairs over
+    it in rule order, for :meth:`Session.soft_check`.  ``by_slot`` maps a
     ``(state, variable)`` slot, and ``by_objective`` an objective, to the
     ``(rule, predicate index)`` pairs that read it.  ``by_conclusion`` maps an
-    objective to the rules concluding it, in rule order.  ``sentences`` holds
-    each rule's fixed roadmap sentence; ``lines`` adds its current "achieved"
-    suffix.
+    objective to the rules concluding it, in rule order.  ``tests`` holds, by
+    rule and predicate index, each constraint's compiled test (none for an
+    objective reference).  ``sentences`` holds each rule's fixed roadmap
+    sentence; ``lines`` adds its current "achieved" suffix.
     """
 
-    by_state: dict[str, list[tuple[int, StatePredicate]]] = field(default_factory=dict)
+    by_state: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     by_slot: dict[tuple[str, str], list[tuple[int, int]]] = field(default_factory=dict)
     by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     by_conclusion: dict[str, list[int]] = field(default_factory=dict)
+    tests: list[list[tuple[ConstraintTest, ...]]] = field(default_factory=list)
     statuses: list[list[PredicateStatus]] = field(default_factory=list)
     sentences: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
@@ -232,6 +238,20 @@ def event_fingerprint(event: ActionEvent) -> tuple:
     return event.phase, event.critical, tuple(updates)
 
 
+def _memoized_lexical_similarity() -> Callable[[str, str], float]:
+    """:func:`~intentguard.dsl.lexical_similarity` with a memo of its own, for
+    one session: a score depends on nothing but the two texts."""
+    memo: dict[tuple[str, str], float] = {}
+
+    def similarity(a: str, b: str) -> float:
+        score = memo.get((a, b))
+        if score is None:
+            score = memo[a, b] = lexical_similarity(a, b)
+        return score
+
+    return similarity
+
+
 class Session:
     """Sequential verification session for one instruction.
 
@@ -256,7 +276,7 @@ class Session:
         today = clock.date() if isinstance(clock, datetime) else clock
         self.ctx = EvalContext(
             today=today,
-            similarity=similarity if similarity is not None else lexical_similarity,
+            similarity=similarity if similarity is not None else _memoized_lexical_similarity(),
         )
         self.world: dict[tuple[str, str], Constant] = {}
         self.achieved_objectives: set[str] = set()
@@ -269,14 +289,19 @@ class Session:
         session stays as cheap as the static check."""
         compiled = _CompiledSpec()
         for r, rule in enumerate(self.spec.rules):
+            tests: list[tuple[ConstraintTest, ...]] = []
             for p, pred in enumerate(rule.predicates):
                 if isinstance(pred, ObjectiveRef):
                     compiled.by_objective.setdefault(pred.objective_name, []).append((r, p))
+                    tests.append(())
                     continue
-                compiled.by_state.setdefault(pred.state_name, []).append((r, pred))
+                compiled.by_state.setdefault(pred.state_name, []).append((r, p))
                 for var in dict.fromkeys(c.variable for c in pred.constraints):
                     compiled.by_slot.setdefault((pred.state_name, var), []).append((r, p))
-            statuses = [self._status(pred) for pred in rule.predicates]
+                variables = self.schema.state(pred.state_name).variables
+                tests.append(tuple([compile_constraint(c, variables[c.variable].kind) for c in pred.constraints]))
+            statuses = [self._status(pred, pred_tests) for pred, pred_tests in zip(rule.predicates, tests)]
+            compiled.tests.append(tests)
             sentence = feedback_mod.roadmap_sentence(rule, self.schema)
             compiled.statuses.append(statuses)
             compiled.sentences.append(sentence)
@@ -284,8 +309,9 @@ class Session:
             compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
         return compiled
 
-    def _status(self, pred: Predicate) -> PredicateStatus:
-        """A predicate's status under the current world and objectives."""
+    def _status(self, pred: Predicate, tests: tuple[ConstraintTest, ...]) -> PredicateStatus:
+        """A predicate's status under the current world and objectives, by
+        its constraints' compiled ``tests``."""
         if isinstance(pred, ObjectiveRef):
             if pred.objective_name in self.achieved_objectives:
                 return PredicateStatus.SATISFIED
@@ -293,7 +319,8 @@ class Session:
         values = [self.world.get((pred.state_name, c.variable)) for c in pred.constraints]
         if all(value is None for value in values):
             return PredicateStatus.INDETERMINATE
-        if all(evaluate_constraint(c, value, self.ctx) for c, value in zip(pred.constraints, values)):
+        ctx = self.ctx
+        if all(test(value, ctx) for test, value in zip(tests, values)):
             return PredicateStatus.SATISFIED
         return PredicateStatus.UNSATISFIED
 
@@ -306,7 +333,7 @@ class Session:
         changed: set[int] = set()
         try:
             for r, p in keys:
-                status = self._status(rules[r].predicates[p])
+                status = self._status(rules[r].predicates[p], compiled.tests[r][p])
                 if status is not compiled.statuses[r][p]:
                     compiled.statuses[r][p] = status
                     changed.add(r)
@@ -349,22 +376,23 @@ class Session:
         for update in updates:
             touched.setdefault(update.state, {}).update(update.values)
 
-        by_state = self._compiled.by_state
+        compiled = self._compiled
+        rules, ctx = self.spec.rules, self.ctx
         violations: list[Violation] = []
         for state_name, written in touched.items():
-            predicates = by_state.get(state_name)
+            predicates = compiled.by_state.get(state_name)
             if not predicates:
                 return SoftCheckResult(passed=True)
-            for idx, pred in predicates:
+            for r, p in predicates:
+                pred = rules[r].predicates[p]
                 failed = tuple(
                     c
-                    for c in pred.constraints
-                    if c.variable in written
-                    and not evaluate_constraint(c, written[c.variable], self.ctx)
+                    for c, test in zip(pred.constraints, compiled.tests[r][p])
+                    if c.variable in written and not test(written[c.variable], ctx)
                 )
                 if not failed:
                     return SoftCheckResult(passed=True)
-                violations.append(Violation(idx, pred, failed))
+                violations.append(Violation(r, pred, failed))
 
         if not violations:
             return SoftCheckResult(passed=True)
@@ -391,12 +419,14 @@ class Session:
         statuses = self._compiled.statuses
         closest = max(candidates, key=lambda r: (statuses[r].count(PredicateStatus.SATISFIED), -r))
         unmet: list[Violation] = []
-        for pred, status in zip(self.spec.rules[closest].predicates, statuses[closest]):
+        for pred, status, tests in zip(
+            self.spec.rules[closest].predicates, statuses[closest], self._compiled.tests[closest]
+        ):
             if status is PredicateStatus.SATISFIED:
                 continue
             failed = () if isinstance(pred, ObjectiveRef) else tuple(
-                c for c in pred.constraints
-                if not evaluate_constraint(c, self.world.get((pred.state_name, c.variable)), self.ctx)
+                c for c, test in zip(pred.constraints, tests)
+                if not test(self.world.get((pred.state_name, c.variable)), self.ctx)
             )
             unmet.append(Violation(closest, pred, failed))
         return HardCheckResult(objective, satisfied=False, rule_index=closest, unmet=tuple(unmet))

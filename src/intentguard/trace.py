@@ -179,6 +179,10 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
     for key in ("app_id", "instruction", "clock"):
         if not isinstance(header_raw.get(key), str) or not header_raw[key]:
             raise TraceParseError(f"line {header_no}: header needs a non-empty '{key}'")
+    if header_raw["app_id"] != schema.app_id:
+        raise TraceParseError(
+            f"line {header_no}: trace is for app '{header_raw['app_id']}' but the schema is for '{schema.app_id}'"
+        )
     try:
         clock = _read_clock(header_raw["clock"])
     except ValueError as exc:

@@ -137,6 +137,20 @@ class TestVerify:
         assert "line 2: Cart.quantity" in result.stderr
         assert "not a finite number" in result.stderr
 
+    def test_trace_for_another_app_exits_one(self, runner, tmp_path):
+        # the same states under another app id: the spec checks, the trace must not verify
+        other = json.loads(Path(SCHEMA).read_text(encoding="utf-8"))
+        other["app_id"] = "other_demo"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(other), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["verify", "--spec", SPEC, "--schema", str(schema), "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl")],
+        )
+        assert_clean_failure(result)
+        assert result.stdout == ""
+        assert "trace is for app 'restaurant_demo' but the schema is for 'other_demo'" in result.stderr
+
     @pytest.mark.parametrize("kind", ["schema", "spec", "trace"])
     def test_non_utf8_input_file_exits_one(self, runner, tmp_path, kind):
         paths = {"schema": SCHEMA, "spec": SPEC, "trace": str(RESTAURANT / "traces" / "happy_path.jsonl")}

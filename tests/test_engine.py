@@ -6,7 +6,8 @@ from decimal import Decimal
 
 import pytest
 
-from intentguard.dsl import Constant, parse_specification
+from intentguard import engine
+from intentguard.dsl import Constant, lexical_similarity, parse_specification
 from intentguard.engine import (
     ActionEvent,
     InvalidSpecification,
@@ -67,6 +68,59 @@ class TestSessionConstruction:
                 [json.dumps(session.submit_action(e).to_json_dict(), sort_keys=True) for e in trace.events]
             )
         assert streams[0] == streams[1]
+
+
+class TestSimilarityMemo:
+    """With no scorer given, a session memoizes the built-in one; an injected
+    scorer is called on every ``~=`` evaluation."""
+
+    SCHEMA = schema_from_dict(
+        {"app_id": "fuzzy", "states": [{"name": "Shop", "description": "", "variables": [{"name": "Text"}, {"open": "Boolean"}]}]}
+    )
+    # ``open`` is never written, so no event completes the task
+    SPEC = parse_specification('Shop(name ~= "apples") & Shop(open = true) -> Done')
+
+    def submit_names(self, session, names):
+        return [
+            json.dumps(session.submit_action(event(f"a{k}", StateUpdate("Shop", {"name": Constant.text(name)}))).to_json_dict())
+            for k, name in enumerate(names)
+        ]
+
+    def test_the_default_scorer_runs_once_per_distinct_normalized_pair(self, monkeypatch):
+        pairs = []
+
+        def counting(a, b):
+            pairs.append((a, b))
+            return lexical_similarity(a, b)
+
+        monkeypatch.setattr(engine, "lexical_similarity", counting)
+        # NFC and trimming happen before scoring, so these are three pairs
+        names = ["apple", " apple ", "Café", "Cafe\u0301", "apple", "pears", "Café ", "pears"]
+        memoized = self.submit_names(Session(self.SPEC, self.SCHEMA, CLOCK), names)
+        assert sorted(pairs) == [("Café", "apples"), ("apple", "apples"), ("pears", "apples")]
+        # the memo changes no verdict
+        assert memoized == self.submit_names(Session(self.SPEC, self.SCHEMA, CLOCK, similarity=lexical_similarity), names)
+
+        pairs.clear()
+        self.submit_names(Session(self.SPEC, self.SCHEMA, CLOCK), ["apple"])
+        assert pairs == [("apple", "apples")]  # a second session starts cold
+
+    def test_an_injected_scorer_is_called_on_every_evaluation(self):
+        calls = []
+
+        def scorer(a, b):
+            calls.append((a, b))
+            return 0.0
+
+        session = Session(self.SPEC, self.SCHEMA, CLOCK, similarity=scorer)
+        per_event = []
+        for k in range(4):
+            before = len(calls)
+            self.submit_names(session, ["apples"])
+            per_event.append(len(calls) - before)
+        # once in the soft check, once refreshing the predicate's status
+        assert per_event == [2, 2, 2, 2]
+        assert set(calls) == {("apples", "apples")}
 
 
 class TestHappyPath:

@@ -198,13 +198,19 @@ def wide_spec(n_rules: int):
 
 def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch):
     calls = Counter()
-    real = engine.evaluate_constraint
+    real = engine.compile_constraint
 
-    def counting(constraint, value, ctx):
-        calls["eval"] += 1
-        return real(constraint, value, ctx)
+    def compile_counting(constraint, kind):
+        test = real(constraint, kind)
 
-    monkeypatch.setattr(engine, "evaluate_constraint", counting)
+        def counting(value, ctx):
+            calls["eval"] += 1
+            return test(value, ctx)
+
+        return counting
+
+    # the session evaluates constraints only through the tests it compiles
+    monkeypatch.setattr(engine, "compile_constraint", compile_counting)
     stream = [
         StateUpdate("S0", {"x": Constant.number(3)}),
         StateUpdate("S1", {"flag": Constant.boolean(True)}),

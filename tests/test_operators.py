@@ -5,8 +5,9 @@ The expected results come from the table below, written from the README's
 operator paragraph, not from the library: ordering operators apply to
 Number, Date and Time; ``~=`` to Text; ``in`` and ``not in`` to Text and
 Enum, with a list constant; ``=`` and ``!=`` to every declarable kind.  The
-last test holds ``evaluate_constraint`` against ``reference_eval``, which
-shares no code with ``dsl``, on seeded well-typed pairs.
+last test holds ``evaluate_constraint`` and the tests ``compile_constraint``
+builds against ``reference_eval``, which shares no code with ``dsl``, on
+seeded well-typed pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from datetime import date, time
+from datetime import date, time, timedelta
 
 import pytest
 
@@ -24,6 +25,7 @@ from intentguard.dsl import (
     EvalContext,
     EvalTypeError,
     Operator,
+    compile_constraint,
     constraint_type_error,
     evaluate_constraint,
     lexical_similarity,
@@ -132,7 +134,9 @@ _POOLS = {
 _SIMILARITIES = (lexical_similarity, lambda a, b: 0.7, lambda a, b: 0.6999999, lambda a, b: 0.7000001)
 
 
-def _pair(rng: random.Random) -> tuple[Constraint, Constant | None]:
+def _pair(rng: random.Random) -> tuple[Constraint, Constant | None, ConstKind]:
+    """A well-typed constraint, a value for it (None one time in ten), and the
+    variable's kind."""
     kind = rng.choice(DECLARABLE)
     op = rng.choice([o for o in Operator if kind in APPLIES_TO[o.value]])
     pool = _POOLS[kind]
@@ -140,17 +144,25 @@ def _pair(rng: random.Random) -> tuple[Constraint, Constant | None]:
         constant = Constant.text_list([str(c.value) for c in rng.sample(pool, rng.randint(1, 3))])
     else:
         constant = rng.choice(pool)
-    return Constraint("x", op, constant), None if rng.random() < 0.1 else rng.choice(pool)
+    return Constraint("x", op, constant), None if rng.random() < 0.1 else rng.choice(pool), ConstKind(kind)
 
 
 def test_evaluation_agrees_with_the_reference_evaluator():
+    # each constraint's compiled test and ``evaluate_constraint``, under two
+    # clocks: one compiled test serves both, since a Date ``Today`` is read
+    # from the context at call time
     rng = random.Random(1101)
+    clocks = (TODAY, TODAY + timedelta(days=1))
     outcomes: Counter = Counter()
     for _ in range(12_000):
-        constraint, value = _pair(rng)
-        ctx = EvalContext(today=TODAY, similarity=rng.choice(_SIMILARITIES))
-        expected = reference_eval.holds(constraint, value, ctx)
-        assert evaluate_constraint(constraint, value, ctx) is expected, (constraint, value)
-        outcomes[constraint.operator.value, expected] += 1
+        constraint, value, kind = _pair(rng)
+        test = compile_constraint(constraint, kind)
+        similarity = rng.choice(_SIMILARITIES)
+        for today in clocks:
+            ctx = EvalContext(today=today, similarity=similarity)
+            expected = reference_eval.holds(constraint, value, ctx)
+            assert evaluate_constraint(constraint, value, ctx) is expected, (constraint, value, today)
+            assert test(value, ctx) is expected, (constraint, value, today)
+            outcomes[constraint.operator.value, expected] += 1
     # every operator both holds and fails somewhere in the sample
     assert len(outcomes) == 2 * len(Operator)

@@ -28,8 +28,9 @@ HEADER = (
 )
 
 
-def trace_text(*event_lines: str) -> str:
-    return "\n".join([HEADER, *event_lines]) + "\n"
+def trace_text(*event_lines: str, app_id: str = "restaurant_demo") -> str:
+    header = HEADER.replace('"restaurant_demo"', json.dumps(app_id))
+    return "\n".join([header, *event_lines]) + "\n"
 
 
 class TestParse:
@@ -55,7 +56,8 @@ class TestParse:
         trace = parse_trace(
             trace_text(
                 '{"action_id": "e1", "phase": "pre", "updates": '
-                '[{"state": "S", "values": {"n": 3.5, "d": "2025-12-31", "txt": "Today"}}]}'
+                '[{"state": "S", "values": {"n": 3.5, "d": "2025-12-31", "txt": "Today"}}]}',
+                app_id="demo",
             ),
             schema,
         )
@@ -148,7 +150,7 @@ class TestParse:
     def test_non_finite_numbers_rejected(self, groceries_schema, raw):
         line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
         with pytest.raises(TraceParseError, match=r"^line 2: Cart\.quantity: .* is not a finite number"):
-            parse_trace(trace_text(line), groceries_schema)
+            parse_trace(trace_text(line, app_id="groceries_demo"), groceries_schema)
 
     @pytest.mark.parametrize(
         "raw, problem",
@@ -157,7 +159,7 @@ class TestParse:
     def test_numbers_must_be_json_numbers_or_numeric_text(self, groceries_schema, raw, problem):
         line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
         with pytest.raises(TraceParseError) as excinfo:
-            parse_trace(trace_text(line), groceries_schema)
+            parse_trace(trace_text(line, app_id="groceries_demo"), groceries_schema)
         assert str(excinfo.value) == f"line 2: Cart.quantity: {problem}"
 
     @pytest.mark.parametrize(
@@ -170,7 +172,7 @@ class TestParse:
         )
         line = json.dumps({"action_id": "x", "updates": [{"state": "Order", "values": {"status": raw}}]})
         with pytest.raises(TraceParseError) as excinfo:
-            parse_trace(trace_text(line), schema)
+            parse_trace(trace_text(line, app_id="shop"), schema)
         assert str(excinfo.value) == f"line 2: {problem}"
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"event"', "3"])
@@ -222,6 +224,15 @@ class TestParse:
         with pytest.raises(TraceParseError) as info:
             parse_trace(header + "\n", restaurant_schema)
         assert str(info.value) == f"line 1: clock {clock!r} is not ISO format"
+
+    def test_header_must_name_the_schemas_app(self, restaurant_schema, groceries_schema):
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text(app_id="groceries_demo"), restaurant_schema)
+        assert str(excinfo.value) == (
+            "line 1: trace is for app 'groceries_demo' but the schema is for 'restaurant_demo'"
+        )
+        with pytest.raises(TraceParseError, match="but the schema is for 'groceries_demo'"):
+            load_trace(FIXTURES / "restaurant" / "traces" / "happy_path.jsonl", groceries_schema)
 
     def test_empty_file(self, restaurant_schema):
         with pytest.raises(TraceParseError, match="empty"):
@@ -307,7 +318,7 @@ class TestWrite:
         assert parse_trace(path.read_text(encoding="utf-8"), schema) == trace
 
     def test_clock_with_microseconds_round_trips(self, restaurant_schema, tmp_path):
-        trace = Trace(header=TraceHeader("demo", "", "x", datetime(2025, 3, 14, 12, 0, 5, 7)), events=())
+        trace = Trace(header=TraceHeader("restaurant_demo", "", "x", datetime(2025, 3, 14, 12, 0, 5, 7)), events=())
         path = tmp_path / "clock.jsonl"
         write_trace(trace, path)
         assert load_trace(path, restaurant_schema) == trace
