@@ -198,6 +198,9 @@ class SpecSyntaxError(ValueError):
 #: :func:`read_literal`.  ``\d`` is a decimal digit of any script.
 _DATE_SHAPE = r"\d{4}-\d\d-\d\d"
 _TIME_SHAPE = r"\d\d?:\d\d"
+#: Spelling of a Number literal; the token pattern also matches a trailing
+#: ``.``, to report it as a malformed number.
+_NUMBER_SHAPE = r"-?\d+(?:\.\d+)?"
 
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
@@ -406,16 +409,23 @@ def _quote(text: str) -> str:
     return f'"{escaped}"'
 
 
-_LITERAL_SHAPES = {ConstKind.DATE: re.compile(_DATE_SHAPE), ConstKind.TIME: re.compile(_TIME_SHAPE)}
+_LITERAL_SHAPES = {
+    ConstKind.DATE: re.compile(_DATE_SHAPE),
+    ConstKind.TIME: re.compile(_TIME_SHAPE),
+    ConstKind.NUMBER: re.compile(_NUMBER_SHAPE),
+}
 
 
 def read_literal(kind: ConstKind, text: str, shaped: bool = False) -> Constant:
-    """The Date (``YYYY-MM-DD``) or Time (``H:MM``, ``HH:MM``) constant that
-    ``text`` spells; ``int()`` reads each field.  ``ValueError`` for any other
-    spelling, or a day or time that does not exist.  ``shaped`` skips the
-    shape match for text the token pattern has already matched."""
+    """The Date (``YYYY-MM-DD``), Time (``H:MM``, ``HH:MM``) or Number
+    (``-12.5``) constant that ``text`` spells; ``int()`` reads each Date and
+    Time field.  ``ValueError`` for any other spelling, or a day or time that
+    does not exist.  ``shaped`` skips the shape match for text the token
+    pattern has already matched."""
     if not (shaped or _LITERAL_SHAPES[kind].fullmatch(text)):
         raise ValueError(f"not a {kind.value} literal: {text!r}")
+    if kind is ConstKind.NUMBER:
+        return Constant.number(text)
     if kind is ConstKind.DATE:
         return Constant.calendar(date(int(text[:4]), int(text[5:7]), int(text[8:])))
     hours, minutes = text.split(":")

@@ -20,10 +20,12 @@ A session compiles its specification on first use: an index from each
 and to the rules concluding it, every constraint compiled into a test with
 its constant already normalized (:func:`~intentguard.dsl.compile_constraint`),
 every predicate's status, and every rule's roadmap line.  An event then costs
-what it touches: only the predicates over written slots or a newly achieved
-objective are re-evaluated, and only the roadmap lines of rules whose
-statuses changed are re-rendered.  With the built-in similarity function, a
-session scores each distinct pair of texts once.
+what it touches: each predicate over a written slot is evaluated once, against
+the world with the event's values overlaid, and the soft check reads that
+evaluation.  Only an allowed event commits its values, the new statuses and
+the re-rendered roadmap lines, so an event that raises changes nothing.  With
+the built-in similarity function, a session scores each distinct pair of texts
+once; an injected one is called once per ``~=`` evaluation.
 """
 
 from __future__ import annotations
@@ -286,7 +288,9 @@ class Session:
     @cached_property
     def _compiled(self) -> _CompiledSpec:
         """The spec's compiled form, built on first use so that constructing a
-        session stays as cheap as the static check."""
+        session stays as cheap as the static check.  It evaluates nothing: no
+        event has been committed yet, so every predicate is indeterminate and
+        every roadmap line is its rule's bare sentence."""
         compiled = _CompiledSpec()
         for r, rule in enumerate(self.spec.rules):
             tests: list[tuple[ConstraintTest, ...]] = []
@@ -300,63 +304,60 @@ class Session:
                     compiled.by_slot.setdefault((pred.state_name, var), []).append((r, p))
                 variables = self.schema.state(pred.state_name).variables
                 tests.append(tuple([compile_constraint(c, variables[c.variable].kind) for c in pred.constraints]))
-            statuses = [self._status(pred, pred_tests) for pred, pred_tests in zip(rule.predicates, tests)]
             compiled.tests.append(tests)
             sentence = feedback_mod.roadmap_sentence(rule, self.schema)
-            compiled.statuses.append(statuses)
+            compiled.statuses.append([PredicateStatus.INDETERMINATE] * len(tests))
             compiled.sentences.append(sentence)
-            compiled.lines.append(sentence + feedback_mod.achieved_suffix(statuses))
+            compiled.lines.append(sentence)
             compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
         return compiled
 
-    def _status(self, pred: Predicate, tests: tuple[ConstraintTest, ...]) -> PredicateStatus:
-        """A predicate's status under the current world and objectives, by
-        its constraints' compiled ``tests``."""
-        if isinstance(pred, ObjectiveRef):
-            if pred.objective_name in self.achieved_objectives:
-                return PredicateStatus.SATISFIED
-            return PredicateStatus.INDETERMINATE
-        values = [self.world.get((pred.state_name, c.variable)) for c in pred.constraints]
-        if all(value is None for value in values):
-            return PredicateStatus.INDETERMINATE
-        ctx = self.ctx
-        if all(test(value, ctx) for test, value in zip(tests, values)):
-            return PredicateStatus.SATISFIED
-        return PredicateStatus.UNSATISFIED
+    def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict]:
+        """The one evaluation of an update, which commits nothing.
 
-    def _refresh(self, keys: Iterable[tuple[int, int]]) -> None:
-        """Re-evaluate the predicates at ``keys`` (``(rule, predicate)``
-        pairs) and re-render the roadmap line of each rule whose statuses
-        changed."""
+        Returns the slots it writes; the new status of each predicate that
+        reads one of them, under the world with those slots overlaid; and,
+        for each such predicate with any, its false constraints on written
+        slots.  Each of those predicates' constraints is tested at most once;
+        those on unwritten slots only until the predicate is known to fail.
+        """
+        written = {(update.state, var): value for update in updates for var, value in update.values.items()}
+        compiled, rules, world, ctx = self._compiled, self.spec.rules, self.world, self.ctx
+        statuses: dict[tuple[int, int], PredicateStatus] = {}
+        failures: dict[tuple[int, int], tuple] = {}
+        for r, p in dict.fromkeys(key for slot in written for key in compiled.by_slot.get(slot, ())):
+            pred = rules[r].predicates[p]
+            failed, holds = [], True
+            for c, test in zip(pred.constraints, compiled.tests[r][p]):
+                slot = (pred.state_name, c.variable)
+                if slot in written:
+                    if not test(written[slot], ctx):
+                        failed.append(c)
+                        holds = False
+                elif holds and not test(world.get(slot), ctx):
+                    holds = False
+            statuses[r, p] = PredicateStatus.SATISFIED if holds else PredicateStatus.UNSATISFIED
+            if failed:
+                failures[r, p] = tuple(failed)
+        return written, statuses, failures
+
+    def _commit(self, written: dict, statuses: dict) -> None:
+        """Write ``written`` into the world, record the predicate
+        ``statuses`` and re-render the roadmap line of each rule whose
+        statuses changed."""
+        self.world.update(written)
         compiled = self._compiled
-        rules = self.spec.rules
         changed: set[int] = set()
-        try:
-            for r, p in keys:
-                status = self._status(rules[r].predicates[p], compiled.tests[r][p])
-                if status is not compiled.statuses[r][p]:
-                    compiled.statuses[r][p] = status
-                    changed.add(r)
-        except BaseException:
-            # a similarity function that raised left the statuses half
-            # refreshed; compile them afresh from the world on next use
-            del self._compiled
-            raise
+        for (r, p), status in statuses.items():
+            if status is not compiled.statuses[r][p]:
+                compiled.statuses[r][p] = status
+                changed.add(r)
         for r in changed:
             compiled.lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(compiled.statuses[r])
 
-    def _apply(self, event: ActionEvent) -> None:
-        by_slot = self._compiled.by_slot
-        touched: set[tuple[int, int]] = set()
-        for update in event.updates:
-            for var, value in update.values.items():
-                self.world[(update.state, var)] = value
-                touched.update(by_slot.get((update.state, var), ()))
-        self._refresh(touched)
-
     def _achieve(self, objective: str) -> None:
         self.achieved_objectives.add(objective)
-        self._refresh(self._compiled.by_objective.get(objective, ()))
+        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), PredicateStatus.SATISFIED))
 
     # -- checks ------------------------------------------------------------
 
@@ -369,30 +370,24 @@ class Session:
         post-update valuation.  Constraints on variables the update does not
         touch are treated as not-yet-violated.  A touched state no predicate
         mentions keeps the update consistent, and so does an empty update.
-        The check stops once one touched state is not contradicted, at the
-        first predicate over it with no false constraint.
         """
-        touched: dict[str, dict[str, Constant]] = {}
-        for update in updates:
-            touched.setdefault(update.state, {}).update(update.values)
+        return self._soft_result(updates, self._evaluate(updates)[2])
 
-        compiled = self._compiled
-        rules, ctx = self.spec.rules, self.ctx
+    def _soft_result(self, updates: Iterable[StateUpdate], failures: dict) -> SoftCheckResult:
+        """The soft check's verdict from the ``failures`` of the update's
+        evaluation, read state by state and rule by rule; it is settled at
+        the first predicate over a touched state with no false constraint."""
+        by_state, rules = self._compiled.by_state, self.spec.rules
         violations: list[Violation] = []
-        for state_name, written in touched.items():
-            predicates = compiled.by_state.get(state_name)
+        for state_name in dict.fromkeys(update.state for update in updates):
+            predicates = by_state.get(state_name)
             if not predicates:
                 return SoftCheckResult(passed=True)
             for r, p in predicates:
-                pred = rules[r].predicates[p]
-                failed = tuple(
-                    c
-                    for c, test in zip(pred.constraints, compiled.tests[r][p])
-                    if c.variable in written and not test(written[c.variable], ctx)
-                )
-                if not failed:
+                failed = failures.get((r, p))
+                if failed is None:
                     return SoftCheckResult(passed=True)
-                violations.append(Violation(r, pred, failed))
+                violations.append(Violation(r, rules[r].predicates[p], failed))
 
         if not violations:
             return SoftCheckResult(passed=True)
@@ -442,9 +437,9 @@ class Session:
         A state predicate none of whose variables have been observed is
         indeterminate rather than unsatisfied; an objective reference is
         indeterminate until achieved.  The statuses are maintained
-        incrementally: an applied update re-evaluates only the predicates over
-        the slots it wrote, and an achieved objective only the references to
-        it.
+        incrementally: an allowed update re-evaluates only the predicates over
+        the slots it wrote, and an achieved objective marks only the
+        references to it satisfied.
         """
         statuses = self._compiled.statuses
         return [
@@ -458,33 +453,32 @@ class Session:
     # -- main entry point ----------------------------------------------------
 
     def submit_action(self, event: ActionEvent) -> Verdict:
-        """Verify one event, mutate the world only on success, and return the
-        verdict with feedback attached."""
+        """Verify one event and return the verdict with feedback attached.
+
+        Only an allowed event changes the session; one that raises, say from
+        an injected similarity function, leaves it as it was."""
         if self.done:
             raise SessionDone("the task already completed; no further events are accepted")
         validate_event(event, self.schema)
 
-        is_repeat = self.pending_soft is not None and event_fingerprint(event) == self.pending_soft
-        self.pending_soft = None
-
         if event.critical is not None:
             result = self.hard_check(event.critical)
             if not result.satisfied:
+                self.pending_soft = None
                 return self._verdict(event, VerdictKind.HARD_BLOCK, hard_report=result)
-            self._apply(event)
-            newly = () if event.critical in self.achieved_objectives else (event.critical,)
-            self._achieve(event.critical)
-            return self._finish_allowed(event, newly)
-
-        if not is_repeat:
-            result = self.soft_check(event.updates)
+        written, statuses, failures = self._evaluate(event.updates)
+        if event.critical is None and (self.pending_soft is None or event_fingerprint(event) != self.pending_soft):
+            result = self._soft_result(event.updates, failures)
             if not result.passed:
                 self.pending_soft = event_fingerprint(event)
                 return self._verdict(event, VerdictKind.SOFT_BLOCK, violations=result.violations)
-        self._apply(event)
-        return self._finish_allowed(event, ())
 
-    def _finish_allowed(self, event: ActionEvent, newly: tuple[str, ...]) -> Verdict:
+        self.pending_soft = None
+        self._commit(written, statuses)
+        newly: tuple[str, ...] = ()
+        if event.critical is not None and event.critical not in self.achieved_objectives:
+            newly = (event.critical,)
+            self._achieve(event.critical)
         if self._done_rule_satisfied():
             self.done = True
             return self._verdict(event, VerdictKind.TASK_DONE, achieved=newly + (DONE,))

@@ -64,8 +64,9 @@ class Trace:
 def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
     """Turn a raw JSON value into a typed constant per the declared type.
 
-    Only the JSON shape is checked here; :func:`validate_event` owns the rules
-    about the value itself (finite numbers, declared Enum variants)."""
+    Only the JSON shape and the spelling of a text value are checked here;
+    :func:`validate_event` owns the rules about the value itself (finite
+    numbers, declared Enum variants)."""
     kind = var_type.kind
     if kind is ConstKind.TEXT:
         if not isinstance(raw, str):
@@ -76,7 +77,11 @@ def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
             raise TraceParseError(f"{where}: expected a number, got {raw!r}")
         try:
             number = Decimal(str(raw))
-        except InvalidOperation:
+            # finite text is spelled as in a spec; NaN and the infinities are
+            # left for validate_event to reject as non-finite
+            if isinstance(raw, str) and number.is_finite():
+                return read_literal(ConstKind.NUMBER, raw)
+        except (InvalidOperation, ValueError):
             raise TraceParseError(f"{where}: {raw!r} is not a number") from None
         return Constant.number(number)
     if kind is ConstKind.BOOLEAN:

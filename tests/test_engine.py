@@ -118,9 +118,19 @@ class TestSimilarityMemo:
             before = len(calls)
             self.submit_names(session, ["apples"])
             per_event.append(len(calls) - before)
-        # once in the soft check, once refreshing the predicate's status
-        assert per_event == [2, 2, 2, 2]
+        # one evaluation serves the soft check and the status update
+        assert per_event == [1, 1, 1, 1]
         assert set(calls) == {("apples", "apples")}
+
+        # ``open = false`` contradicts the other predicate, so the update is
+        # soft-blocked; its identical resubmission is allowed
+        blocked = event("b1", StateUpdate("Shop", {"name": Constant.text("pears"), "open": Constant.boolean(False)}))
+        per_event = []
+        for expected in (VerdictKind.SOFT_BLOCK, VerdictKind.ALLOW):
+            before = len(calls)
+            assert session.submit_action(blocked).kind is expected
+            per_event.append(len(calls) - before)
+        assert per_event == [1, 1]
 
 
 class TestHappyPath:

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
+
 import generators
 import reference_eval
 from intentguard import engine
@@ -235,30 +237,33 @@ def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch)
     assert wide == small
 
 
-def test_statuses_recover_after_the_similarity_function_raises():
+@pytest.mark.parametrize("critical", [None, "Open"])
+def test_an_event_whose_similarity_function_raises_changes_nothing(critical):
     schema = schema_from_dict(
         {"app_id": "fuzzy", "states": [{"name": "Shop", "description": "", "variables": [{"name": "Text"}, {"open": "Boolean"}]}]}
     )
-    spec = parse_specification('Shop(name ~= "apples") & Shop(open = true) -> Done')
-    calls = []
+    spec = parse_specification('Shop(name ~= "apples") & Shop(open = true) -> Done\nShop(open = true) -> Open')
+    available = False
 
     def flaky(a, b):
-        # the soft check makes the first call; the second, from the status
-        # refresh after the world changed, fails
-        calls.append((a, b))
-        if len(calls) == 2:
+        if not available:
             raise RuntimeError("similarity backend unavailable")
         return 1.0 if a == b else 0.0
 
     session = Session(spec, schema, CLOCK, similarity=flaky)
     session.submit_action(ActionEvent("a1", "pre", (StateUpdate("Shop", {"open": Constant.boolean(True)}),)))
-    name = ActionEvent("a2", "pre", (StateUpdate("Shop", {"name": Constant.text("apples")}),))
-    try:
+    world, achieved, report = dict(session.world), set(session.achieved_objectives), session.progress_report()
+    # a critical event passes its hard check on ``open`` alone, then fails
+    # while evaluating the predicate over the ``name`` it writes
+    name = ActionEvent("a2", "pre", (StateUpdate("Shop", {"name": Constant.text("apples")}),), critical=critical)
+    with pytest.raises(RuntimeError, match="similarity backend unavailable"):
         session.submit_action(name)
-    except RuntimeError:
-        pass
-    else:
-        raise AssertionError("the similarity failure should reach the caller")
-    assert len(calls) == 2
+    assert dict(session.world) == world
+    assert session.achieved_objectives == achieved
+    assert session.progress_report() == report == full_walk_report(session)
+
+    available = True
+    verdict = session.submit_action(name)
+    assert verdict.kind is VerdictKind.TASK_DONE
+    assert verdict.achieved == (() if critical is None else (critical,)) + (DONE,)
     assert session.progress_report() == full_walk_report(session)
-    assert session.submit_action(name).kind is VerdictKind.TASK_DONE

@@ -162,6 +162,23 @@ class TestParse:
             parse_trace(trace_text(line, app_id="groceries_demo"), groceries_schema)
         assert str(excinfo.value) == f"line 2: Cart.quantity: {problem}"
 
+    @pytest.mark.parametrize("raw", ["-1e100000000", "1e3", "1E-2", " 1", "1.", ".5", "+1", "1_000", "0x10"])
+    def test_numeric_text_is_spelled_like_a_spec_number(self, groceries_schema, raw):
+        # an exponent is no literal spelling; an event's fingerprint renders
+        # its number digit by digit, which for 1e100000000 takes a third of
+        # a second and grows with the exponent
+        line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % json.dumps(raw)
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(trace_text(line, app_id="groceries_demo"), groceries_schema)
+        assert str(excinfo.value) == f"line 2: Cart.quantity: {raw!r} is not a number"
+
+    @pytest.mark.parametrize("raw, number", [('"-12.50"', "-12.50"), ('"\u0664\u0662"', "42"), ("1e3", "1000")])
+    def test_numeric_text_and_json_numbers_are_read_exactly(self, groceries_schema, raw, number):
+        line = '{"action_id": "x", "updates": [{"state": "Cart", "values": {"quantity": %s}}]}' % raw
+        trace = parse_trace(trace_text(line, app_id="groceries_demo"), groceries_schema)
+        value = trace.events[0].updates[0].values["quantity"]
+        assert value == Constant.number(Decimal(number))
+
     @pytest.mark.parametrize(
         "raw, problem",
         [("Bogus", "Order.status (Enum[Open, Paid]) has no variant 'Bogus'"), (1, "Order.status: expected one of ['Open', 'Paid'], got 1")],
