@@ -15,17 +15,22 @@ A blocking verdict of either kind leaves the world untouched.  After every
 applied update the rules concluding ``Done`` are evaluated, and the first
 fully satisfied one terminates the session.
 
-A session compiles its specification on first use: an index from each
-``(state, variable)`` slot and each objective to the predicates that read it
-and to the rules concluding it, every constraint compiled into a test with
-its constant already normalized (:func:`~intentguard.dsl.compile_constraint`),
-every predicate's status, and every rule's roadmap line.  An event then costs
-what it touches: each predicate over a written slot is evaluated once, against
-the world with the event's values overlaid, and the soft check reads that
-evaluation.  Only an allowed event commits its values, the new statuses and
-the re-rendered roadmap lines, so an event that raises changes nothing.  With
-the built-in similarity function, a session scores each distinct pair of texts
-once; an injected one is called once per ``~=`` evaluation.
+A session compiles its specification on first use.  Each constraint becomes
+a step: the ``(state, variable)`` slot it reads and a test with its constant
+already normalized (:func:`~intentguard.dsl.compile_constraint`).  A slot's
+plan lists the predicates that read it with their steps.  The compiled spec
+also holds every predicate's status, each rule's count of unmet predicates,
+the number of ``Done`` rules with none unmet, and every rule's roadmap line.
+An event then costs what it touches: it walks the plans of the slots it
+writes, evaluating each of those predicates once against the world with the
+event's values overlaid, and the soft check reads that evaluation.  Only an
+allowed event commits its values and the new statuses, which move the unmet
+counts of the touched rules and re-render their roadmap lines when an
+achieved step changes, so an event that raises changes nothing.  The ``Done``
+check reads one number and the hard check the counts of the candidate rules,
+so neither walks a status list.  With the built-in similarity function, a
+session scores each distinct pair of texts once; an injected one is called
+once per ``~=`` evaluation.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .dsl import (
     DONE,
     ConstKind,
     Constant,
+    Constraint,
     ConstraintTest,
     EvalContext,
     ObjectiveRef,
@@ -159,30 +165,46 @@ class HardCheckResult:
     unmet: tuple[Violation, ...] = ()
 
 
+_PASSED = SoftCheckResult(passed=True)
+
+# read for every evaluated predicate; a module global loads faster than an Enum member
+_SATISFIED = PredicateStatus.SATISFIED
+_UNSATISFIED = PredicateStatus.UNSATISFIED
+
+
 @dataclass
 class _CompiledSpec:
-    """A session's compiled spec, in the manner of Rete's alpha memories: the
-    predicates indexed by what they read, plus every predicate's current
-    status and every rule's current roadmap line.
+    """A session's compiled spec, in the manner of Rete's alpha memories and
+    TREAT's per-rule match counts: the predicates indexed by what they read,
+    plus every predicate's current status, every rule's count of unmet
+    predicates and every rule's current roadmap line.
 
-    ``by_state`` maps a state to the ``(rule, predicate index)`` pairs over
-    it in rule order, for :meth:`Session.soft_check`.  ``by_slot`` maps a
-    ``(state, variable)`` slot, and ``by_objective`` an objective, to the
-    ``(rule, predicate index)`` pairs that read it.  ``by_conclusion`` maps an
-    objective to the rules concluding it, in rule order.  ``tests`` holds, by
-    rule and predicate index, each constraint's compiled test (none for an
-    objective reference).  ``sentences`` holds each rule's fixed roadmap
-    sentence; ``lines`` adds its current "achieved" suffix.
+    ``steps`` holds, by rule and predicate index, each constraint's
+    ``(slot, compiled test, constraint)``, where the slot is the
+    ``(state, variable)`` it reads; an objective reference has none.
+    ``plans`` maps a slot to the ``((rule, predicate index), steps)`` of each
+    predicate that reads it, in rule order.  ``by_state`` maps a state to the
+    ``(rule, predicate index)`` pairs over it in rule order, for
+    :meth:`Session.soft_check`; ``by_objective`` maps an objective to the
+    pairs that reference it, and ``by_conclusion`` to the rules concluding
+    it, in rule order.  ``unmet`` holds each rule's number of predicates not
+    satisfied, and ``done_met`` the number of rules concluding ``Done`` whose
+    count is zero.  ``sentences`` holds each rule's fixed roadmap sentence;
+    ``lines`` adds its current "achieved" suffix, and ``roadmap`` is
+    ``lines`` as the tuple every verdict carries.
     """
 
     by_state: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    by_slot: dict[tuple[str, str], list[tuple[int, int]]] = field(default_factory=dict)
+    plans: dict[tuple[str, str], list[tuple[tuple[int, int], tuple]]] = field(default_factory=dict)
     by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     by_conclusion: dict[str, list[int]] = field(default_factory=dict)
-    tests: list[list[tuple[ConstraintTest, ...]]] = field(default_factory=list)
+    steps: list[list[tuple[tuple[tuple[str, str], ConstraintTest, Constraint], ...]]] = field(default_factory=list)
     statuses: list[list[PredicateStatus]] = field(default_factory=list)
+    unmet: list[int] = field(default_factory=list)
+    done_met: int = 0
     sentences: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
+    roadmap: tuple[str, ...] = ()
 
 
 def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarType:
@@ -289,27 +311,38 @@ class Session:
     def _compiled(self) -> _CompiledSpec:
         """The spec's compiled form, built on first use so that constructing a
         session stays as cheap as the static check.  It evaluates nothing: no
-        event has been committed yet, so every predicate is indeterminate and
-        every roadmap line is its rule's bare sentence."""
+        event has been committed yet, so every predicate is indeterminate,
+        every rule has all its predicates unmet and every roadmap line is its
+        rule's bare sentence."""
         compiled = _CompiledSpec()
+        plans, state_of = compiled.plans, self.schema.state
         for r, rule in enumerate(self.spec.rules):
-            tests: list[tuple[ConstraintTest, ...]] = []
+            rule_steps: list[tuple] = []
             for p, pred in enumerate(rule.predicates):
+                key = (r, p)
                 if isinstance(pred, ObjectiveRef):
-                    compiled.by_objective.setdefault(pred.objective_name, []).append((r, p))
-                    tests.append(())
+                    compiled.by_objective.setdefault(pred.objective_name, []).append(key)
+                    rule_steps.append(())
                     continue
-                compiled.by_state.setdefault(pred.state_name, []).append((r, p))
-                for var in dict.fromkeys(c.variable for c in pred.constraints):
-                    compiled.by_slot.setdefault((pred.state_name, var), []).append((r, p))
-                variables = self.schema.state(pred.state_name).variables
-                tests.append(tuple([compile_constraint(c, variables[c.variable].kind) for c in pred.constraints]))
-            compiled.tests.append(tests)
+                state = pred.state_name
+                compiled.by_state.setdefault(state, []).append(key)
+                variables = state_of(state).variables
+                steps = tuple([
+                    ((state, c.variable), compile_constraint(c, variables[c.variable].kind), c)
+                    for c in pred.constraints
+                ])
+                rule_steps.append(steps)
+                plan = (key, steps)
+                for slot in {step[0] for step in steps}:
+                    plans.setdefault(slot, []).append(plan)
+            compiled.steps.append(rule_steps)
             sentence = feedback_mod.roadmap_sentence(rule, self.schema)
-            compiled.statuses.append([PredicateStatus.INDETERMINATE] * len(tests))
+            compiled.statuses.append([PredicateStatus.INDETERMINATE] * len(rule_steps))
+            compiled.unmet.append(len(rule_steps))
             compiled.sentences.append(sentence)
             compiled.lines.append(sentence)
             compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
+        compiled.roadmap = tuple(compiled.lines)
         return compiled
 
     def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict]:
@@ -322,38 +355,57 @@ class Session:
         those on unwritten slots only until the predicate is known to fail.
         """
         written = {(update.state, var): value for update in updates for var, value in update.values.items()}
-        compiled, rules, world, ctx = self._compiled, self.spec.rules, self.world, self.ctx
+        plans, world, ctx = self._compiled.plans, self.world, self.ctx
         statuses: dict[tuple[int, int], PredicateStatus] = {}
         failures: dict[tuple[int, int], tuple] = {}
-        for r, p in dict.fromkeys(key for slot in written for key in compiled.by_slot.get(slot, ())):
-            pred = rules[r].predicates[p]
-            failed, holds = [], True
-            for c, test in zip(pred.constraints, compiled.tests[r][p]):
-                slot = (pred.state_name, c.variable)
-                if slot in written:
-                    if not test(written[slot], ctx):
-                        failed.append(c)
+        for slot in written:
+            for key, steps in plans.get(slot, ()):
+                if key in statuses:
+                    continue
+                failed, holds = [], True
+                for step_slot, test, constraint in steps:
+                    if step_slot in written:
+                        if not test(written[step_slot], ctx):
+                            failed.append(constraint)
+                            holds = False
+                    elif holds and not test(world.get(step_slot), ctx):
                         holds = False
-                elif holds and not test(world.get(slot), ctx):
-                    holds = False
-            statuses[r, p] = PredicateStatus.SATISFIED if holds else PredicateStatus.UNSATISFIED
-            if failed:
-                failures[r, p] = tuple(failed)
+                statuses[key] = _SATISFIED if holds else _UNSATISFIED
+                if failed:
+                    failures[key] = tuple(failed)
         return written, statuses, failures
 
     def _commit(self, written: dict, statuses: dict) -> None:
-        """Write ``written`` into the world, record the predicate
-        ``statuses`` and re-render the roadmap line of each rule whose
-        statuses changed."""
+        """Write ``written`` into the world and record the predicate
+        ``statuses``, keeping each rule's unmet count and the number of met
+        ``Done`` rules.  A rule's roadmap line, and with it the roadmap,
+        is re-rendered only when one of its predicates becomes or stops
+        being satisfied, the one change its "achieved" suffix shows."""
         self.world.update(written)
         compiled = self._compiled
+        rule_statuses, unmet, rules = compiled.statuses, compiled.unmet, self.spec.rules
         changed: set[int] = set()
         for (r, p), status in statuses.items():
-            if status is not compiled.statuses[r][p]:
-                compiled.statuses[r][p] = status
-                changed.add(r)
-        for r in changed:
-            compiled.lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(compiled.statuses[r])
+            old = rule_statuses[r][p]
+            if status is old:
+                continue
+            rule_statuses[r][p] = status
+            if status is _SATISFIED:
+                unmet[r] -= 1
+                if not unmet[r] and rules[r].conclusion == DONE:
+                    compiled.done_met += 1
+            elif old is _SATISFIED:
+                if not unmet[r] and rules[r].conclusion == DONE:
+                    compiled.done_met -= 1
+                unmet[r] += 1
+            else:  # indeterminate <-> unsatisfied: no count or line moves
+                continue
+            changed.add(r)
+        if changed:
+            lines = compiled.lines
+            for r in changed:
+                lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(rule_statuses[r])
+            compiled.roadmap = tuple(lines)
 
     def _achieve(self, objective: str) -> None:
         self.achieved_objectives.add(objective)
@@ -382,15 +434,15 @@ class Session:
         for state_name in dict.fromkeys(update.state for update in updates):
             predicates = by_state.get(state_name)
             if not predicates:
-                return SoftCheckResult(passed=True)
+                return _PASSED
             for r, p in predicates:
                 failed = failures.get((r, p))
                 if failed is None:
-                    return SoftCheckResult(passed=True)
+                    return _PASSED
                 violations.append(Violation(r, rules[r].predicates[p], failed))
 
         if not violations:
-            return SoftCheckResult(passed=True)
+            return _PASSED
         violations.sort(key=lambda v: v.rule_index)
         return SoftCheckResult(passed=False, violations=tuple(violations))
 
@@ -398,9 +450,9 @@ class Session:
         """Rule-level check: is some rule concluding ``objective`` fully
         satisfied right now?
 
-        The cached predicate statuses decide, and the first satisfied rule
-        settles it.  When none is, the report covers only the closest rule
-        (most satisfied predicates, ties to the earliest) and lists each unmet
+        The rules' unmet counts decide, and the first satisfied rule settles
+        it.  When none is, the report covers only the closest rule (most
+        satisfied predicates, ties to the earliest) and lists each unmet
         predicate with its false constraints; those of that rule are the only
         constraints this check evaluates.
         """
@@ -411,25 +463,20 @@ class Session:
             if self._holds(idx):
                 return HardCheckResult(objective, satisfied=True, rule_index=idx)
 
-        statuses = self._compiled.statuses
-        closest = max(candidates, key=lambda r: (statuses[r].count(PredicateStatus.SATISFIED), -r))
+        compiled, world, ctx = self._compiled, self.world, self.ctx
+        statuses, unmet_counts = compiled.statuses, compiled.unmet
+        closest = max(candidates, key=lambda r: (len(statuses[r]) - unmet_counts[r], -r))
         unmet: list[Violation] = []
-        for pred, status, tests in zip(
-            self.spec.rules[closest].predicates, statuses[closest], self._compiled.tests[closest]
-        ):
-            if status is PredicateStatus.SATISFIED:
-                continue
-            failed = () if isinstance(pred, ObjectiveRef) else tuple(
-                c for c, test in zip(pred.constraints, tests)
-                if not test(self.world.get((pred.state_name, c.variable)), self.ctx)
-            )
-            unmet.append(Violation(closest, pred, failed))
+        rule = self.spec.rules[closest]
+        for pred, status, steps in zip(rule.predicates, statuses[closest], compiled.steps[closest]):
+            if status is not _SATISFIED:
+                failed = tuple(c for slot, test, c in steps if not test(world.get(slot), ctx))
+                unmet.append(Violation(closest, pred, failed))
         return HardCheckResult(objective, satisfied=False, rule_index=closest, unmet=tuple(unmet))
 
     def _holds(self, rule_index: int) -> bool:
         """Every predicate of the rule is satisfied."""
-        statuses = self._compiled.statuses[rule_index]
-        return statuses.count(PredicateStatus.SATISFIED) == len(statuses)
+        return not self._compiled.unmet[rule_index]
 
     def progress_report(self) -> list[RuleProgress]:
         """Snapshot of every rule's predicate statuses.
@@ -446,9 +493,6 @@ class Session:
             RuleProgress(idx, rule.conclusion, tuple(statuses[idx]))
             for idx, rule in enumerate(self.spec.rules)
         ]
-
-    def _done_rule_satisfied(self) -> bool:
-        return any(self._holds(r) for r in self._compiled.by_conclusion.get(DONE, ()))
 
     # -- main entry point ----------------------------------------------------
 
@@ -479,7 +523,7 @@ class Session:
         if event.critical is not None and event.critical not in self.achieved_objectives:
             newly = (event.critical,)
             self._achieve(event.critical)
-        if self._done_rule_satisfied():
+        if self._compiled.done_met:
             self.done = True
             return self._verdict(event, VerdictKind.TASK_DONE, achieved=newly + (DONE,))
         return self._verdict(event, VerdictKind.ALLOW, achieved=newly)
@@ -493,7 +537,7 @@ class Session:
         hard_report: HardCheckResult | None = None,
     ) -> Verdict:
         bundle = feedback_mod.FeedbackBundle(
-            roadmap=tuple(self._compiled.lines),
+            roadmap=self._compiled.roadmap,
             soft=feedback_mod.render_soft(violations) if violations else None,
             hard=feedback_mod.render_hard(hard_report) if hard_report is not None else None,
         )

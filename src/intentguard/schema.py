@@ -224,7 +224,7 @@ def load_schema(path: str | Path) -> StateSchema:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer or nesting past Python's limits
         raise SchemaError([SchemaIssue("$", "BAD_JSON", str(exc))]) from exc
     return schema_from_dict(data)
 

@@ -177,7 +177,7 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
     header_no, header_line = non_empty[0]
     try:
         header_raw = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer or nesting past Python's limits
         raise TraceParseError(f"line {header_no}: header is not valid JSON: {exc}") from exc
     if not isinstance(header_raw, dict):
         raise TraceParseError(f"line {header_no}: header must be a JSON object")
@@ -204,7 +204,7 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
     for line_no, line in non_empty[1:]:
         try:
             data = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TraceParseError(f"line {line_no}: not valid JSON: {exc}") from exc
         try:
             event = _event_from_dict(data, schema)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,18 @@ RESTAURANT = FIXTURES / "restaurant"
 SPEC = str(RESTAURANT / "reservation.vsa")
 SCHEMA = str(RESTAURANT / "schema.json")
 INSTRUCTION = "Reserve restaurant R before 7 PM. If the restaurant is not available at that time, do nothing."
+# JSON values that json.loads cannot read although the text is well formed:
+# an integer past Python's integer digit limit (a plain ValueError) and
+# nesting past the recursion limit (a RecursionError)
+PAST_PYTHON_LIMITS = [
+    pytest.param(
+        "1" + "0" * 5000, "Exceeds the limit", id="digits",
+        marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no integer digit limit"
+        ),
+    ),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded", id="nesting"),
+]
 
 
 @pytest.fixture
@@ -163,6 +176,29 @@ class TestVerify:
         assert_clean_failure(result)
         assert f"error: {kind} {bad}: " in result.stderr
 
+    @pytest.mark.parametrize("value, message", PAST_PYTHON_LIMITS)
+    @pytest.mark.parametrize("where", ["schema", "header", "event"])
+    def test_json_past_python_limits_exits_one(self, runner, tmp_path, where, value, message):
+        schema_text = Path(SCHEMA).read_text(encoding="utf-8")
+        trace_lines = (RESTAURANT / "traces" / "happy_path.jsonl").read_text(encoding="utf-8").splitlines()
+        if where == "schema":
+            schema_text = schema_text.rstrip()[:-1] + f', "n": {value}}}'
+        else:
+            k = 0 if where == "header" else 1
+            trace_lines[k] = trace_lines[k][:-1] + f', "n": {value}}}'
+        schema, trace = tmp_path / "schema.json", tmp_path / "trace.jsonl"
+        schema.write_text(schema_text, encoding="utf-8")
+        trace.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["verify", "--spec", SPEC, "--schema", str(schema), "--trace", str(trace)])
+        assert_clean_failure(result)
+        assert result.stdout == ""
+        expected = {
+            "schema": f"error: schema {schema}: BAD_JSON at $: {message}",
+            "header": f"error: trace {trace}: line 1: header is not valid JSON: {message}",
+            "event": f"error: trace {trace}: line 2: not valid JSON: {message}",
+        }[where]
+        assert expected in result.stderr
+
 
 class TestVersion:
     def test_version_comes_from_the_package(self, runner):
@@ -214,6 +250,15 @@ class TestSchemaLint:
         assert result.exit_code == 2
         assert "UNKNOWN_TYPE" in result.output
         assert "DUPLICATE_STATE" in result.output
+
+    @pytest.mark.parametrize("value, message", PAST_PYTHON_LIMITS)
+    def test_json_past_python_limits_is_bad_json(self, runner, tmp_path, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"app_id": "demo", "n": {value}, "states": []}}', encoding="utf-8")
+        result = runner.invoke(main, ["schema", "lint", str(bad)])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.output.startswith(f"BAD_JSON at $: {message}")
 
 
 class TestEncode:

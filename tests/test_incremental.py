@@ -12,6 +12,8 @@ state and every candidate rule.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -174,6 +176,28 @@ def test_cache_matches_full_recomputation_after_every_event():
         assert seen[case] >= 10, (case, seen)
 
 
+# sha256 of every verdict's sorted-key JSON, one line each, over the sessions
+# of ``generators.verification_session`` seeds 0-149.  A change that alters
+# the verdict bytes must record the new digest and say why in CHANGES.md.
+VERDICT_STREAM_SHA256 = "ef0da0bac386df0765e0f6849da93ca34976e9242cc09acae21a313fee32af84"
+
+
+def test_generated_verdict_stream_is_byte_identical():
+    digest = hashlib.sha256()
+    verdicts = 0
+    for seed in range(150):
+        schema, spec, events = generators.verification_session(random.Random(seed), TODAY)
+        session = Session(spec, schema, CLOCK)
+        for event in events:
+            verdict = session.submit_action(event)
+            digest.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode("utf-8") + b"\n")
+            verdicts += 1
+            if session.done:
+                break
+    assert verdicts == 3435
+    assert digest.hexdigest() == VERDICT_STREAM_SHA256
+
+
 WIDE_SCHEMA = schema_from_dict(
     {
         "app_id": "wide",
@@ -201,6 +225,7 @@ def wide_spec(n_rules: int):
 def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch):
     calls = Counter()
     real = engine.compile_constraint
+    real_holds = Session._holds
 
     def compile_counting(constraint, kind):
         test = real(constraint, kind)
@@ -211,8 +236,14 @@ def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch)
 
         return counting
 
-    # the session evaluates constraints only through the tests it compiles
+    def holds_counting(session, rule_index):
+        calls["holds"] += 1
+        return real_holds(session, rule_index)
+
+    # the session evaluates constraints only through the tests it compiles;
+    # ``_holds`` calls show whether a check walks the rules one by one
     monkeypatch.setattr(engine, "compile_constraint", compile_counting)
+    monkeypatch.setattr(Session, "_holds", holds_counting)
     stream = [
         StateUpdate("S0", {"x": Constant.number(3)}),
         StateUpdate("S1", {"flag": Constant.boolean(True)}),
@@ -221,19 +252,22 @@ def test_single_slot_update_cost_does_not_grow_with_unrelated_rules(monkeypatch)
         StateUpdate("S1", {"x": Constant.number(1)}),
     ]
 
-    def evaluations_per_event(spec) -> list[int]:
+    def work_per_event(spec) -> list[tuple[int, int]]:
         session = Session(spec, WIDE_SCHEMA, CLOCK)
         session.progress_report()  # compile outside the count
         counts = []
         for k, update in enumerate(stream):
             calls.clear()
-            session.submit_action(ActionEvent(f"a{k}", "pre", (update,)))
-            counts.append(calls["eval"])
+            verdict = session.submit_action(ActionEvent(f"a{k}", "pre", (update,)))
+            assert verdict.kind is VerdictKind.ALLOW
+            counts.append((calls["eval"], calls["holds"]))
         return counts
 
-    small = evaluations_per_event(wide_spec(20))
-    wide = evaluations_per_event(wide_spec(200))
-    assert all(count > 0 for count in small)
+    # every rule of a wide spec concludes Done, so the Done check after each
+    # allowed event must not look at every rule
+    small = work_per_event(wide_spec(20))
+    wide = work_per_event(wide_spec(200))
+    assert all(evals > 0 for evals, _ in small)
     assert wide == small
 
 
