@@ -1,10 +1,21 @@
-"""Atomic replacement of a text file."""
+"""The file boundary: one JSON decoder that every loader calls, and atomic
+replacement of a text file that every writer calls."""
 
 from __future__ import annotations
 
+import json
 import os
 import secrets
 from pathlib import Path
+
+
+def parse_json(text: str) -> object:
+    """Decode JSON ``text``.  Every decoder failure, an integer or nesting past
+    Python's limits included, is a ``ValueError`` with the decoder's message."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -8,7 +8,6 @@ shape.  Only encoding calls a backend: verification is pure rule evaluation.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -16,6 +15,8 @@ from pathlib import Path
 from typing import Protocol
 
 import requests
+
+from ._files import parse_json
 
 
 class BackendError(Exception):
@@ -60,9 +61,10 @@ class MockBackend:
 
     @classmethod
     def from_fixture(cls, path: str | Path) -> "MockBackend":
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            data = parse_json(text)
+        except ValueError as exc:
             raise BackendError(f"mock fixture {path} is not valid JSON: {exc}", category="config") from None
         if not isinstance(data, list):
             raise BackendError(f"mock fixture {path} needs a list of turns", category="config")

@@ -24,13 +24,13 @@ import click
 from . import __version__
 from ._files import write_text_atomic
 from .backend import BackendError, HttpBackend, MockBackend
-from .dsl import check_specification, parse_specification, render_specification, SpecSyntaxError
+from .dsl import check_specification, parse_specification, render_specification
 from .encoder import EncodeConfig, EncodeFailed, majority_encode
 from .engine import EngineError, InvalidSpecification
 from .evaluation import format_report_table, load_cases, run_eval
 from .memory import PredicateMemory
 from .schema import SchemaError, load_schema
-from .trace import TraceParseError, load_trace, replay
+from .trace import load_trace, replay
 
 
 def _fail(message: str) -> "click.exceptions.Exit":
@@ -48,18 +48,18 @@ def _writing_or_exit(path: str):
         raise _fail(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _load_schema_or_exit(path: str):
+def _load_or_exit(what: str, load, path: str, *args):
+    """``load(path, *args)``, with an input that cannot be read or is
+    malformed turned into ``error: <what> <path>: <reason>`` and exit 1.
+    Every loader's typed error is a ``ValueError`` or a ``BackendError``."""
     try:
-        return load_schema(path)
-    except (OSError, UnicodeDecodeError, SchemaError) as exc:
-        raise _fail(f"schema {path}: {exc}")
+        return load(path, *args)
+    except (OSError, ValueError, BackendError) as exc:
+        raise _fail(f"{what} {path}: {exc}")
 
 
-def _load_spec_or_exit(path: str):
-    try:
-        return parse_specification(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, SpecSyntaxError) as exc:
-        raise _fail(f"spec {path}: {exc}")
+def _read_spec(path: str):
+    return parse_specification(Path(path).read_text(encoding="utf-8"))
 
 
 def _backend_options(fn):
@@ -85,19 +85,7 @@ def _make_backend(backend_kind, fixture, **http_options):
         return HttpBackend(**http_options)
     if fixture is None:
         raise _fail("mock backend needs a fixture file")
-    try:
-        return MockBackend.from_fixture(fixture)
-    except (OSError, BackendError, ValueError) as exc:
-        raise _fail(str(exc))
-
-
-def _load_memory_or_exit(path: str | None):
-    if not path:
-        return None
-    try:
-        return PredicateMemory.load_or_empty(path)
-    except (OSError, ValueError) as exc:
-        raise _fail(f"memory {path}: {exc}")
+    return _load_or_exit("fixture", MockBackend.from_fixture, fixture)
 
 
 @click.group()
@@ -121,9 +109,9 @@ def main() -> None:
 @_backend_options
 def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations, out_path, log_path, **backend_kw):
     """Translate an instruction into a specification."""
-    schema = _load_schema_or_exit(schema_path)
+    schema = _load_or_exit("schema", load_schema, schema_path)
     backend = _make_backend(**backend_kw)
-    memory = _load_memory_or_exit(memory_path)
+    memory = _load_or_exit("memory", PredicateMemory.load_or_empty, memory_path) if memory_path else None
     try:
         config = EncodeConfig(max_repair_iterations=max_iterations, majority_n=majority_n)
     except ValueError as exc:
@@ -168,8 +156,8 @@ def _write_transcript(path: str, transcript) -> None:
 @click.option("--schema", "schema_path", required=True, type=click.Path(dir_okay=False))
 def cmd_check(spec_path, schema_path):
     """Static-check a spec against a schema; list diagnostics."""
-    schema = _load_schema_or_exit(schema_path)
-    spec = _load_spec_or_exit(spec_path)
+    schema = _load_or_exit("schema", load_schema, schema_path)
+    spec = _load_or_exit("spec", _read_spec, spec_path)
     diagnostics = check_specification(spec, schema)
     if not diagnostics:
         click.echo("no findings")
@@ -190,12 +178,9 @@ def cmd_verify(spec_path, schema_path, trace_path):
     Exits 0 when the task completes, 2 when it ends blocked or incomplete.
     No model is consulted: replay is pure rule evaluation.
     """
-    schema = _load_schema_or_exit(schema_path)
-    spec = _load_spec_or_exit(spec_path)
-    try:
-        trace = load_trace(trace_path, schema)
-    except (OSError, UnicodeDecodeError, TraceParseError) as exc:
-        raise _fail(f"trace {trace_path}: {exc}")
+    schema = _load_or_exit("schema", load_schema, schema_path)
+    spec = _load_or_exit("spec", _read_spec, spec_path)
+    trace = _load_or_exit("trace", load_trace, trace_path, schema)
 
     try:
         result = replay(spec, schema, trace)
@@ -218,10 +203,7 @@ def cmd_verify(spec_path, schema_path, trace_path):
 @_backend_options
 def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     """Run a labeled case set and print the metric table."""
-    try:
-        cases = load_cases(cases_dir)
-    except (OSError, ValueError) as exc:
-        raise _fail(str(exc))
+    cases = _load_or_exit("cases", load_cases, cases_dir)
     if not cases:
         raise _fail(f"no case manifests (*.json) found in {cases_dir}")
 
@@ -232,7 +214,7 @@ def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
         config = EncodeConfig(majority_n=majority_n)
     except ValueError as exc:
         raise _fail(str(exc))
-    memory = _load_memory_or_exit(memory_path)
+    memory = _load_or_exit("memory", PredicateMemory.load_or_empty, memory_path) if memory_path else None
 
     report = run_eval(cases, backend=backend, config=config, memory=memory)
     click.echo(format_report_table(report))
@@ -264,7 +246,7 @@ def cmd_schema_lint(schema_path):
             click.echo(str(issue))
         raise click.exceptions.Exit(2)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail(str(exc))
+        raise _fail(f"schema {schema_path}: {exc}")
     variables = sum(len(s.variables) for s in schema.states)
     click.echo(f"ok: app '{schema.app_id}', {len(schema.states)} state(s), {variables} variable(s)")
 

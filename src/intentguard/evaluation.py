@@ -22,10 +22,10 @@ explicit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._files import parse_json
 from .backend import Backend, MockBackend
 from .dsl import Specification, parse_specification
 from .encoder import EncodeConfig, encode, majority_verify
@@ -121,7 +121,10 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
     base = Path(cases_dir)
     cases: list[EvalCase] = []
     for path in sorted(base.glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = parse_json(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: case manifest must be a JSON object")
         expected = data.get("expected")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._files import write_text_atomic
+from ._files import parse_json, write_text_atomic
 from .dsl import Specification, StatePredicate, render_specification
 
 
@@ -173,9 +173,10 @@ class PredicateMemory:
 
     @classmethod
     def load(cls, path: str | Path) -> "PredicateMemory":
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            data = parse_json(text)
+        except ValueError as exc:
             raise ValueError(f"not valid JSON: {exc}") from None
         return cls.from_dict(data)
 

@@ -30,7 +30,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from ._files import write_text_atomic
+from ._files import parse_json, write_text_atomic
 
 
 class ConstKind(Enum):
@@ -223,8 +223,8 @@ def load_schema(path: str | Path) -> StateSchema:
     """Load and validate a schema JSON file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer or nesting past Python's limits
+        data = parse_json(text)
+    except ValueError as exc:
         raise SchemaError([SchemaIssue("$", "BAD_JSON", str(exc))]) from exc
     return schema_from_dict(data)
 

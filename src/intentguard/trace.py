@@ -28,7 +28,7 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from ._files import write_text_atomic
+from ._files import parse_json, write_text_atomic
 from .dsl import TODAY, Constant, ConstKind, Specification, read_literal, render_constant
 from .engine import (
     ActionEvent,
@@ -176,8 +176,8 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
 
     header_no, header_line = non_empty[0]
     try:
-        header_raw = json.loads(header_line)
-    except (ValueError, RecursionError) as exc:  # also an integer or nesting past Python's limits
+        header_raw = parse_json(header_line)
+    except ValueError as exc:
         raise TraceParseError(f"line {header_no}: header is not valid JSON: {exc}") from exc
     if not isinstance(header_raw, dict):
         raise TraceParseError(f"line {header_no}: header must be a JSON object")
@@ -203,8 +203,8 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
     seen_ids: set[str] = set()
     for line_no, line in non_empty[1:]:
         try:
-            data = json.loads(line)
-        except (ValueError, RecursionError) as exc:
+            data = parse_json(line)
+        except ValueError as exc:
             raise TraceParseError(f"line {line_no}: not valid JSON: {exc}") from exc
         try:
             event = _event_from_dict(data, schema)

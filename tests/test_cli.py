@@ -493,3 +493,54 @@ def test_unwritable_memory_still_prints_and_writes_the_report(runner, tmp_path):
     assert f"error: cannot write {target}: No such file or directory" in result.stderr
     assert "counts: TP=" in result.stdout
     assert json.loads(out.read_text(encoding="utf-8"))["cases"]
+
+
+def input_command(name: str, path: Path) -> tuple[list[str], str]:
+    """A command that reads ``path`` as its JSON input ``name`` (the inputs
+    of ``verify`` are covered by ``TestVerify``), and the start of the
+    ``error:`` line it prints when that input cannot be read."""
+    if name == "fixture":
+        return ENCODE_HAPPY[:-1] + [str(path)], f"error: fixture {path}: "
+    if name == "cases":
+        # a case manifest is named after the directory it was read from
+        return ["eval", "--cases", str(path.parent)], f"error: cases {path.parent}: {path}: "
+    command = ENCODE_HAPPY if name == "encode-memory" else EVAL_SHIPPED
+    return command + ["--memory", str(path)], f"error: memory {path}: "
+
+
+JSON_INPUTS = ["fixture", "encode-memory", "eval-memory", "cases"]
+
+
+@pytest.mark.parametrize("value, message", PAST_PYTHON_LIMITS)
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_json_past_python_limits_in_any_json_input_exits_one(runner, tmp_path, name, value, message):
+    document = {
+        "fixture": f'[{{"role": "encoder", "response": "x", "n": {value}}}]',
+        "cases": f'{{"expected": "pass", "n": {value}}}',
+    }.get(name, f'{{"entries": {{}}, "n": {value}}}')
+    path = tmp_path / "input.json"
+    path.write_text(document, encoding="utf-8")
+    args, error = input_command(name, path)
+    result = runner.invoke(main, args)
+    assert_clean_failure(result)
+    assert error in result.stderr
+    assert message in result.stderr
+
+
+def test_case_manifest_that_is_not_json_is_named(runner, tmp_path):
+    manifest = tmp_path / "case.json"
+    manifest.write_text("{nope", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
+    assert_clean_failure(result)
+    assert f"error: cases {tmp_path}: {manifest}: " in result.stderr
+
+
+@pytest.mark.parametrize("name", JSON_INPUTS)
+def test_json_input_that_is_not_utf8_names_its_file(runner, tmp_path, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe not text")
+    args, error = input_command(name, path)
+    result = runner.invoke(main, args)
+    assert_clean_failure(result)
+    assert f"{error}'utf-8' codec can't decode" in result.stderr
+    assert "not valid JSON" not in result.stderr

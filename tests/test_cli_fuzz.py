@@ -1,9 +1,9 @@
 """Seeded mutation fuzzing of the CLI over the restaurant fixtures.
 
-Each case mutates one input (schema, spec, trace, mock script or predicate
-memory file), as text or as a JSON value, and runs the command that reads it.  Whatever the input, the
-command must end in exit code 0, 1 or 2, never in an escaped exception or a
-printed traceback.
+Each case mutates one input (schema, spec, trace, mock script, predicate
+memory file or case manifest), as text or as a JSON value, and runs the
+command that reads it.  Whatever the input, the command must end in exit code
+0, 1 or 2, never in an escaped exception or a printed traceback.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ ORIGINALS = {
     "fixture": (FIXTURES / "mock" / "encode_repair.json").read_text(encoding="utf-8"),
 }
 MEMORY_CASES = 100
+MANIFEST_CASES = 100
 COMMANDS = {
     "schema": ("verify", "check", "lint"),
     "spec": ("verify", "check"),
@@ -140,5 +141,25 @@ def test_mutated_memory_files_never_escape_as_exceptions(tmp_path):
         (tmp_path / f"{case}_memory.json").write_text(text, encoding="utf-8")
         result = runner.invoke(main, command_args("encode", paths))
         assert_clean_exit(result, f"case {case}: encode with mutated memory:\n{text!r}")
+        exit_codes.append(result.exit_code)
+    assert {0, 1} <= set(exit_codes)
+
+
+def test_mutated_case_manifests_never_escape_as_exceptions(tmp_path):
+    shipped = FIXTURES / "eval_cases" / "01_reservation_happy.json"
+    manifest = json.loads(shipped.read_text(encoding="utf-8"))
+    for key in ("schema", "trace", "spec"):
+        manifest[key] = str((shipped.parent / manifest[key]).resolve())
+    original = json.dumps(manifest, indent=2)
+    rng = random.Random(SEED)
+    runner = CliRunner()
+    exit_codes = []
+    for case in range(MANIFEST_CASES):
+        text = mutate(rng, "manifest", original)
+        cases_dir = tmp_path / str(case)
+        cases_dir.mkdir()
+        (cases_dir / "case.json").write_text(text, encoding="utf-8")
+        result = runner.invoke(main, ["eval", "--cases", str(cases_dir)])
+        assert_clean_exit(result, f"case {case}: eval with mutated manifest:\n{text!r}")
         exit_codes.append(result.exit_code)
     assert {0, 1} <= set(exit_codes)

@@ -1,6 +1,7 @@
 """The verify path is pure rule evaluation: no module it runs through may
 reach a completion backend or the HTTP client.  The schema module is the
-bottom layer: it imports no other intentguard module but the file writer."""
+bottom layer: it imports no other intentguard module but the file boundary,
+which alone decodes JSON."""
 
 from __future__ import annotations
 
@@ -47,6 +48,39 @@ def intentguard_imports(module: str) -> set[str]:
 
 def test_schema_is_the_bottom_layer():
     # ConstKind lives in schema.py so every other module can import it from
-    # below; its only dependency is the file writer, which depends on nothing
-    assert intentguard_imports("schema.py") <= {"intentguard._files", "intentguard._files.write_text_atomic"}
+    # below; its only dependency is the file boundary, which depends on nothing
+    assert intentguard_imports("schema.py") <= {
+        "intentguard._files", "intentguard._files.parse_json", "intentguard._files.write_text_atomic"
+    }
     assert intentguard_imports("_files.py") == set()
+
+
+DECODER_NAMES = {"JSONDecodeError", "RecursionError"}
+
+
+def decoder_uses(tree: ast.Module) -> list[str]:
+    """Every call of ``json.loads`` (or an imported ``loads``) and every name
+    that decides which decoder failures mean a malformed input."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) == ("json", "loads") or node.attr in DECODER_NAMES:
+                found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in DECODER_NAMES:
+            found.append(f"line {node.lineno}: {node.id}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(f"line {node.lineno}: from json import {a.name}" for a in node.names
+                         if a.name == "loads" or a.name in DECODER_NAMES)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py") if p.name != "_files.py"))
+def test_only_the_file_boundary_decodes_json(module):
+    # _files.parse_json is the one decoder: it alone knows which failures of
+    # json.loads mean "malformed", and every loader catches only ValueError
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert not decoder_uses(tree), f"{module} decodes JSON itself: {decoder_uses(tree)}"
+
+
+def test_the_file_boundary_is_where_json_is_decoded():
+    assert decoder_uses(ast.parse((SOURCE / "_files.py").read_text(encoding="utf-8")))
