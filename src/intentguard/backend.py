@@ -65,9 +65,9 @@ class MockBackend:
         try:
             data = parse_json(text)
         except ValueError as exc:
-            raise BackendError(f"mock fixture {path} is not valid JSON: {exc}", category="config") from None
+            raise BackendError(f"not valid JSON: {exc}", category="config") from None
         if not isinstance(data, list):
-            raise BackendError(f"mock fixture {path} needs a list of turns", category="config")
+            raise BackendError("a mock fixture needs a list of turns", category="config")
         return cls(data)
 
     def complete(self, role: str, system_prompt: str, user_prompt: str) -> str:
@@ -143,7 +143,7 @@ class HttpBackend:
         if response.status_code != 200:
             raise BackendError(f"HTTP {response.status_code}: {response.text[:300]}", category="http")
         try:
-            data = response.json()
+            data = parse_json(response.content.decode("utf-8"))
         except ValueError as exc:
             raise BackendError("response body is not JSON", category="protocol") from exc
         try:

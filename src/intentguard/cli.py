@@ -49,13 +49,13 @@ def _writing_or_exit(path: str):
 
 
 def _load_or_exit(what: str, load, path: str, *args):
-    """``load(path, *args)``, with an input that cannot be read or is
-    malformed turned into ``error: <what> <path>: <reason>`` and exit 1.
-    Every loader's typed error is a ``ValueError`` or a ``BackendError``."""
+    """``load(path, *args)``, with an unreadable or malformed input turned into
+    ``error: <what> <path>: <reason>`` and exit 1.  Only this names the input:
+    the reason is the loader's ``ValueError`` or ``BackendError``, or an ``OSError``'s strerror."""
     try:
         return load(path, *args)
     except (OSError, ValueError, BackendError) as exc:
-        raise _fail(f"{what} {path}: {exc}")
+        raise _fail(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _read_spec(path: str):
@@ -246,7 +246,7 @@ def cmd_schema_lint(schema_path):
             click.echo(str(issue))
         raise click.exceptions.Exit(2)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail(f"schema {schema_path}: {exc}")
+        raise _fail(f"schema {schema_path}: {getattr(exc, 'strerror', None) or exc}")
     variables = sum(len(s.variables) for s in schema.states)
     click.echo(f"ok: app '{schema.app_id}', {len(schema.states)} state(s), {variables} variable(s)")
 

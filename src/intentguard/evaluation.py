@@ -123,8 +123,8 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
     for path in sorted(base.glob("*.json")):
         try:
             data = parse_json(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise ValueError(f"{path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: case manifest must be a JSON object")
         expected = data.get("expected")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from intentguard.backend import MockBackend
 
 GOOD_DRAFT = """```
@@ -63,3 +65,13 @@ class RecordingBackend:
     def complete(self, role, system_prompt, user_prompt):
         self.requests.append((role, user_prompt))
         return self.inner.complete(role, system_prompt, user_prompt)
+
+
+class FakeResponse:
+    """A ``requests`` reply whose body is ``payload`` as UTF-8 JSON, or else
+    ``text``: ``.text`` and ``.content`` are its only views of the body."""
+
+    def __init__(self, status_code=200, payload=None, text=""):
+        self.status_code = status_code
+        self.text = text if payload is None else json.dumps(payload, ensure_ascii=False)
+        self.content = self.text.encode("utf-8")

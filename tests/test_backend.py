@@ -9,6 +9,8 @@ import intentguard.backend as backend_mod
 from intentguard import lexical_similarity
 from intentguard.backend import BackendError, HttpBackend, MockBackend, ScriptExhausted
 
+from helpers import FakeResponse
+
 
 class TestMockBackend:
     def test_per_role_script_order(self):
@@ -45,7 +47,8 @@ class TestMockBackend:
             with pytest.raises(BackendError) as info:
                 MockBackend.from_fixture(rich)
             assert info.value.category == "config"
-            assert str(info.value) == f"mock fixture {rich} needs a list of turns"
+            # the caller names the file; the message gives only the reason
+            assert str(info.value) == "a mock fixture needs a list of turns"
 
     @pytest.mark.parametrize(
         "turns",
@@ -63,18 +66,6 @@ class TestMockBackend:
         with pytest.raises(BackendError) as info:
             MockBackend.from_fixture(path)
         assert info.value.category == "config"
-
-
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
 
 
 class TestHttpBackend:
@@ -134,6 +125,8 @@ class TestHttpBackend:
             (requests.Timeout("too slow"), "timeout"),
             (requests.ConnectionError("refused"), "network"),
             (FakeResponse(payload={"choices": [{"message": {"content": None}}]}), "protocol"),
+            # nested past the recursion limit: malformed, not a RecursionError
+            (FakeResponse(text="[" * 100_000 + "]" * 100_000), "protocol"),
         ],
     )
     def test_other_failures_are_not_retried(self, monkeypatch, sleeps, reply, category):
@@ -143,6 +136,19 @@ class TestHttpBackend:
         assert exc_info.value.category == category
         assert len(posts) == 1
         assert sleeps == []
+
+    def test_reply_body_is_decoded_as_utf8(self, monkeypatch, sleeps):
+        # the bytes are read as UTF-8 whatever charset requests would guess
+        # for .text; bytes that are not UTF-8 are a malformed reply
+        reply = FakeResponse(payload={"choices": [{"message": {"content": "café ☕"}}]})
+        reply.text = reply.content.decode("latin-1")
+        self.scripted(monkeypatch, reply)
+        assert self.make().complete("encoder", "", "") == "café ☕"
+        reply.content = b'{"choices": "\xff"}'
+        with pytest.raises(BackendError) as exc_info:
+            self.make().complete("encoder", "", "")
+        assert exc_info.value.category == "protocol"
+        assert str(exc_info.value) == "response body is not JSON"
 
     def test_complete_parses_choice(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "k")

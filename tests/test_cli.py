@@ -99,9 +99,30 @@ class TestVerify:
         assert result.exit_code == 0
         assert verdict_kinds(result.output)[-1] == "task_done"
 
-    def test_missing_file_exits_one(self, runner):
-        result = runner.invoke(main, ["verify", "--spec", "no.vsa", "--schema", SCHEMA, "--trace", "no.jsonl"])
-        assert result.exit_code == 1
+    @pytest.mark.parametrize("kind", ["spec", "schema", "trace", "fixture"])
+    def test_missing_file_exits_one(self, runner, tmp_path, kind):
+        # the error line names the path once and gives the system's reason
+        missing = tmp_path / f"no.{kind}"
+        if kind == "fixture":
+            args = ENCODE_HAPPY[:-1] + [str(missing)]
+        else:
+            paths = {"spec": SPEC, "schema": SCHEMA, "trace": str(RESTAURANT / "traces" / "happy_path.jsonl")}
+            paths[kind] = str(missing)
+            args = ["verify", "--spec", paths["spec"], "--schema", paths["schema"], "--trace", paths["trace"]]
+        result = runner.invoke(main, args)
+        assert_clean_failure(result)
+        assert f"error: {kind} {missing}: No such file or directory\n" in result.stderr
+        assert result.stderr.count(str(missing)) == 1
+
+    def test_critical_event_for_an_unknown_objective_exits_one(self, runner, tmp_path):
+        lines = (RESTAURANT / "traces" / "happy_path.jsonl").read_text(encoding="utf-8").splitlines()
+        event = json.loads(lines[1])
+        lines[1] = json.dumps(dict(event, critical="Nope"))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(trace)])
+        assert_clean_failure(result)
+        assert result.stderr == "error: no rule concludes objective 'Nope'\n"
 
     def test_spec_schema_mismatch_exits_one(self, runner, tmp_path):
         bad = tmp_path / "bad.vsa"
@@ -290,16 +311,37 @@ class TestEncode:
         roles = [json.loads(line)["role"] for line in log.read_text().splitlines()]
         assert roles == ["encoder", "encoder", "decoder", "checker"]
 
-    def test_hopeless_script_exits_one(self, runner):
+    def test_hopeless_script_exits_one(self, runner, tmp_path):
+        log = tmp_path / "transcript.jsonl"
         result = runner.invoke(
             main,
             [
                 "encode", "--instruction", "x", "--schema", SCHEMA,
                 "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_hopeless.json"),
+                "--log", str(log),
             ],
         )
         assert result.exit_code == 1
         assert "3 iterations" in result.output
+        # the transcript of a failed encoding is written all the same
+        roles = [json.loads(line)["role"] for line in log.read_text(encoding="utf-8").splitlines()]
+        assert roles == ["encoder"] * 3
+
+    def test_http_reply_nested_past_the_recursion_limit_exits_one(self, runner, monkeypatch):
+        import helpers
+        import requests
+
+        monkeypatch.setenv("OPENAI_API_KEY", "k")
+        reply = helpers.FakeResponse(text="[" * 100_000 + "]" * 100_000)
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: reply)
+        result = runner.invoke(main, ["encode", "--instruction", INSTRUCTION, "--schema", SCHEMA, "--backend", "http"])
+        assert_clean_failure(result)
+        assert result.stderr == "error: backend: response body is not JSON\n"
+
+    def test_even_majority_exits_one(self, runner):
+        result = runner.invoke(main, ENCODE_HAPPY + ["--majority", "2"])
+        assert_clean_failure(result)
+        assert result.stderr == "error: majority_n must be odd and >= 1\n"
 
     def test_blank_instruction_exits_one(self, runner):
         result = runner.invoke(
@@ -434,6 +476,18 @@ class TestEval:
         result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
         assert result.exit_code == 1
 
+    def test_even_majority_exits_one(self, runner):
+        result = runner.invoke(main, EVAL_SHIPPED + ["--majority", "2"])
+        assert_clean_failure(result)
+        assert result.stderr == "error: majority_n must be odd and >= 1\n"
+
+    def test_case_manifest_that_cannot_be_read_is_named_once(self, runner, tmp_path):
+        manifest = tmp_path / "case.json"
+        manifest.mkdir()
+        result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
+        assert_clean_failure(result)
+        assert result.stderr == f"error: cases {tmp_path}: {manifest}: Is a directory\n"
+
     def test_case_manifest_not_an_object_exits_one(self, runner, tmp_path):
         (tmp_path / "case.json").write_text("[1]")
         result = runner.invoke(main, ["eval", "--cases", str(tmp_path)])
@@ -471,6 +525,15 @@ ENCODE_HAPPY = [
     "--backend", "mock", "--fixture", str(FIXTURES / "mock" / "encode_happy.json"),
 ]
 EVAL_SHIPPED = ["eval", "--cases", str(FIXTURES / "eval_cases")]
+
+
+@pytest.mark.parametrize("command", [ENCODE_HAPPY, EVAL_SHIPPED], ids=["encode", "eval"])
+def test_memory_path_that_is_a_directory_is_named_once(runner, tmp_path, command):
+    # refused as a usage error before any file is read
+    result = runner.invoke(main, command + ["--memory", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "is a directory" in result.stderr
+    assert result.stderr.count(str(tmp_path)) == 1
 
 
 @pytest.mark.parametrize(

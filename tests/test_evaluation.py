@@ -138,6 +138,22 @@ class TestRunEval:
         assert report.tp == 1
         assert backend.complete_calls == 3
 
+    def test_case_with_its_own_fixture_needs_no_backend(self, tmp_path):
+        case = {
+            "instruction": "Reserve restaurant R before 7 PM.",
+            "schema": str(FIXTURES / "restaurant" / "schema.json"),
+            "trace": str(FIXTURES / "restaurant" / "traces" / "happy_path.jsonl"),
+            "fixture": str(FIXTURES / "mock" / "encode_happy.json"),
+            "expected": "pass",
+        }
+        (tmp_path / "01_scripted.json").write_text(json.dumps(case))
+        no_turns = tmp_path / "no_turns.fixture"
+        no_turns.write_text("{}")
+        (tmp_path / "02_no_turns.json").write_text(json.dumps(dict(case, fixture=str(no_turns))))
+        report = run_eval(load_cases(tmp_path), backend=None)
+        assert [c.classification for c in report.cases] == ["TP", None]
+        assert report.cases[1].error == "BackendError: a mock fixture needs a list of turns"
+
     def test_majority_path(self, tmp_path):
         case = {
             "instruction": "Reserve restaurant R before 7 PM.",

@@ -56,22 +56,35 @@ def test_schema_is_the_bottom_layer():
 
 
 DECODER_NAMES = {"JSONDecodeError", "RecursionError"}
+JSON_DECODERS = {"load", "loads"}
 
 
 def decoder_uses(tree: ast.Module) -> list[str]:
-    """Every call of ``json.loads`` (or an imported ``loads``) and every name
-    that decides which decoder failures mean a malformed input."""
+    """Every use of ``json.load`` or ``json.loads`` (or an imported one), every
+    ``.json()`` method call, such as a ``requests`` reply decoding itself, and
+    every name that decides which decoder failures mean a malformed input."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if (node.value.id, node.attr) == ("json", "loads") or node.attr in DECODER_NAMES:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "json":
+            found.append(f"line {node.lineno}: .json()")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id == "json" and node.attr in JSON_DECODERS) or node.attr in DECODER_NAMES:
                 found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
         elif isinstance(node, ast.Name) and node.id in DECODER_NAMES:
             found.append(f"line {node.lineno}: {node.id}")
         elif isinstance(node, ast.ImportFrom) and node.module == "json":
             found.extend(f"line {node.lineno}: from json import {a.name}" for a in node.names
-                         if a.name == "loads" or a.name in DECODER_NAMES)
+                         if a.name in JSON_DECODERS or a.name in DECODER_NAMES)
     return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["json.load(handle)", "from json import load", "from json import loads as decode", "data = response.json()",
+     "requests.post(url).json()"],
+)
+def test_decoder_uses_sees_every_decoder(source):
+    assert decoder_uses(ast.parse(source))
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py") if p.name != "_files.py"))
