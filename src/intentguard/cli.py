@@ -51,7 +51,9 @@ def _writing_or_exit(path: str):
 def _load_or_exit(what: str, load, path: str, *args):
     """``load(path, *args)``, with an unreadable or malformed input turned into
     ``error: <what> <path>: <reason>`` and exit 1.  Only this names the input:
-    the reason is the loader's ``ValueError`` or ``BackendError``, or an ``OSError``'s strerror."""
+    the reason is the loader's ``ValueError`` or ``BackendError``, or an ``OSError``'s strerror.
+    Input options carry no ``click.Path`` check, so a directory or an unreadable
+    file is judged here too, not by a usage error that exits 2."""
     try:
         return load(path, *args)
     except (OSError, ValueError, BackendError) as exc:
@@ -65,8 +67,7 @@ def _read_spec(path: str):
 def _backend_options(fn):
     fn = click.option("--backend", "backend_kind", type=click.Choice(["mock", "http"]), default="mock",
                       show_default=True, help="Completion backend.")(fn)
-    fn = click.option("--fixture", type=click.Path(dir_okay=False),
-                      help="Mock script file (required with --backend mock).")(fn)
+    fn = click.option("--fixture", help="Mock script file (required with --backend mock).")(fn)
     fn = click.option("--endpoint", default="https://api.openai.com/v1", show_default=True,
                       help="HTTP backend base URL.")(fn)
     fn = click.option("--model", default="gpt-4o", show_default=True, help="HTTP backend model name.")(fn)
@@ -97,15 +98,16 @@ def main() -> None:
 
 @main.command("encode")
 @click.option("--instruction", required=True, help="Natural-language task instruction.")
-@click.option("--schema", "schema_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--memory", "memory_path", type=click.Path(dir_okay=False),
-              help="Predicate-memory JSON; read to prioritize candidates.")
+@click.option("--schema", "schema_path", required=True)
+@click.option("--memory", "memory_path", help="Predicate-memory JSON; read to prioritize candidates.")
 @click.option("--majority", "majority_n", type=int, default=1, show_default=True,
               help="Encode N times (odd) and keep the modal spec.")
 @click.option("--max-iterations", type=int, default=3, show_default=True,
               help="Repair-loop budget per encoding.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Write the spec here instead of stdout.")
-@click.option("--log", "log_path", type=click.Path(dir_okay=False), help="Write the transcript (JSONL) here.")
+@click.option("--out", "out_path", type=click.Path(dir_okay=False, readable=False),
+              help="Write the spec here instead of stdout.")
+@click.option("--log", "log_path", type=click.Path(dir_okay=False, readable=False),
+              help="Write the transcript (JSONL) here.")
 @_backend_options
 def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations, out_path, log_path, **backend_kw):
     """Translate an instruction into a specification."""
@@ -114,10 +116,6 @@ def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations
     memory = _load_or_exit("memory", PredicateMemory.load_or_empty, memory_path) if memory_path else None
     try:
         config = EncodeConfig(max_repair_iterations=max_iterations, majority_n=majority_n)
-    except ValueError as exc:
-        raise _fail(str(exc))
-
-    try:
         chosen = majority_encode(instruction, schema, backend, config, memory)
     except EncodeFailed as exc:
         for line in exc.diagnostics:
@@ -152,8 +150,8 @@ def _write_transcript(path: str, transcript) -> None:
 
 
 @main.command("check")
-@click.option("--spec", "spec_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--schema", "schema_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--spec", "spec_path", required=True)
+@click.option("--schema", "schema_path", required=True)
 def cmd_check(spec_path, schema_path):
     """Static-check a spec against a schema; list diagnostics."""
     schema = _load_or_exit("schema", load_schema, schema_path)
@@ -169,9 +167,9 @@ def cmd_check(spec_path, schema_path):
 
 
 @main.command("verify")
-@click.option("--spec", "spec_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--schema", "schema_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--trace", "trace_path", required=True, type=click.Path(dir_okay=False))
+@click.option("--spec", "spec_path", required=True)
+@click.option("--schema", "schema_path", required=True)
+@click.option("--trace", "trace_path", required=True)
 def cmd_verify(spec_path, schema_path, trace_path):
     """Replay a trace through a spec; one verdict JSON per event on stdout.
 
@@ -195,11 +193,12 @@ def cmd_verify(spec_path, schema_path, trace_path):
 
 
 @main.command("eval")
-@click.option("--cases", "cases_dir", required=True, type=click.Path(file_okay=False))
+@click.option("--cases", "cases_dir", required=True)
 @click.option("--majority", "majority_n", type=int, default=1, show_default=True)
-@click.option("--memory", "memory_path", type=click.Path(dir_okay=False),
+@click.option("--memory", "memory_path",
               help="Predicate-memory JSON; read for warm starts and updated with verified successes.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), help="Write the JSON report here.")
+@click.option("--out", "out_path", type=click.Path(dir_okay=False, readable=False),
+              help="Write the JSON report here.")
 @_backend_options
 def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     """Run a labeled case set and print the metric table."""
@@ -236,7 +235,7 @@ def schema_group():
 
 
 @schema_group.command("lint")
-@click.argument("schema_path", type=click.Path(dir_okay=False))
+@click.argument("schema_path")
 def cmd_schema_lint(schema_path):
     """Validate a schema file; list every issue found."""
     try:

@@ -118,9 +118,9 @@ def _metrics(tp: int, fp: int, tn: int, fn: int) -> Metrics:
 
 
 def load_cases(cases_dir: str | Path) -> list[EvalCase]:
-    base = Path(cases_dir)
     cases: list[EvalCase] = []
-    for path in sorted(base.glob("*.json")):
+    # listing, not globbing, so that a missing path or a file raises its own OSError
+    for path in sorted(p for p in Path(cases_dir).iterdir() if p.name.endswith(".json")):
         try:
             data = parse_json(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON

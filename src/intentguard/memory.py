@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,11 +45,12 @@ class ScoredPredicate:
     score: float
 
 
-_WORD_RE = re.compile(r"[a-z0-9']+")
+# letters and digits of any script, and apostrophes; "_" is replaced first, faster than a class that leaves it out
+_WORD_RE = re.compile(r"[\w']+")
 
 
 def _tokens(text: str) -> set[str]:
-    return set(_WORD_RE.findall(text.lower()))
+    return set(_WORD_RE.findall(unicodedata.normalize("NFC", text.casefold()).replace("_", " ")))
 
 
 def _jaccard(a: set[str], b: tuple[str, ...]) -> float:

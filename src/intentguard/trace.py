@@ -230,17 +230,16 @@ def event_to_dict(event: ActionEvent) -> dict:
             return str(value.value)
         if value.kind is ConstKind.TEXT_LIST:
             raise ValueError(f"{value.kind.value} values cannot appear in trace events")
+        literal = render_constant(value)
         if value.kind is ConstKind.NUMBER:
-            as_decimal = value.value
-            if not as_decimal.is_finite():
-                raise ValueError(f"{where}: {as_decimal} is not a finite number")
-            if as_decimal == as_decimal.to_integral_value():
-                return int(as_decimal)
-            as_float = float(as_decimal)
-            # keep the exact literal when binary floats would corrupt it
-            if Decimal(str(as_float)) == as_decimal:
-                return as_float
-        return render_constant(value)
+            if not value.value.is_finite():
+                raise ValueError(f"{where}: {literal} is not a finite number")
+            # a JSON number only where coerce_value spells it back the same
+            # (7, 2.5, 1.0); otherwise the literal ("2.50", "-0")
+            number = parse_json(literal)
+            if format(Decimal(str(number)), "f") == literal:
+                return number
+        return literal
 
     data: dict = {
         "action_id": event.action_id,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -529,11 +530,118 @@ EVAL_SHIPPED = ["eval", "--cases", str(FIXTURES / "eval_cases")]
 
 @pytest.mark.parametrize("command", [ENCODE_HAPPY, EVAL_SHIPPED], ids=["encode", "eval"])
 def test_memory_path_that_is_a_directory_is_named_once(runner, tmp_path, command):
-    # refused as a usage error before any file is read
+    # judged by the loader, as an unreadable input, not by a usage error
     result = runner.invoke(main, command + ["--memory", str(tmp_path)])
+    assert_clean_failure(result)
+    assert "Is a directory" in result.stderr
+    assert result.stderr.count(str(tmp_path)) == 1
+
+
+VERIFY_HAPPY = [
+    "verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl"),
+]
+CHECK = ["check", "--spec", SPEC, "--schema", SCHEMA]
+# every input path option or argument: (command, option, kind in the error line)
+INPUTS = {
+    "verify-spec": (VERIFY_HAPPY, "--spec", "spec"),
+    "verify-schema": (VERIFY_HAPPY, "--schema", "schema"),
+    "verify-trace": (VERIFY_HAPPY, "--trace", "trace"),
+    "check-spec": (CHECK, "--spec", "spec"),
+    "check-schema": (CHECK, "--schema", "schema"),
+    "encode-schema": (ENCODE_HAPPY, "--schema", "schema"),
+    "encode-fixture": (ENCODE_HAPPY, "--fixture", "fixture"),
+    "encode-memory": (ENCODE_HAPPY, "--memory", "memory"),
+    "eval-fixture": (EVAL_SHIPPED, "--fixture", "fixture"),
+    "eval-memory": (EVAL_SHIPPED, "--memory", "memory"),
+    "schema-lint": (["schema", "lint"], None, "schema"),
+}
+
+
+def reading(name: str, path: Path) -> tuple[list[str], str]:
+    """The command of input ``name`` with ``path`` as that input, and the
+    start of the ``error:`` line it prints when ``path`` cannot be read."""
+    command, option, kind = INPUTS[name]
+    args = list(command)
+    if option is None:  # the argument of schema lint
+        args.append(str(path))
+    elif option in args:
+        args[args.index(option) + 1] = str(path)
+    else:
+        args += [option, str(path)]
+    return args, f"error: {kind} {path}: "
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_that_is_a_directory_exits_one(runner, tmp_path, name):
+    args, error = reading(name, tmp_path)
+    result = runner.invoke(main, args)
+    assert_clean_failure(result)
+    assert result.stderr == f"{error}Is a directory\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root reads a mode-000 file")
+@pytest.mark.parametrize("name", INPUTS)
+def test_input_without_read_permission_exits_one(runner, tmp_path, name):
+    path = tmp_path / "locked.json"
+    path.write_text("{}", encoding="utf-8")
+    path.chmod(0)
+    args, error = reading(name, path)
+    result = runner.invoke(main, args)
+    assert_clean_failure(result)
+    assert result.stderr == f"{error}Permission denied\n"
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (VERIFY_HAPPY, '"kind": "task_done"'),
+        (CHECK, "no findings"),
+        (["schema", "lint", SCHEMA], "ok: app 'restaurant_demo'"),
+        (ENCODE_HAPPY + ["--memory", "MEMORY", "--out", "OUT", "--log", "LOG"], "encoded in 1 iteration(s)"),
+        (EVAL_SHIPPED + ["--memory", "MEMORY", "--out", "OUT"], "TP=2 FP=0 TN=2 FN=0"),
+    ],
+    ids=["verify", "check", "schema-lint", "encode", "eval"],
+)
+def test_files_that_os_access_calls_unreadable_are_still_read(runner, tmp_path, monkeypatch, args, expected):
+    # os.access asks about the real, not the effective, user and can disagree
+    # with open(); only opening a file decides whether it can be read
+    files = {name: tmp_path / name.lower() for name in ("MEMORY", "OUT", "LOG")}
+    files["MEMORY"].write_text('{"entries": {}}', encoding="utf-8")
+    files["OUT"].write_text("old", encoding="utf-8")
+    files["LOG"].write_text("old", encoding="utf-8")
+    args = [str(files[arg]) if arg in files else arg for arg in args]
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert expected in result.output
+    for name in ("OUT", "LOG"):
+        if str(files[name]) in args:
+            assert files[name].read_text(encoding="utf-8") != "old"
+
+
+@pytest.mark.parametrize("make", ["missing", "file"])
+def test_cases_path_that_is_not_a_directory_exits_one(runner, tmp_path, make):
+    path = tmp_path / "cases"
+    if make == "file":
+        path.write_text("{}", encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--cases", str(path)])
+    assert_clean_failure(result)
+    reason = "No such file or directory" if make == "missing" else "Not a directory"
+    assert result.stderr == f"error: cases {path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "args, option, other",
+    [(ENCODE_HAPPY, "--out", "--log"), (ENCODE_HAPPY, "--log", "--out"), (EVAL_SHIPPED, "--out", "--memory")],
+    ids=["encode-out", "encode-log", "eval-out"],
+)
+def test_output_path_that_is_a_directory_is_a_usage_error(runner, tmp_path, args, option, other):
+    # refused before a paid encode or a whole eval run, so nothing is written
+    written = tmp_path / "written.json"
+    result = runner.invoke(main, args + [other, str(written), option, str(tmp_path)])
     assert result.exit_code == 2
     assert "is a directory" in result.stderr
-    assert result.stderr.count(str(tmp_path)) == 1
+    assert not written.exists()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
 from datetime import datetime, timezone
 
 import pytest
@@ -115,6 +116,30 @@ class TestRetrieve:
         ranked = memory.retrieve_candidates("app", query)
         assert [(c.state, c.variable, c.operator) for c in ranked] == sorted(expected, key=lambda t: (-expected[t], t))
         assert [c.score for c in ranked] == [pytest.approx(expected[(c.state, c.variable, c.operator)]) for c in ranked]
+
+    @pytest.mark.parametrize(
+        "stored, query, overlap",
+        [
+            ("레스토랑 R 예약", "레스토랑 예약", 2 / 3),
+            # upper case, decomposed accents and ß read as the stored words
+            ("Réserve le café, Straße 5", unicodedata.normalize("NFD", "RÉSERVE LE CAFÉ, STRASSE 5"), 1.0),
+            # "_" separates words, as it did when words were ASCII only
+            ("restaurant_R booking", "restaurant R", 2 / 3),
+        ],
+        ids=["korean", "accented", "underscore"],
+    )
+    def test_words_of_any_script_overlap(self, reservation_spec, stored, query, overlap):
+        memory = PredicateMemory()
+        memory.record_success("app", stored, reservation_spec, now=FIXED_NOW)
+        memory.record_success("app", "재생목록 재생, écoute", OTHER_SPEC, now=FIXED_NOW)
+        scores = {c.state: c.score for c in memory.retrieve_candidates("app", query)}
+        assert scores == {
+            "RestaurantInfo": pytest.approx(1 + overlap),
+            "ReserveInfo": pytest.approx(1 + overlap),
+            "ReserveResult": pytest.approx(1 + overlap),
+            "Playlist": 1.0,
+            "Player": 1.0,
+        }
 
     def test_candidates_never_invented(self, reservation_spec):
         memory = PredicateMemory()

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 from datetime import date, datetime, time, timedelta, timezone
 from decimal import Decimal
 
 import pytest
 
-from intentguard.dsl import Constant, parse_specification
+from intentguard.dsl import Constant, ConstKind, parse_specification
 from intentguard.schema import schema_from_dict
 from intentguard.trace import (
     Trace,
@@ -18,8 +19,9 @@ from intentguard.trace import (
     replay,
     write_trace,
 )
-from intentguard.engine import ActionEvent, StateUpdate
+from intentguard.engine import ActionEvent, StateUpdate, event_fingerprint
 
+import generators
 from conftest import FIXTURES
 
 HEADER = (
@@ -333,6 +335,53 @@ class TestWrite:
         path = tmp_path / "kinds.jsonl"
         write_trace(trace, path)
         assert parse_trace(path.read_text(encoding="utf-8"), schema) == trace
+
+    def test_seeded_constants_keep_their_spelling(self, tmp_path):
+        # == on Decimal would pass 1 for 1.0; the event identity reads the spelling
+        schema = schema_from_dict(
+            {
+                "app_id": "demo",
+                "states": [
+                    {
+                        "name": "S",
+                        "description": "",
+                        "variables": [
+                            {"txt": "Text"}, {"n": "Number"}, {"flag": "Boolean"}, {"d": "Date"}, {"t": "Time"},
+                        ],
+                    }
+                ],
+            }
+        )
+        rng = random.Random(1717)
+        kinds = {"txt": ConstKind.TEXT, "n": ConstKind.NUMBER, "flag": ConstKind.BOOLEAN,
+                 "d": ConstKind.DATE, "t": ConstKind.TIME}
+        values = [{var: generators.constant(rng, kind) for var, kind in kinds.items()} for _ in range(500)]
+        literals = ["-0", "0.0", "-0.0", "1.0", "2.50", "100", "-7.000", "0.1000000000000000000001"]
+        values += [{"n": Constant.number(Decimal(literal))} for literal in literals]
+        events = tuple(ActionEvent(f"e{i}", "pre", (StateUpdate("S", v),)) for i, v in enumerate(values))
+        trace = Trace(header=TraceHeader("demo", "", "seeded", datetime(2025, 3, 14)), events=events)
+        path = tmp_path / "seeded.jsonl"
+        write_trace(trace, path)
+        reloaded = parse_trace(path.read_text(encoding="utf-8"), schema)
+        assert [event_fingerprint(e) for e in reloaded.events] == [event_fingerprint(e) for e in events]
+
+    def test_round_trip_keeps_the_verdicts(self, apples_spec, groceries_schema, tmp_path):
+        # 1.0 and 1 are different events, so the resubmitted 1 is checked again
+        lines = [
+            '{"action_id": "g1", "updates": [{"state": "Cart", "values": {"quantity": 1.0}}]}',
+            '{"action_id": "g2", "updates": [{"state": "Cart", "values": {"quantity": 1}}]}',
+            '{"action_id": "g3", "updates": [{"state": "Cart", "values": {"quantity": "2.50"}}]}',
+        ]
+        trace = parse_trace(trace_text(*lines, app_id="groceries_demo"), groceries_schema)
+        path = tmp_path / "copy.jsonl"
+        write_trace(trace, path)
+
+        def verdict_lines(trace):
+            verdicts = replay(apples_spec, groceries_schema, trace).verdicts
+            return [json.dumps(v.to_json_dict(), sort_keys=True) for v in verdicts]
+
+        assert [json.loads(line)["kind"] for line in verdict_lines(trace)] == ["soft_block"] * 3
+        assert verdict_lines(load_trace(path, groceries_schema)) == verdict_lines(trace)
 
     def test_clock_with_microseconds_round_trips(self, restaurant_schema, tmp_path):
         trace = Trace(header=TraceHeader("restaurant_demo", "", "x", datetime(2025, 3, 14, 12, 0, 5, 7)), events=())
