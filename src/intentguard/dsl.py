@@ -201,19 +201,22 @@ _TIME_SHAPE = r"\d\d?:\d\d"
 #: Spelling of a Number literal; the token pattern also matches a trailing
 #: ``.``, to report it as a malformed number.
 _NUMBER_SHAPE = r"-?\d+(?:\.\d+)?"
+#: Spelling of a Text literal, shared by the token pattern and the reader.
+#: It is matched whole, so this is the one place that knows the escapes (\"
+#: and \\).
+_STRING_SHAPE = r'"(?:[^"\\]|\\["\\])*"'
 
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
 # character no other alternative starts with, so the pattern matches at every
-# position and ``finditer`` skips no text.  A string literal is matched whole,
-# so this is the one place that knows the escapes (\" and \\).  A line is
-# tokenized whole before any of it is parsed: a lexical error anywhere on the
-# line wins over a syntax error earlier on it.
+# position and ``finditer`` skips no text.  A line is tokenized whole before
+# any of it is parsed: a lexical error anywhere on the line wins over a syntax
+# error earlier on it.
 _TOKEN_PATTERN = re.compile(
     rf"""
     \s* (?:
         (?P<END> \#.* | \Z )
-      | (?P<STRING> " (?: [^"\\] | \\["\\] )* " )
+      | (?P<STRING> {_STRING_SHAPE} )
       | (?P<DATE> {_DATE_SHAPE} )
       | (?P<TIME> {_TIME_SHAPE} )
       | (?P<NUMBER> -?\d+ (?: \.\d* )? )
@@ -351,14 +354,7 @@ def _parse_literal(tokens: list[tuple[str, str, int]], i: int, lineno: int) -> t
     if kind == "NUMBER":
         return Constant.number(text), i + 1
     if kind == "IDENT":
-        lowered = text.lower()
-        if lowered == "true":
-            return Constant.boolean(True), i + 1
-        if lowered == "false":
-            return Constant.boolean(False), i + 1
-        if lowered == "today":
-            return Constant.today(), i + 1
-        return Constant.enum(text), i + 1
+        return _word_constant(text), i + 1
     if kind == "DATE" or kind == "TIME":
         try:
             return read_literal(ConstKind[kind], text, shaped=True), i + 1
@@ -381,21 +377,153 @@ def _parse_literal(tokens: list[tuple[str, str, int]], i: int, lineno: int) -> t
     return Constant.text_list(tuple(items)), i + 1
 
 
+def _word_constant(text: str) -> Constant:
+    """The constant a bare word spells: a Boolean, ``Today`` or an Enum variant."""
+    lowered = text.lower()
+    if lowered == "true":
+        return Constant.boolean(True)
+    if lowered == "false":
+        return Constant.boolean(False)
+    if lowered == "today":
+        return Constant.today()
+    return Constant.enum(text)
+
+
+# The reader.  Most lines are rules written plainly, and for them a token list
+# is pure overhead, so ``parse_specification`` first hands each line to
+# ``_read_rule``.  It splits the line on ``->`` and ``&`` and takes each
+# ``variable operator literal`` with one match of ``_READ_CONSTRAINT``,
+# building the Rule directly.  It answers None for any line it does not
+# recognise whole: a blank line, any ``#`` (a comment, or a string holding
+# one), ``→`` or ``∧``, a string holding ``&`` or ``->``, any lexical or
+# syntax error.  Only those lines are tokenized, so ``_tokenize`` and
+# ``_parse_rule`` alone decide every error, its column and its expected set,
+# and the reader need only be sound: a line it accepts gives the Rule the
+# token parser gives (``tests/test_dsl_reader.py`` holds it to that).  So each
+# piece it matches is the token the tokenizer takes at the same place: its
+# patterns are built from the token pattern's shapes and the operator
+# spellings, and it reads a name as the tokenizer does: ``\w+`` taken whole,
+# never ``in`` or ``not`` (an operator, or an error), and starting with a
+# letter or ``_``.  ``[^\W\d]`` is that for ASCII; elsewhere it also admits
+# numerics such as ``²`` and ``½``, which ``_letter_first`` turns away.
+# ``str.isidentifier`` is no substitute: it takes characters ``\w`` does not,
+# such as ``·``.
+_NAME_SHAPE = r"(?!(?:in|not)(?!\w))[^\W\d]\w*(?!\w)"
+_SPELLED_OPERATORS = {
+    **_OPERATORS,
+    **{spelling: _OPERATORS[canon] for spelling, canon in UNICODE_OPERATORS.items() if canon in _OPERATORS},
+}
+#: Longest spellings first; a spelling ending in a letter must end its word,
+#: and the blank in ``not in`` may be any run of blanks.
+_OPERATOR_SHAPE = "|".join(
+    re.escape(spelling).replace(r"\ ", r"\s+") + (r"(?!\w)" if spelling[-1].isalpha() else "")
+    for spelling in sorted(_SPELLED_OPERATORS, key=len, reverse=True)
+)
+#: A predicate's or the conclusion's name, and the parenthesis that opens a
+#: state predicate's constraints.
+_READ_HEAD = re.compile(rf"\s*({_NAME_SHAPE})\s*(\(?)")
+#: One constraint and the ``,`` or ``)`` after it.  Groups: variable,
+#: operator, then the literal as one of string, date, time, number, word or
+#: the inside of a string list, then the separator.
+_READ_CONSTRAINT = re.compile(
+    rf"""
+    \s* ({_NAME_SHAPE}) \s* ({_OPERATOR_SHAPE}) \s*
+    (?: ({_STRING_SHAPE}) | ({_DATE_SHAPE}) | ({_TIME_SHAPE}) | ({_NUMBER_SHAPE}) | ({_NAME_SHAPE})
+      | \[ \s* ( (?: {_STRING_SHAPE} (?: \s* , \s* {_STRING_SHAPE} )* )? ) \s* \] )
+    \s* ([,)]) \s*
+    """,
+    re.VERBOSE,
+)
+_STRING = re.compile(_STRING_SHAPE)
+
+
+def _unquote(literal: str) -> str:
+    text = literal[1:-1]
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
+
+
+def _letter_first(name: str) -> bool:
+    return name[0].isalpha() or name[0] == "_"
+
+
+def _read_rule(line: str, lineno: int) -> Rule | None:
+    """The rule ``line`` spells, or None when it is not a plainly written rule."""
+    if "#" in line:
+        return None
+    body, arrow, after = line.partition("->")
+    if not arrow:
+        return None
+    match = _READ_HEAD.match(after)
+    if match is None or match[2] or match.end() != len(after) or not _letter_first(match[1]):
+        return None
+    conclusion = match[1]
+    predicates: list[Predicate] = []
+    for text in body.split("&"):
+        match = _READ_HEAD.match(text)
+        if match is None or not _letter_first(match[1]):
+            return None
+        name, paren = match.groups()
+        end = match.end()
+        if not paren:
+            if end != len(text):
+                return None
+            predicates.append(ObjectiveRef(name))
+            continue
+        constraints: list[Constraint] = []
+        separator = ","
+        while separator == ",":
+            match = _READ_CONSTRAINT.match(text, end)
+            if match is None:
+                return None
+            variable, spelling, string, day, clock, number, word, items, separator = match.groups()
+            if not _letter_first(variable):
+                return None
+            if string is not None:
+                constant = Constant.text(_unquote(string))
+            elif number is not None:
+                constant = Constant.number(number)
+            elif word is not None:
+                if not _letter_first(word):
+                    return None
+                constant = _word_constant(word)
+            elif items is not None:
+                constant = Constant.text_list(tuple(_unquote(item) for item in _STRING.findall(items)))
+            else:
+                kind, literal = (ConstKind.DATE, day) if day is not None else (ConstKind.TIME, clock)
+                try:
+                    constant = read_literal(kind, literal, shaped=True)
+                except ValueError:
+                    return None
+            # the only spelling missing from the table is ``not in`` with
+            # other blanks between its words
+            constraints.append(Constraint(variable, _SPELLED_OPERATORS.get(spelling, Operator.NOT_IN), constant))
+            end = match.end()
+        if end != len(text):
+            return None
+        predicates.append(StatePredicate(name, tuple(constraints)))
+    return Rule(tuple(predicates), conclusion, line=lineno)
+
+
 def parse_specification(text: str) -> Specification:
     """Parse DSL source into a :class:`Specification`.
 
-    One rule per line; blank lines and ``#`` comments are skipped.  Raises
+    One rule per line; a line ends at ``\\n``, and a ``\\r`` before it is a
+    blank like any other.  Blank lines and ``#`` comments are skipped.  Raises
     :class:`SpecSyntaxError` with line/column and the expected-token set on
     malformed input, including the empty (zero rules) case.
     """
     rules: list[Rule] = []
-    lines = text.splitlines()
+    lines = text.removesuffix("\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
-        tokens = _tokenize(raw, lineno)
-        if tokens:
-            rules.append(_parse_rule(tokens, lineno))
+        rule = _read_rule(raw, lineno)
+        if rule is None:
+            tokens = _tokenize(raw, lineno)
+            if not tokens:
+                continue
+            rule = _parse_rule(tokens, lineno)
+        rules.append(rule)
     if not rules:
-        raise SpecSyntaxError("no rules found", max(len(lines), 1), 1, ("rule",))
+        raise SpecSyntaxError("no rules found", len(lines), 1, ("rule",))
     return Specification(tuple(rules))
 
 

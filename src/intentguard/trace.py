@@ -169,8 +169,8 @@ def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
 
 
 def parse_trace(text: str, schema: StateSchema) -> Trace:
-    lines = [line for line in text.splitlines()]
-    non_empty = [(i + 1, line) for i, line in enumerate(lines) if line.strip()]
+    """Read a trace: lines end at ``\\n``, and blank lines are skipped."""
+    non_empty = [(i + 1, line) for i, line in enumerate(text.split("\n")) if line.strip()]
     if not non_empty:
         raise TraceParseError("trace file is empty")
 
@@ -236,7 +236,10 @@ def event_to_dict(event: ActionEvent) -> dict:
                 raise ValueError(f"{where}: {literal} is not a finite number")
             # a JSON number only where coerce_value spells it back the same
             # (7, 2.5, 1.0); otherwise the literal ("2.50", "-0")
-            number = parse_json(literal)
+            try:
+                number = parse_json(literal)
+            except ValueError:  # an integer too long for Python to convert
+                return literal
             if format(Decimal(str(number)), "f") == literal:
                 return number
         return literal

@@ -257,6 +257,23 @@ class TestParse:
         with pytest.raises(TraceParseError, match="empty"):
             parse_trace("\n\n", restaurant_schema)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_lines_end_at_newline_only(self, separator):
+        """JSON lets these stand raw in a string; ``str.splitlines`` broke the
+        line at them."""
+        schema = schema_from_dict(
+            {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"msg": "Text"}]}]}
+        )
+        line = json.dumps({"action_id": "e1", "updates": [{"state": "S", "values": {"msg": f"a{separator}b"}}]},
+                          ensure_ascii=False)
+        trace = parse_trace(trace_text(line, app_id="demo"), schema)
+        assert trace.events[0].updates[0].values["msg"] == Constant.text(f"a{separator}b")
+
+    def test_crlf_lines_keep_their_numbers(self, restaurant_schema):
+        event = '{"action_id": "a1", "phase": "pre", "updates": [], "critical": "Reserve"}'
+        with pytest.raises(TraceParseError, match="^line 4: duplicate action_id 'a1'$"):
+            parse_trace("\r\n".join([HEADER, event, "", event]) + "\r\n", restaurant_schema)
+
 
 class TestWrite:
     def test_round_trip(self, restaurant_schema, tmp_path):
@@ -395,6 +412,20 @@ class TestWrite:
         with pytest.raises(ValueError, match="UTC offset"):
             write_trace(Trace(header=TraceHeader("demo", "", "x", aware), events=()), path)
         assert not path.exists()
+
+    def test_number_longer_than_python_converts_round_trips(self, tmp_path):
+        """Past 4,300 digits the JSON decoder refuses an integer, so it is
+        written as its literal text, which ``load_trace`` reads back."""
+        schema = schema_from_dict(
+            {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"n": "Number"}]}]}
+        )
+        trace = Trace(
+            header=TraceHeader("demo", "", "count", datetime(2025, 3, 14)),
+            events=(ActionEvent("e1", "pre", (StateUpdate("S", {"n": Constant.number(Decimal("1" * 5000))}),)),),
+        )
+        path = tmp_path / "long.jsonl"
+        write_trace(trace, path)
+        assert load_trace(path, schema) == trace
 
     @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_number_is_not_written(self, value):
