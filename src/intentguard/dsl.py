@@ -177,6 +177,11 @@ class Rule:
 class Specification:
     rules: tuple[Rule, ...]
 
+    #: The schema object :func:`check_specification` last found this spec
+    #: clean against; both are immutable, so the finding holds for good.
+    #: Not a field: it takes no part in construction or equality.
+    _checked_against = None
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -588,12 +593,26 @@ def render_predicate(predicate: Predicate) -> str:
 
 
 def render_rule(rule: Rule) -> str:
+    """The rule's spec line.  ``ValueError``, naming the variable, for a Text
+    or Text-list constant holding ``\n``: the language has no escape for it,
+    so the line could not be read back."""
     body = " & ".join(render_predicate(p) for p in rule.predicates)
+    if "\n" in body:
+        for pred in rule.predicates:
+            if isinstance(pred, ObjectiveRef):
+                continue
+            for c in pred.constraints:
+                if c.constant.kind in (ConstKind.TEXT, ConstKind.TEXT_LIST) and "\n" in render_constant(c.constant):
+                    raise ValueError(
+                        f"{pred.state_name}.{c.variable}: a {c.constant.kind.value} constant holding a "
+                        "line break cannot be written as a spec line"
+                    )
     return f"{body} -> {rule.conclusion}"
 
 
 def render_specification(spec: Specification) -> str:
-    """Deterministic canonical rendering; parse(render(s)) equals s structurally."""
+    """Deterministic canonical rendering; parse(render(s)) equals s
+    structurally.  ``ValueError`` as :func:`render_rule` gives it."""
     return "\n".join(render_rule(r) for r in spec.rules) + "\n"
 
 
@@ -675,6 +694,9 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
     every referenced objective must be concluded somewhere, at least one rule
     must conclude ``Done``, and objective precedence must be acyclic.  The
     rules are walked once: the spec-wide checks read what that walk recorded.
+    A clean result is recorded on the spec as the schema object it was
+    checked against, which :class:`~intentguard.engine.Session` reads to
+    skip a second check of the same pair.
     """
     diagnostics: list[Diagnostic] = []
 
@@ -723,8 +745,10 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
                 )
                 continue
             for constraint in pred.constraints:
-                var_type = state.variables.get(constraint.variable)
-                if var_type is None:
+                # a subscript, since a read-only mapping's .get costs a second call
+                try:
+                    var_type = state.variables[constraint.variable]
+                except KeyError:
                     report(
                         DiagnosticCode.UNKNOWN_VARIABLE,
                         f"state '{pred.state_name}' has no variable '{constraint.variable}'; "
@@ -748,6 +772,8 @@ def check_specification(spec: Specification, schema: StateSchema) -> list[Diagno
     cycle = _find_objective_cycle(references)
     if cycle is not None:
         report(DiagnosticCode.CYCLE, "objective precedence is cyclic: " + " -> ".join(cycle))
+    if not diagnostics:
+        object.__setattr__(spec, "_checked_against", schema)
     return diagnostics
 
 

@@ -213,10 +213,10 @@ def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarTyp
     state = schema.state(state_name)
     if state is None:
         raise TraceError(f"state '{state_name}' is not declared in the schema")
-    declared = state.variables.get(variable)
-    if declared is None:
-        raise TraceError(f"'{state_name}' has no variable '{variable}'")
-    return declared
+    try:
+        return state.variables[variable]
+    except KeyError:
+        raise TraceError(f"'{state_name}' has no variable '{variable}'") from None
 
 
 def validate_event(event: ActionEvent, schema: StateSchema) -> None:
@@ -231,7 +231,13 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
         raise TraceError(f"phase must be 'pre' or 'post', got {event.phase!r}")
     if not event.updates and event.critical is None:
         raise TraceError("event has neither updates nor a critical flag")
-    for update in event.updates:
+    _validate_updates(event.updates, schema)
+
+
+def _validate_updates(updates: Iterable[StateUpdate], schema: StateSchema) -> None:
+    """:func:`validate_event`'s rules for each update, which
+    :meth:`Session.soft_check` applies on their own."""
+    for update in updates:
         if not update.values:
             raise TraceError(f"update for '{update.state}' needs non-empty 'values'")
         for var, value in update.values.items():
@@ -279,7 +285,10 @@ def _memoized_lexical_similarity() -> Callable[[str, str], float]:
 class Session:
     """Sequential verification session for one instruction.
 
-    Events must be submitted one at a time; sessions share nothing, so
+    The spec is statically checked against the schema unless
+    :func:`~intentguard.dsl.check_specification` has already found this very
+    spec clean against this very schema object; an equal schema is checked
+    again.  Events must be submitted one at a time; sessions share nothing, so
     distinct sessions are free to live on distinct threads.  ``world`` and
     ``achieved_objectives`` are read-only outside the session: the compiled
     statuses follow them only through :meth:`submit_action`.
@@ -292,9 +301,10 @@ class Session:
         clock: datetime | date,
         similarity: Callable[[str, str], float] | None = None,
     ):
-        diagnostics = check_specification(spec, schema)
-        if diagnostics:
-            raise InvalidSpecification(diagnostics)
+        if spec._checked_against is not schema:
+            diagnostics = check_specification(spec, schema)
+            if diagnostics:
+                raise InvalidSpecification(diagnostics)
         self.spec = spec
         self.schema = schema
         today = clock.date() if isinstance(clock, datetime) else clock
@@ -310,7 +320,7 @@ class Session:
     @cached_property
     def _compiled(self) -> _CompiledSpec:
         """The spec's compiled form, built on first use so that constructing a
-        session stays as cheap as the static check.  It evaluates nothing: no
+        session costs at most the static check.  It evaluates nothing: no
         event has been committed yet, so every predicate is indeterminate,
         every rule has all its predicates unmet and every roadmap line is its
         rule's bare sentence."""
@@ -422,7 +432,10 @@ class Session:
         post-update valuation.  Constraints on variables the update does not
         touch are treated as not-yet-violated.  A touched state no predicate
         mentions keeps the update consistent, and so does an empty update.
+        Raises :class:`TraceError` for an update that :func:`validate_event`
+        would refuse.
         """
+        _validate_updates(updates, self.schema)
         return self._soft_result(updates, self._evaluate(updates)[2])
 
     def _soft_result(self, updates: Iterable[StateUpdate], failures: dict) -> SoftCheckResult:

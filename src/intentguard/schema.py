@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from ._files import parse_json, write_text_atomic
 
@@ -73,9 +75,20 @@ class VarType:
 
 @dataclass(frozen=True)
 class StateDef:
+    """A declared state.  ``variables`` is a read-only copy of the mapping
+    it was built from, so a schema cannot change under a recorded static
+    check."""
+
     name: str
     description: str
-    variables: dict[str, VarType] = field(default_factory=dict)
+    variables: Mapping[str, VarType] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", MappingProxyType(dict(self.variables)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; rebuild from a dict
+        return StateDef, (self.name, self.description, dict(self.variables))
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,16 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
         raise TraceParseError(
             f"line {header_no}: trace is for app '{header_raw['app_id']}' but the schema is for '{schema.app_id}'"
         )
+    schema_path = header_raw.get("schema_path", "")
+    if not isinstance(schema_path, str):
+        raise TraceParseError(f"line {header_no}: header 'schema_path' must be a string")
     try:
         clock = _read_clock(header_raw["clock"])
     except ValueError as exc:
         raise TraceParseError(f"line {header_no}: clock {header_raw['clock']!r} is not ISO format") from exc
     header = TraceHeader(
         app_id=header_raw["app_id"],
-        schema_path=header_raw.get("schema_path", ""),
+        schema_path=schema_path,
         instruction=header_raw["instruction"],
         clock=clock,
     )

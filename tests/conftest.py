@@ -11,6 +11,7 @@ from intentguard import (
     HttpBackend,
     MockBackend,
     Session,
+    engine,
     lexical_similarity,
     load_schema,
     load_trace,
@@ -71,6 +72,21 @@ def refuse_backends(monkeypatch) -> None:
 @pytest.fixture
 def no_backend(monkeypatch):
     refuse_backends(monkeypatch)
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The ``(spec, schema)`` of each static check a session makes; it looks
+    the check up in ``engine``."""
+    calls = []
+    original = engine.check_specification
+
+    def counted(spec, schema):
+        calls.append((spec, schema))
+        return original(spec, schema)
+
+    monkeypatch.setattr(engine, "check_specification", counted)
+    return calls
 
 
 def trace_fixture(*parts, schema):

@@ -186,6 +186,17 @@ class TestVerify:
         assert result.stdout == ""
         assert "trace is for app 'restaurant_demo' but the schema is for 'other_demo'" in result.stderr
 
+    def test_trace_header_with_a_non_string_schema_path_exits_one(self, runner, tmp_path):
+        header, *events = (RESTAURANT / "traces" / "happy_path.jsonl").read_text(encoding="utf-8").splitlines()
+        raw = json.loads(header)
+        raw["schema_path"] = {"a": [1]}
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join([json.dumps(raw), *events]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(trace)])
+        assert_clean_failure(result)
+        assert result.stdout == ""
+        assert result.stderr == f"error: trace {trace}: line 1: header 'schema_path' must be a string\n"
+
     @pytest.mark.parametrize("kind", ["schema", "spec", "trace"])
     def test_non_utf8_input_file_exits_one(self, runner, tmp_path, kind):
         paths = {"schema": SCHEMA, "spec": SPEC, "trace": str(RESTAURANT / "traces" / "happy_path.jsonl")}

@@ -173,3 +173,23 @@ class TestRender:
         for _ in range(100):
             spec = generators.specification(rng)
             assert parse_specification(render_specification(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "constant, operator",
+        [(Constant.text("a\nb"), Operator.EQ), (Constant.text_list(["a", "b\nc"]), Operator.IN)],
+        ids=["text", "text-list"],
+    )
+    def test_a_line_break_in_a_text_constant_is_refused(self, constant, operator):
+        # the language has no escape for a line break, so no line could read it back
+        predicate = StatePredicate("S", (Constraint("y", Operator.EQ, Constant.text("ok")), Constraint("x", operator, constant)))
+        spec = Specification((Rule((predicate,), "Done"),))
+        with pytest.raises(ValueError, match=r"^S\.x: a "):
+            render_specification(spec)
+
+    def test_carriage_return_and_line_separator_round_trip(self):
+        constraints = (
+            Constraint("x", Operator.EQ, Constant.text("a\rb\u2028c")),
+            Constraint("y", Operator.IN, Constant.text_list(["\r", "\u2028"])),
+        )
+        spec = Specification((Rule((StatePredicate("S", constraints),), "Done"),))
+        assert parse_specification(render_specification(spec)) == spec

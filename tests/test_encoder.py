@@ -5,7 +5,7 @@ import random
 import pytest
 
 from intentguard.backend import BackendError, MockBackend, ScriptExhausted
-from intentguard.dsl import Specification, parse_specification, render_rule
+from intentguard.dsl import Specification, parse_specification, render_rule, render_specification
 from intentguard.encoder import (
     EncodeConfig,
     EncodeFailed,
@@ -20,7 +20,7 @@ from intentguard.encoder import (
 )
 from intentguard.memory import PredicateMemory
 from intentguard.schema import schema_from_dict
-from intentguard.trace import parse_trace
+from intentguard.trace import parse_trace, replay
 
 import helpers
 from conftest import trace_fixture
@@ -122,6 +122,33 @@ class TestEncode:
             EncodeConfig(max_repair_iterations=0)
         with pytest.raises(ValueError):
             EncodeConfig(majority_n=2)
+
+
+class TestCheckedOnce:
+    """The encoder's static gate is the only check of what it accepts: a
+    session built on the same spec and schema objects trusts that check."""
+
+    def test_replay_of_an_encoded_spec_checks_nothing_again(self, check_calls, restaurant_schema):
+        trace = trace_fixture("restaurant", "traces", "happy_path.jsonl", schema=restaurant_schema)
+        result = encode(INSTRUCTION, restaurant_schema, MockBackend(helpers.clean_run()))
+        assert replay(result.spec, restaurant_schema, trace).done is True
+        assert check_calls == []
+
+    def test_majority_verify_checks_each_accepted_spec_once(self, check_calls, restaurant_schema):
+        trace = trace_fixture("restaurant", "traces", "happy_path.jsonl", schema=restaurant_schema)
+        final = majority_verify(
+            INSTRUCTION, restaurant_schema, trace, helpers.majority_backend({1}, runs=3), EncodeConfig(majority_n=3)
+        )
+        assert final.pass_count == 2
+        assert check_calls == []
+
+    def test_diff_replays_check_only_the_patched_specs(self, check_calls, reservation_spec, restaurant_schema):
+        candidate = parse_specification(render_specification(reservation_spec).replace(", time < 19:00", ""))
+        wrong = trace_fixture("restaurant", "traces", "wrong_time.jsonl", schema=restaurant_schema)
+        report = diff_specifications(candidate, reservation_spec, restaurant_schema, wrong)
+        assert len(report.critical_missing) == 1
+        # the candidate's replay trusts diff's own check; the one patched spec is new
+        assert [spec is candidate for spec, _ in check_calls] == [False]
 
 
 class TestDecode:

@@ -7,7 +7,13 @@ from decimal import Decimal
 import pytest
 
 from intentguard import engine
-from intentguard.dsl import Constant, lexical_similarity, parse_specification
+from intentguard.dsl import (
+    Constant,
+    check_specification,
+    lexical_similarity,
+    parse_specification,
+    render_specification,
+)
 from intentguard.engine import (
     ActionEvent,
     InvalidSpecification,
@@ -21,7 +27,7 @@ from intentguard.engine import (
     event_fingerprint,
     validate_event,
 )
-from intentguard.schema import schema_from_dict
+from intentguard.schema import load_schema, schema_from_dict
 
 from conftest import CLOCK, FIXTURES, trace_fixture
 
@@ -68,6 +74,54 @@ class TestSessionConstruction:
                 [json.dumps(session.submit_action(e).to_json_dict(), sort_keys=True) for e in trace.events]
             )
         assert streams[0] == streams[1]
+
+
+class TestStaticCheckOnce:
+    def test_a_spec_checked_clean_against_this_schema_is_not_checked_again(
+        self, check_calls, reservation_spec, restaurant_schema
+    ):
+        assert check_specification(reservation_spec, restaurant_schema) == []
+        Session(reservation_spec, restaurant_schema, CLOCK)
+        Session(reservation_spec, restaurant_schema, CLOCK)
+        assert check_calls == []
+
+    def test_an_unchecked_spec_is_checked_once_then_trusted(self, check_calls, reservation_spec, restaurant_schema):
+        Session(reservation_spec, restaurant_schema, CLOCK)
+        Session(reservation_spec, restaurant_schema, CLOCK)
+        assert check_calls == [(reservation_spec, restaurant_schema)]
+
+    def test_an_equal_schema_object_is_checked_again(self, check_calls, reservation_spec, restaurant_schema):
+        check_specification(reservation_spec, restaurant_schema)
+        twin = load_schema(FIXTURES / "restaurant" / "schema.json")
+        assert twin == restaurant_schema and twin is not restaurant_schema
+        Session(reservation_spec, twin, CLOCK)
+        assert len(check_calls) == 1 and check_calls[0][1] is twin
+
+    def test_a_spec_with_diagnostics_records_nothing(self, check_calls, restaurant_schema):
+        bad = parse_specification("RestaurantInfo(name >= 100) -> Done")
+        diagnostics = check_specification(bad, restaurant_schema)
+        assert diagnostics
+        for attempt in range(1, 4):
+            with pytest.raises(InvalidSpecification) as info:
+                Session(bad, restaurant_schema, CLOCK)
+            assert info.value.diagnostics == diagnostics
+            assert len(check_calls) == attempt
+
+    def test_a_failed_check_against_another_schema_keeps_a_clean_record(
+        self, check_calls, reservation_spec, restaurant_schema, groceries_schema
+    ):
+        check_specification(reservation_spec, restaurant_schema)
+        assert check_specification(reservation_spec, groceries_schema)
+        Session(reservation_spec, restaurant_schema, CLOCK)
+        with pytest.raises(InvalidSpecification):
+            Session(reservation_spec, groceries_schema, CLOCK)
+        assert [schema for _, schema in check_calls] == [groceries_schema]
+
+    def test_the_record_takes_no_part_in_equality(self, reservation_spec, restaurant_schema):
+        fresh = parse_specification(render_specification(reservation_spec))
+        check_specification(reservation_spec, restaurant_schema)
+        assert fresh == reservation_spec and hash(fresh) == hash(reservation_spec)
+        assert fresh._checked_against is None
 
 
 class TestSimilarityMemo:
@@ -297,6 +351,20 @@ class TestSoftVerification:
         assert session.submit_action(event("y", StateUpdate("Order", {"status": Constant.enum("Open")}))).kind is (
             VerdictKind.TASK_DONE
         )
+
+    def test_soft_check_refuses_what_validate_event_refuses(self, make_session):
+        session = make_session()
+        cases = [
+            (StateUpdate("RestaurantInfo", {}), "non-empty"),
+            (StateUpdate("Nowhere", {"x": Constant.number(1)}), "is not declared in the schema"),
+            (StateUpdate("RestaurantInfo", {"rating": Constant.number(1)}), "has no variable"),
+            (StateUpdate("RestaurantInfo", {"name": Constant.number(1)}), r"^RestaurantInfo\.name \(Text\) cannot hold"),
+        ]
+        for bad, fragment in cases:
+            with pytest.raises(TraceError, match=fragment):
+                session.soft_check([name_update("R"), bad])
+        assert session.soft_check([]).passed is True
+        assert dict(session.world) == {}
 
     def test_validate_event_names_each_rule(self, restaurant_schema):
         cases = [

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 
 from intentguard.schema import (
     ConstKind,
     SchemaError,
+    StateDef,
+    VarType,
     describe_states,
     load_schema,
     save_schema,
@@ -39,6 +43,25 @@ class TestLoad:
         assert len(schema.states) == 1
         assert schema.states[0].variables == {"name": schema.states[0].variables["name"]}
         assert schema.states[0].variables["name"].kind is ConstKind.TEXT
+
+    def test_variables_refuse_item_assignment(self, restaurant_schema):
+        variables = restaurant_schema.state("ReserveInfo").variables
+        with pytest.raises(TypeError):
+            variables["time"] = VarType(ConstKind.TEXT)
+        assert variables["time"].kind is ConstKind.TIME
+
+    def test_a_state_keeps_a_copy_of_the_variables_it_was_given(self):
+        given = {"name": VarType(ConstKind.TEXT)}
+        state = StateDef("S", "", given)
+        given["name"] = VarType(ConstKind.NUMBER)
+        given["extra"] = VarType(ConstKind.TEXT)
+        assert dict(state.variables) == {"name": VarType(ConstKind.TEXT)}
+
+    def test_a_schema_still_pickles_and_deep_copies(self, restaurant_schema):
+        for copied in (pickle.loads(pickle.dumps(restaurant_schema)), copy.deepcopy(restaurant_schema)):
+            assert copied == restaurant_schema
+            with pytest.raises(TypeError):
+                copied.state("ReserveInfo").variables["time"] = VarType(ConstKind.TEXT)
 
     def test_running_example_has_three_states_five_variables(self, restaurant_schema):
         assert len(restaurant_schema.states) == 3

@@ -253,6 +253,17 @@ class TestParse:
         with pytest.raises(TraceParseError, match="but the schema is for 'groceries_demo'"):
             load_trace(FIXTURES / "restaurant" / "traces" / "happy_path.jsonl", groceries_schema)
 
+    @pytest.mark.parametrize("value", ['{"a": [1]}', "7", "null", "true"])
+    def test_header_schema_path_must_be_a_string(self, restaurant_schema, value):
+        header = HEADER.replace('"s.json"', value)
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(header + "\n", restaurant_schema)
+        assert str(info.value) == "line 1: header 'schema_path' must be a string"
+
+    def test_a_missing_schema_path_reads_as_empty(self, restaurant_schema):
+        header = HEADER.replace('"schema_path": "s.json", ', "")
+        assert parse_trace(header + "\n", restaurant_schema).header.schema_path == ""
+
     def test_empty_file(self, restaurant_schema):
         with pytest.raises(TraceParseError, match="empty"):
             parse_trace("\n\n", restaurant_schema)
