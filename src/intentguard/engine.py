@@ -51,6 +51,7 @@ from .dsl import (
     EvalContext,
     ObjectiveRef,
     Predicate,
+    PredicateStatus,
     Specification,
     check_specification,
     compile_constraint,
@@ -122,16 +123,10 @@ class Verdict:
     def to_json_dict(self) -> dict:
         return {
             "action_id": self.action_id,
-            "kind": self.kind.value,
+            "kind": self.kind._value_,  # a plain attribute; ``.value`` is a descriptor
             "achieved": list(self.achieved),
             "feedback": self.feedback.to_json_dict(),
         }
-
-
-class PredicateStatus(str, Enum):
-    SATISFIED = "satisfied"
-    UNSATISFIED = "unsatisfied"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -167,9 +162,15 @@ class HardCheckResult:
 
 _PASSED = SoftCheckResult(passed=True)
 
-# read for every evaluated predicate; a module global loads faster than an Enum member
+# Members read once per event or per predicate, bound once: on CPython 3.10
+# and 3.11 a module global loads far faster than an Enum member
 _SATISFIED = PredicateStatus.SATISFIED
 _UNSATISFIED = PredicateStatus.UNSATISFIED
+_INDETERMINATE = PredicateStatus.INDETERMINATE
+_ALLOW, _SOFT_BLOCK, _HARD_BLOCK, _TASK_DONE = (
+    VerdictKind.ALLOW, VerdictKind.SOFT_BLOCK, VerdictKind.HARD_BLOCK, VerdictKind.TASK_DONE
+)
+_NUMBER, _ENUM = ConstKind.NUMBER, ConstKind.ENUM
 
 
 @dataclass
@@ -242,13 +243,12 @@ def _validate_updates(updates: Iterable[StateUpdate], schema: StateSchema) -> No
             raise TraceError(f"update for '{update.state}' needs non-empty 'values'")
         for var, value in update.values.items():
             declared = declared_type(schema, update.state, var)
-            if value.kind is not declared.kind:
-                raise TraceError(
-                    f"{update.state}.{var} ({declared.describe()}) cannot hold a {value.kind.value} value"
-                )
-            if value.kind is ConstKind.NUMBER and not value.value.is_finite():
+            kind = value.kind
+            if kind is not declared.kind:
+                raise TraceError(f"{update.state}.{var} ({declared.describe()}) cannot hold a {kind.value} value")
+            if kind is _NUMBER and not value.value.is_finite():
                 raise TraceError(f"{update.state}.{var}: {value.value} is not a finite number")
-            if value.kind is ConstKind.ENUM and value.value not in declared.variants:
+            if kind is _ENUM and value.value not in declared.variants:
                 raise TraceError(f"{update.state}.{var} ({declared.describe()}) has no variant '{value.value}'")
 
 
@@ -347,7 +347,7 @@ class Session:
                     plans.setdefault(slot, []).append(plan)
             compiled.steps.append(rule_steps)
             sentence = feedback_mod.roadmap_sentence(rule, self.schema)
-            compiled.statuses.append([PredicateStatus.INDETERMINATE] * len(rule_steps))
+            compiled.statuses.append([_INDETERMINATE] * len(rule_steps))
             compiled.unmet.append(len(rule_steps))
             compiled.sentences.append(sentence)
             compiled.lines.append(sentence)
@@ -419,7 +419,7 @@ class Session:
 
     def _achieve(self, objective: str) -> None:
         self.achieved_objectives.add(objective)
-        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), PredicateStatus.SATISFIED))
+        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), _SATISFIED))
 
     # -- checks ------------------------------------------------------------
 
@@ -522,13 +522,13 @@ class Session:
             result = self.hard_check(event.critical)
             if not result.satisfied:
                 self.pending_soft = None
-                return self._verdict(event, VerdictKind.HARD_BLOCK, hard_report=result)
+                return self._verdict(event, _HARD_BLOCK, hard_report=result)
         written, statuses, failures = self._evaluate(event.updates)
         if event.critical is None and (self.pending_soft is None or event_fingerprint(event) != self.pending_soft):
             result = self._soft_result(event.updates, failures)
             if not result.passed:
                 self.pending_soft = event_fingerprint(event)
-                return self._verdict(event, VerdictKind.SOFT_BLOCK, violations=result.violations)
+                return self._verdict(event, _SOFT_BLOCK, violations=result.violations)
 
         self.pending_soft = None
         self._commit(written, statuses)
@@ -538,8 +538,8 @@ class Session:
             self._achieve(event.critical)
         if self._compiled.done_met:
             self.done = True
-            return self._verdict(event, VerdictKind.TASK_DONE, achieved=newly + (DONE,))
-        return self._verdict(event, VerdictKind.ALLOW, achieved=newly)
+            return self._verdict(event, _TASK_DONE, achieved=newly + (DONE,))
+        return self._verdict(event, _ALLOW, achieved=newly)
 
     def _verdict(
         self,

@@ -12,19 +12,30 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .dsl import (
+    DONE,
+    TODAY,
     ConstKind,
     Constant,
     Constraint,
     ObjectiveRef,
+    PredicateStatus,
     Rule,
     Specification,
     StatePredicate,
-    render_constant,
 )
 from .schema import StateSchema
 
 if TYPE_CHECKING:
-    from .engine import HardCheckResult, PredicateStatus, RuleProgress, Violation
+    from .engine import HardCheckResult, RuleProgress, Violation
+
+# Bound once, as in dsl: every constraint of every roadmap sentence branches
+# on its constant's kind, and on CPython 3.10 and 3.11 a module global loads
+# far faster than an Enum member.
+_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _TEXT_LIST = (
+    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.TEXT_LIST
+)
+_SATISFIED = PredicateStatus.SATISFIED
+
 
 @dataclass(frozen=True)
 class FeedbackBundle:
@@ -42,17 +53,21 @@ class FeedbackBundle:
 def feedback_constant(constant: Constant) -> str:
     """Constant spelling used inside feedback sentences: text, ``"Today"`` and
     list items quoted without escapes, booleans capitalized, every other kind
-    as its rule-language literal."""
+    as its rule-language literal (:func:`~intentguard.dsl.render_constant`)."""
     kind, value = constant.kind, constant.value
-    if kind is ConstKind.TEXT:
+    if kind is _TEXT:
         return f'"{value}"'
-    if kind is ConstKind.BOOLEAN:
+    if kind is _NUMBER:
+        return format(value, "f")
+    if kind is _BOOLEAN:
         return "True" if value else "False"
-    if constant.is_today:
-        return '"Today"'
-    if kind is ConstKind.TEXT_LIST:
-        return "[" + ", ".join(f'"{item}"' for item in value) + "]"
-    return render_constant(constant)
+    if kind is _DATE:
+        return '"Today"' if value == TODAY else value.isoformat()
+    if kind is _TIME:
+        return f"{value.hour:02d}:{value.minute:02d}"
+    if kind is _TEXT_LIST:
+        return "[" + ", ".join([f'"{item}"' for item in value]) + "]"
+    return str(value)
 
 
 def constraint_phrase(constraint: Constraint) -> str:
@@ -78,7 +93,7 @@ def _join_steps(numbers: Sequence[int]) -> str:
 
 
 def _goal_clause(conclusion: str) -> str:
-    return "To complete the task" if conclusion == "Done" else f"To perform {conclusion}"
+    return "To complete the task" if conclusion == DONE else f"To perform {conclusion}"
 
 
 def _state_description(schema: StateSchema, state_name: str) -> str:
@@ -111,7 +126,7 @@ def roadmap_sentence(rule: Rule, schema: StateSchema) -> str:
 def achieved_suffix(statuses: Iterable["PredicateStatus"]) -> str:
     """The changing part of a roadmap paragraph: which steps are already
     achieved, or nothing while none are."""
-    achieved = [k for k, status in enumerate(statuses, start=1) if status.value == "satisfied"]
+    achieved = [k for k, status in enumerate(statuses, start=1) if status is _SATISFIED]
     return f" So far, you have achieved {_join_steps(achieved)}." if achieved else ""
 
 

@@ -58,6 +58,9 @@ _TYPE_ALIASES = {
     "date": ConstKind.DATE,
     "time": ConstKind.TIME,
 }
+# bound once: on CPython 3.10 and 3.11 a module global loads far faster than
+# an Enum member, and every variable's type is described in each encoder prompt
+_ENUM = ConstKind.ENUM
 
 _ENUM_RE = re.compile(r"^enum\s*\[(?P<variants>.*)\]$", re.IGNORECASE)
 
@@ -68,9 +71,9 @@ class VarType:
     variants: tuple[str, ...] = ()
 
     def describe(self) -> str:
-        if self.kind is ConstKind.ENUM:
+        if self.kind is _ENUM:
             return f"Enum[{', '.join(self.variants)}]"
-        return self.kind.value
+        return self.kind._value_
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def parse_var_type(text: str) -> VarType | None:
     match = _ENUM_RE.match(text.strip())
     if match:
         variants = tuple(v.strip() for v in match.group("variants").split(",") if v.strip())
-        return VarType(ConstKind.ENUM, variants)
+        return VarType(_ENUM, variants)
     return None
 
 
@@ -175,7 +178,7 @@ def _parse_variables(raw: object, path: str, issues: list[SchemaIssue]) -> dict[
                 )
             )
             continue
-        if var_type.kind is ConstKind.ENUM and not var_type.variants:
+        if var_type.kind is _ENUM and not var_type.variants:
             issues.append(SchemaIssue(var_path, "EMPTY_ENUM", "an Enum type needs at least one variant"))
             continue
         variables[name] = var_type

@@ -42,6 +42,14 @@ from .engine import (
 )
 from .schema import StateSchema, VarType
 
+# Bound once: every value of every event branches on its kind, and on CPython
+# 3.10 and 3.11 a module global loads far faster than an Enum member.
+_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM, _TEXT_LIST = (
+    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.ENUM,
+    ConstKind.TEXT_LIST,
+)
+_TASK_DONE = VerdictKind.TASK_DONE
+
 
 class TraceParseError(ValueError):
     """Trace file is malformed (bad JSON, missing header fields, bad values)."""
@@ -61,56 +69,62 @@ class Trace:
     events: tuple[ActionEvent, ...]
 
 
-def coerce_value(var_type: VarType, raw: object, where: str) -> Constant:
-    """Turn a raw JSON value into a typed constant per the declared type.
+def coerce_value(var_type: VarType, raw: object, state: str, variable: str) -> Constant:
+    """Turn a raw JSON value for ``state.variable`` into a typed constant per
+    the declared type.
 
     Only the JSON shape and the spelling of a text value are checked here;
     :func:`validate_event` owns the rules about the value itself (finite
-    numbers, declared Enum variants)."""
+    numbers, declared Enum variants).  The ``state.variable`` label that
+    begins a :class:`TraceParseError` is built only when one is raised."""
     kind = var_type.kind
-    if kind is ConstKind.TEXT:
-        if not isinstance(raw, str):
-            raise TraceParseError(f"{where}: expected a string, got {raw!r}")
-        return Constant.text(raw)
-    if kind is ConstKind.NUMBER:
+    if kind is _TEXT:
+        if isinstance(raw, str):
+            return Constant.text(raw)
+        problem = f"expected a string, got {raw!r}"
+    elif kind is _NUMBER:
         if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-            raise TraceParseError(f"{where}: expected a number, got {raw!r}")
-        try:
-            number = Decimal(str(raw))
-            # finite text is spelled as in a spec; NaN and the infinities are
-            # left for validate_event to reject as non-finite
-            if isinstance(raw, str) and number.is_finite():
-                return read_literal(ConstKind.NUMBER, raw)
-        except (InvalidOperation, ValueError):
-            raise TraceParseError(f"{where}: {raw!r} is not a number") from None
-        return Constant.number(number)
-    if kind is ConstKind.BOOLEAN:
-        if not isinstance(raw, bool):
-            raise TraceParseError(f"{where}: expected true or false, got {raw!r}")
-        return Constant.boolean(raw)
-    if kind is ConstKind.DATE:
+            problem = f"expected a number, got {raw!r}"
+        else:
+            try:
+                number = Decimal(str(raw))
+                # finite text is spelled as in a spec; NaN and the infinities
+                # are left for validate_event to reject as non-finite
+                if isinstance(raw, str) and number.is_finite():
+                    return read_literal(_NUMBER, raw)
+            except (InvalidOperation, ValueError):
+                problem = f"{raw!r} is not a number"
+            else:
+                return Constant.number(number)
+    elif kind is _BOOLEAN:
+        if isinstance(raw, bool):
+            return Constant.boolean(raw)
+        problem = f"expected true or false, got {raw!r}"
+    elif kind is _DATE:
         if not isinstance(raw, str):
-            raise TraceParseError(f"{where}: expected 'YYYY-MM-DD' or 'Today', got {raw!r}")
-        if raw.lower() == TODAY.lower():
+            problem = f"expected 'YYYY-MM-DD' or 'Today', got {raw!r}"
+        elif raw.lower() == TODAY.lower():
             return Constant.today()
-        try:
-            return read_literal(ConstKind.DATE, raw)
-        except ValueError:
-            raise TraceParseError(f"{where}: {raw!r} is not a date") from None
-    if kind is ConstKind.TIME:
+        else:
+            try:
+                return read_literal(_DATE, raw)
+            except ValueError:
+                problem = f"{raw!r} is not a date"
+    elif kind is _TIME:
         if not isinstance(raw, str) or raw.count(":") != 1:
-            raise TraceParseError(f"{where}: expected 'HH:MM', got {raw!r}")
-        try:
-            return read_literal(ConstKind.TIME, raw)
-        except ValueError:
-            raise TraceParseError(f"{where}: {raw!r} is not a valid time") from None
-    if kind is ConstKind.ENUM:
-        if not isinstance(raw, str):
-            raise TraceParseError(
-                f"{where}: expected one of {list(var_type.variants)}, got {raw!r}"
-            )
-        return Constant.enum(raw)
-    raise AssertionError(f"unhandled type {kind}")
+            problem = f"expected 'HH:MM', got {raw!r}"
+        else:
+            try:
+                return read_literal(_TIME, raw)
+            except ValueError:
+                problem = f"{raw!r} is not a valid time"
+    elif kind is _ENUM:
+        if isinstance(raw, str):
+            return Constant.enum(raw)
+        problem = f"expected one of {list(var_type.variants)}, got {raw!r}"
+    else:
+        raise AssertionError(f"unhandled type {kind}")
+    raise TraceParseError(f"{state}.{variable}: {problem}")
 
 
 _CLOCK_TIME = re.compile(r"(\d\d):(\d\d)(?::(\d\d)(?:\.(\d{6}))?)?")
@@ -122,7 +136,7 @@ def _read_clock(text: str) -> datetime:
     ``THH:MM:SS.ffffff`` as ``datetime.isoformat()`` writes them.
     ``ValueError`` for any other spelling, including a UTC offset."""
     day_text, sep, time_text = text.partition("T")
-    day = read_literal(ConstKind.DATE, day_text).value
+    day = read_literal(_DATE, day_text).value
     if not sep:
         return datetime(day.year, day.month, day.day)
     match = _CLOCK_TIME.fullmatch(time_text)
@@ -156,7 +170,7 @@ def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
         if not isinstance(values_raw, dict):
             raise TraceParseError(f"update for '{state_name}' needs a 'values' object")
         values = {
-            var: coerce_value(declared_type(schema, state_name, var), raw_value, f"{state_name}.{var}")
+            var: coerce_value(declared_type(schema, state_name, var), raw_value, state_name, var)
             for var, raw_value in values_raw.items()
         }
         updates.append(StateUpdate(state=state_name, values=values))
@@ -227,14 +241,15 @@ def load_trace(path: str | Path, schema: StateSchema) -> Trace:
 def event_to_dict(event: ActionEvent) -> dict:
     def raw(value: Constant, where: str) -> object:
         """JSON booleans, numbers and text; the literal spelling otherwise."""
-        if value.kind is ConstKind.BOOLEAN:
+        kind = value.kind
+        if kind is _BOOLEAN:
             return bool(value.value)
-        if value.kind is ConstKind.TEXT:
+        if kind is _TEXT:
             return str(value.value)
-        if value.kind is ConstKind.TEXT_LIST:
-            raise ValueError(f"{value.kind.value} values cannot appear in trace events")
+        if kind is _TEXT_LIST:
+            raise ValueError(f"{kind.value} values cannot appear in trace events")
         literal = render_constant(value)
-        if value.kind is ConstKind.NUMBER:
+        if kind is _NUMBER:
             if not value.value.is_finite():
                 raise ValueError(f"{where}: {literal} is not a finite number")
             # a JSON number only where coerce_value spells it back the same
@@ -293,7 +308,7 @@ def replay(spec: Specification, schema: StateSchema, trace: Trace) -> ReplayResu
     for event in trace.events:
         verdict = session.submit_action(event)
         result.verdicts.append(verdict)
-        if verdict.kind is VerdictKind.TASK_DONE:
+        if verdict.kind is _TASK_DONE:
             result.done = True
             break
     return result

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from intentguard.encoder import (
     decode_spec,
     diff_specifications,
     encode,
+    extract_rules_block,
     majority_encode,
     majority_verify,
     parse_checker_verdict,
@@ -384,3 +386,47 @@ class TestDiff:
         truth = "Cart(quantity = 3) -> Pick\nPick & Checkout(placed = true) -> Done"
         candidate = "Checkout(placed = true) -> Grab\nCheckout(placed = true) -> Done"
         assert self.critical_slots(candidate, truth, groceries_schema) == [("Cart", "quantity")]
+
+
+class TestFence:
+    """``extract_rules_block`` finds the fence with ``str.find``; it must take
+    the block the regex it replaced takes, from any reply."""
+
+    REGEX = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
+    REPLIES = (
+        "",
+        "no fence at all",
+        "S(x = 1) -> Done",
+        "```\nS(x = 1) -> Done\n```",
+        "Here:\n```vsa\nS(x = 1) -> Done\n```\nand more ```\nsecond\n```",
+        "```\nunclosed block",
+        "```vsa\nunclosed block ``",
+        "````\nfour ticks\n```",
+        "``````\nsix ticks```",
+        "```my tag\nspace in the tag\n```",
+        "```my tag\nspace in the tag\n```ok\nlater```",
+        "```\n```",
+        "```a-b_C9\n\n```",
+        "```é\nnot a tag\n```",
+        "```\r\ncarriage return\n```",
+        "``\ntwo ticks\n```",
+        "```tag``` ```\nx```",
+        "``` \n```\ny```",
+        "text ```inline``` then ```\nblock\n```",
+    )
+    ALPHABET = ("`", "`", "`", "```", "\n", "\n", "a", "Z", "9", "_", "-", " ", "é", "\r", "S(x = 1)")
+
+    def regex_block(self, reply: str) -> str:
+        match = self.REGEX.search(reply)
+        return match.group(1) if match else reply
+
+    @pytest.mark.parametrize("reply", REPLIES)
+    def test_hand_picked_replies_give_the_regex_block(self, reply):
+        assert extract_rules_block(reply) == self.regex_block(reply)
+
+    def test_seeded_replies_give_the_regex_block(self):
+        rng = random.Random(11)
+        replies = ["".join(rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 30))) for _ in range(5000)]
+        fenced = [reply for reply in replies if self.REGEX.search(reply)]
+        assert len(fenced) >= 400, "too few replies hold a fence for the comparison to mean much"
+        assert [extract_rules_block(r) for r in replies] == [self.regex_block(r) for r in replies]

@@ -9,6 +9,12 @@ import pytest
 from intentguard import engine
 from intentguard.dsl import (
     Constant,
+    Constraint,
+    ObjectiveRef,
+    Operator,
+    Rule,
+    Specification,
+    StatePredicate,
     check_specification,
     lexical_similarity,
     parse_specification,
@@ -116,6 +122,26 @@ class TestStaticCheckOnce:
         with pytest.raises(InvalidSpecification):
             Session(reservation_spec, groceries_schema, CLOCK)
         assert [schema for _, schema in check_calls] == [groceries_schema]
+
+    def test_a_list_handed_to_a_checked_spec_cannot_change_it(self, reservation_spec, restaurant_schema):
+        """The syntax tree keeps tuples whatever it was built from, so a list
+        its builder still holds cannot outgrow a clean check."""
+        rules = list(reservation_spec.rules)
+        spec = Specification(rules)
+        assert check_specification(spec, restaurant_schema) == []
+        rules.append(parse_specification("Nowhere(x = 1) -> Done").rules[0])
+        session = Session(spec, restaurant_schema, CLOCK)
+        trace = trace_fixture("restaurant", "traces", "happy_path.jsonl", schema=restaurant_schema)
+        assert session.submit_action(trace.events[0]).kind is VerdictKind.ALLOW
+        assert spec == reservation_spec
+
+    def test_every_syntax_tree_container_is_a_tuple(self):
+        constraint = Constraint("x", Operator.EQ, Constant.number(1))
+        predicate = StatePredicate("S", [constraint])
+        rule = Rule([predicate, ObjectiveRef("A")], "Done")
+        spec = Specification([rule])
+        assert type(predicate.constraints) is tuple and type(rule.predicates) is tuple and type(spec.rules) is tuple
+        assert spec == Specification((Rule((StatePredicate("S", (constraint,)), ObjectiveRef("A")), "Done"),))
 
     def test_the_record_takes_no_part_in_equality(self, reservation_spec, restaurant_schema):
         fresh = parse_specification(render_specification(reservation_spec))
