@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from pathlib import Path
 
 
@@ -28,7 +27,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     any error the fresh file is removed and the target is left as it was.
     """
     target = Path(path)
-    temporary = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    temporary = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:

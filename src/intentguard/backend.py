@@ -4,6 +4,9 @@ Two backends share one duck-typed contract: ``complete(role, system_prompt,
 user_prompt) -> str``.  The scripted mock replays fixture files and keeps
 tests fully offline; the HTTP client speaks the common chat-completions JSON
 shape.  Only encoding calls a backend: verification is pure rule evaluation.
+``requests`` is imported only when the HTTP backend sends its first request:
+``verify``, ``schema lint``, the mock backend and the library's verify path
+never load it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import threading
 import time
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 from ._files import parse_json
 
@@ -127,6 +128,8 @@ class HttpBackend:
         if self.seed is not None:
             payload["seed"] = self.seed
         headers = self._headers()
+        import requests
+
         for attempt in range(HTTP_RETRIES + 1):
             if attempt:
                 _sleep(RETRY_DELAY_S * 2 ** (attempt - 1))

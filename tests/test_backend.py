@@ -92,7 +92,7 @@ class TestHttpBackend:
                 raise reply
             return reply
 
-        monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         return posts
 
     @pytest.mark.parametrize("status", [429, 500, 503])
@@ -158,7 +158,7 @@ class TestHttpBackend:
             captured.update(url=url, headers=headers, payload=json, timeout=timeout)
             return FakeResponse(payload={"choices": [{"message": {"content": "hello"}}]})
 
-        monkeypatch.setattr(backend_mod.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         backend = self.make()
         assert backend.complete("encoder", "sys", "user") == "hello"
         assert captured["url"].endswith("/chat/completions")
@@ -169,16 +169,14 @@ class TestHttpBackend:
         monkeypatch.setenv("FAKE_KEY", "k")
         def raise_timeout(*args, **kwargs):
             raise requests.Timeout("too slow")
-        monkeypatch.setattr(backend_mod.requests, "post", raise_timeout)
+        monkeypatch.setattr(requests, "post", raise_timeout)
         with pytest.raises(BackendError) as exc_info:
             self.make().complete("encoder", "", "")
         assert exc_info.value.category == "timeout"
 
     def test_http_error_category(self, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "k")
-        monkeypatch.setattr(
-            backend_mod.requests, "post", lambda *a, **k: FakeResponse(status_code=500, text="boom")
-        )
+        monkeypatch.setattr(requests, "post", lambda *a, **k: FakeResponse(status_code=500, text="boom"))
         with pytest.raises(BackendError) as exc_info:
             self.make().complete("encoder", "", "")
         assert exc_info.value.category == "http"

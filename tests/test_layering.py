@@ -6,11 +6,16 @@ which alone decodes JSON."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "intentguard"
+RESTAURANT = SOURCE.parent.parent / "fixtures" / "restaurant"
 VERIFY_PATH = ["dsl.py", "schema.py", "engine.py", "feedback.py", "trace.py"]
 FORBIDDEN = ("intentguard.backend", "requests")
 
@@ -39,6 +44,39 @@ def test_verify_path_never_imports_a_backend(module):
     }
     assert not reached, f"{module} imports {sorted(reached)}"
 
+
+#: What a process that never calls a model must never load: the HTTP client
+#: and OpenSSL's hash bindings.  ``certifi`` is left out, since a ``.pth``
+#: file in some environments imports it at interpreter start.
+NEVER_LOADED = ("requests", "urllib3", "_hashlib")
+
+LOADS_PROBE = """
+import json, sys
+from intentguard import BackendError, HttpBackend
+from intentguard.cli import main
+try:
+    HttpBackend("http://localhost:1", "model", api_key_env="INTENTGUARD_UNSET_KEY").complete("encoder", "", "")
+except BackendError as exc:
+    assert exc.category == "config", exc
+spec, schema, trace = sys.argv[1:]
+main(["verify", "--spec", spec, "--schema", schema, "--trace", trace], standalone_mode=False)
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] in {names})))
+"""
+
+
+def test_verify_process_never_loads_the_http_client():
+    # the import-statement check above sees each module alone; this one sees
+    # the running process, the package __init__ and the CLI included.  An
+    # HTTP backend with no API key fails before it loads anything
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    env.pop("INTENTGUARD_UNSET_KEY", None)
+    probe = LOADS_PROBE.format(names=NEVER_LOADED)
+    paths = [RESTAURANT / "reservation.vsa", RESTAURANT / "schema.json", RESTAURANT / "traces" / "happy_path.jsonl"]
+    run = subprocess.run([sys.executable, "-c", probe, *map(str, paths)],
+                         env=env, capture_output=True, text=True, check=True)
+    lines = run.stdout.splitlines()
+    assert json.loads(lines[-2])["kind"] == "task_done"
+    assert json.loads(lines[-1]) == []
 
 
 def intentguard_imports(module: str) -> set[str]:
