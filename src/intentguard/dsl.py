@@ -28,21 +28,11 @@ from decimal import Decimal
 from enum import Enum
 from typing import Callable, Union
 
-from .schema import ConstKind, StateSchema, VarType
+from .schema import _BOOLEAN, _DATE, _ENUM, _NUMBER, _TEXT, _TEXT_LIST, _TIME, ConstKind, StateSchema, VarType
 
 DONE = "Done"
 TODAY = "Today"
 
-
-#: Each kind bound once.  On CPython 3.10 and 3.11 a ``ConstKind.X`` load runs
-#: through ``EnumType.__getattr__`` at about fifteen times the cost of a module
-#: global, and the reader, the checker, the printer and the evaluator branch on
-#: kinds once per constraint, so functions here read these names instead
-#: (``tests/test_member_loads.py`` keeps it so).
-_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM, _TEXT_LIST = (
-    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.ENUM,
-    ConstKind.TEXT_LIST,
-)
 
 #: The variable kinds each family of operators applies to; a list is only ever a constant.
 _DECLARABLE = (_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM)
@@ -154,10 +144,6 @@ class Constant:
     @staticmethod
     def text_list(items: tuple[str, ...] | list[str]) -> "Constant":
         return Constant(_TEXT_LIST, tuple(items))
-
-    @property
-    def is_today(self) -> bool:
-        return self.kind is _DATE and self.value == TODAY
 
 
 _set_kind, _set_value = Constant.kind.__set__, Constant.value.__set__
@@ -294,8 +280,17 @@ _TOKEN_PATTERN = re.compile(
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r'\\(["\\])')
-#: Token kinds whose matched text is already the token's text.
-_PLAIN_KINDS = frozenset({"DATE", "TIME", "LPAREN", "RPAREN", "LBRACKET", "RBRACKET", "COMMA"})
+
+
+def _unquote(literal: str) -> str:
+    text = literal[1:-1]
+    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
+
+
+def _letter_first(name: str) -> bool:
+    # \w also takes numerics that are not letters (², ½): they may continue a
+    # name but not start one
+    return name[0].isalpha() or name[0] == "_"
 
 
 def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
@@ -311,19 +306,13 @@ def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
         text = match[kind]
         start = match.start(kind)
         column = start - offset
-        if kind in _PLAIN_KINDS:
-            pass
-        elif kind == "IDENT":
+        if kind == "IDENT":
             if text == "not":
                 raise SpecSyntaxError("'not' is only valid as part of 'not in'", lineno, column, ("not in",))
-            # \w also takes numerics that are not letters (², ½): they may
-            # continue an identifier but not start one
-            if not (text[0].isalpha() or text[0] == "_"):
+            if not _letter_first(text):
                 raise SpecSyntaxError(f"unexpected character {text[0]!r}", lineno, column)
         elif kind == "STRING":
-            text = text[1:-1]
-            if "\\" in text:
-                text = _ESCAPE.sub(r"\1", text)
+            text = _unquote(text)
         elif kind == "NUMBER":
             if text[-1] == ".":
                 raise SpecSyntaxError("malformed number", lineno, column, ("digit",))
@@ -506,15 +495,6 @@ _READ_CONSTRAINT = re.compile(
     re.VERBOSE,
 )
 _STRING = re.compile(_STRING_SHAPE)
-
-
-def _unquote(literal: str) -> str:
-    text = literal[1:-1]
-    return _ESCAPE.sub(r"\1", text) if "\\" in text else text
-
-
-def _letter_first(name: str) -> bool:
-    return name[0].isalpha() or name[0] == "_"
 
 
 def _read_rule(line: str, lineno: int, memo: dict[tuple, Constraint]) -> Rule | None:
@@ -894,6 +874,13 @@ class PredicateStatus(str, Enum):
     SATISFIED = "satisfied"
     UNSATISFIED = "unsatisfied"
     INDETERMINATE = "indeterminate"
+
+
+#: Bound once, as the kinds are in ``schema``; ``engine`` and ``feedback``
+#: import these.
+_SATISFIED, _UNSATISFIED, _INDETERMINATE = (
+    PredicateStatus.SATISFIED, PredicateStatus.UNSATISFIED, PredicateStatus.INDETERMINATE
+)
 
 
 class EvalTypeError(TypeError):

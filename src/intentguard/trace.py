@@ -29,26 +29,18 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from ._files import parse_json, write_text_atomic
-from .dsl import TODAY, Constant, ConstKind, Specification, read_literal, render_constant
+from .dsl import TODAY, Constant, Specification, read_literal, render_constant
 from .engine import (
+    _TASK_DONE,
     ActionEvent,
     Session,
     StateUpdate,
     TraceError,
     Verdict,
-    VerdictKind,
     declared_type,
     validate_event,
 )
-from .schema import StateSchema, VarType
-
-# Bound once: every value of every event branches on its kind, and on CPython
-# 3.10 and 3.11 a module global loads far faster than an Enum member.
-_TEXT, _NUMBER, _BOOLEAN, _DATE, _TIME, _ENUM, _TEXT_LIST = (
-    ConstKind.TEXT, ConstKind.NUMBER, ConstKind.BOOLEAN, ConstKind.DATE, ConstKind.TIME, ConstKind.ENUM,
-    ConstKind.TEXT_LIST,
-)
-_TASK_DONE = VerdictKind.TASK_DONE
+from .schema import _BOOLEAN, _DATE, _ENUM, _NUMBER, _TEXT, _TEXT_LIST, _TIME, StateSchema, VarType
 
 
 class TraceParseError(ValueError):

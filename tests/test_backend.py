@@ -127,6 +127,7 @@ class TestHttpBackend:
             (FakeResponse(payload={"choices": [{"message": {"content": None}}]}), "protocol"),
             # nested past the recursion limit: malformed, not a RecursionError
             (FakeResponse(text="[" * 100_000 + "]" * 100_000), "protocol"),
+            (FakeResponse(payload={"choices": []}), "protocol"),
         ],
     )
     def test_other_failures_are_not_retried(self, monkeypatch, sleeps, reply, category):

@@ -175,14 +175,18 @@ class TestRender:
             assert parse_specification(render_specification(spec)) == spec
 
     @pytest.mark.parametrize(
-        "constant, operator",
-        [(Constant.text("a\nb"), Operator.EQ), (Constant.text_list(["a", "b\nc"]), Operator.IN)],
-        ids=["text", "text-list"],
+        "constant, operator, before",
+        [
+            (Constant.text("a\nb"), Operator.EQ, ()),
+            (Constant.text_list(["a", "b\nc"]), Operator.IN, ()),
+            (Constant.text("a\nb"), Operator.EQ, (ObjectiveRef("A"),)),
+        ],
+        ids=["text", "text-list", "after-objective"],
     )
-    def test_a_line_break_in_a_text_constant_is_refused(self, constant, operator):
+    def test_a_line_break_in_a_text_constant_is_refused(self, constant, operator, before):
         # the language has no escape for a line break, so no line could read it back
         predicate = StatePredicate("S", (Constraint("y", Operator.EQ, Constant.text("ok")), Constraint("x", operator, constant)))
-        spec = Specification((Rule((predicate,), "Done"),))
+        spec = Specification((Rule(before + (predicate,), "Done"),))
         with pytest.raises(ValueError, match=r"^S\.x: a "):
             render_specification(spec)
 

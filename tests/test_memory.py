@@ -125,8 +125,10 @@ class TestRetrieve:
             ("Réserve le café, Straße 5", unicodedata.normalize("NFD", "RÉSERVE LE CAFÉ, STRASSE 5"), 1.0),
             # "_" separates words, as it did when words were ASCII only
             ("restaurant_R booking", "restaurant R", 2 / 3),
+            # a query of no words overlaps nothing: each triple scores its entry count alone
+            ("restaurant R booking", "!!!", 0.0),
         ],
-        ids=["korean", "accented", "underscore"],
+        ids=["korean", "accented", "underscore", "no-words"],
     )
     def test_words_of_any_script_overlap(self, reservation_spec, stored, query, overlap):
         memory = PredicateMemory()

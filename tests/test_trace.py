@@ -445,6 +445,12 @@ class TestWrite:
             event_to_dict(event)
         assert str(info.value) == f"Cart.quantity: {value} is not a finite number"
 
+    def test_text_list_value_is_not_written(self):
+        # a list is only ever a constant; no variable is declared as one
+        event = ActionEvent("e1", "pre", (StateUpdate("Cart", {"items": Constant.text_list(["a", "b"])}),))
+        with pytest.raises(ValueError, match="^TextList values cannot appear in trace events$"):
+            event_to_dict(event)
+
 
 class TestReplay:
     def test_determinism_byte_identical_verdicts(self, reservation_spec, restaurant_schema):
