@@ -1,11 +1,27 @@
-"""The file boundary: one JSON decoder that every loader calls, and atomic
-replacement of a text file that every writer calls."""
+"""The file boundary: one reader and one JSON decoder that every loader
+calls, and atomic replacement of a text file that every writer calls."""
 
 from __future__ import annotations
 
 import json
 import os
 from pathlib import Path
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file at ``path``, with no newline translated.
+
+    Spec and trace lines end at ``\\n`` and take a ``\\r`` before it as a
+    blank, and JSON takes ``\\r`` as a blank, so a ``\\r\\n`` file reads the
+    same as a ``\\n`` one, while a lone ``\\r`` stays the ordinary character it
+    is in a Text constant.  An unreadable file raises its ``OSError``, and text
+    that is not UTF-8 a ``UnicodeDecodeError``.  The file is read in one
+    unbuffered call, past the buffer and newline layers of a text-mode read,
+    which cost more than the read itself on the small files a loader reads.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    return data.decode("utf-8")
 
 
 def parse_json(text: str) -> object:

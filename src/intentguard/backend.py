@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Protocol
 
-from ._files import parse_json
+from ._files import parse_json, read_text
 
 
 class BackendError(Exception):
@@ -62,7 +62,7 @@ class MockBackend:
 
     @classmethod
     def from_fixture(cls, path: str | Path) -> "MockBackend":
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         try:
             data = parse_json(text)
         except ValueError as exc:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from pathlib import Path
 
 import click
 
 from . import __version__
-from ._files import write_text_atomic
+from ._files import read_text, write_text_atomic
 from .backend import BackendError, HttpBackend, MockBackend
 from .dsl import check_specification, parse_specification, render_specification
 from .encoder import EncodeConfig, EncodeFailed, majority_encode
@@ -61,7 +60,7 @@ def _load_or_exit(what: str, load, path: str, *args):
 
 
 def _read_spec(path: str):
-    return parse_specification(Path(path).read_text(encoding="utf-8"))
+    return parse_specification(read_text(path))
 
 
 def _backend_options(fn):

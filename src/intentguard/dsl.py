@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import date, time
 from decimal import Decimal
 from enum import Enum
@@ -210,6 +210,23 @@ class Rule:
 
 
 _set_predicates, _set_conclusion, _set_line = Rule.predicates.__set__, Rule.conclusion.__set__, Rule.line.__set__
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ``dataclass(slots=True)`` builds a new class to hold the slots, but the
+# frozen ``__setattr__`` and ``__delattr__`` it generated still name the class
+# from before, so a name that is not a field fell through to ``super()`` and
+# raised ``TypeError``.  A node refuses every name with the dataclass's own
+# error; the ``__init__``s and pickling store through the slots directly.
+for _node in (Constant, Constraint, StatePredicate, ObjectiveRef, Rule):
+    _node.__setattr__, _node.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._files import parse_json
+from ._files import parse_json, read_text
 from .backend import Backend, MockBackend
 from .dsl import Specification, parse_specification
 from .encoder import EncodeConfig, encode, majority_verify
@@ -122,7 +122,7 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
     # listing, not globbing, so that a missing path or a file raises its own OSError
     for path in sorted(p for p in Path(cases_dir).iterdir() if p.name.endswith(".json")):
         try:
-            data = parse_json(path.read_text(encoding="utf-8"))
+            data = parse_json(read_text(path))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
         if not isinstance(data, dict):
@@ -162,7 +162,7 @@ def _case_verdict(
 ) -> tuple[bool, Specification | None]:
     """Returns (passed, spec-that-drove-a-completed-replay-or-None)."""
     if case.spec_path is not None:
-        spec = parse_specification(case.spec_path.read_text(encoding="utf-8"))
+        spec = parse_specification(read_text(case.spec_path))
         done = replay(spec, schema, trace).done
         return done, spec if done else None
 

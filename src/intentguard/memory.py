@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._files import parse_json, write_text_atomic
+from ._files import parse_json, read_text, write_text_atomic
 from .dsl import Specification, StatePredicate, render_specification
 
 
@@ -175,7 +175,7 @@ class PredicateMemory:
 
     @classmethod
     def load(cls, path: str | Path) -> "PredicateMemory":
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
         try:
             data = parse_json(text)
         except ValueError as exc:

@@ -32,7 +32,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from ._files import parse_json, write_text_atomic
+from ._files import parse_json, read_text, write_text_atomic
 
 
 class ConstKind(Enum):
@@ -148,48 +148,53 @@ def parse_var_type(text: str) -> VarType | None:
     return None
 
 
-def _parse_variables(raw: object, path: str, issues: list[SchemaIssue]) -> dict[str, VarType]:
-    entries: list[tuple[str, object]] = []
-    if isinstance(raw, dict):
-        entries = list(raw.items())
-    elif isinstance(raw, list):
-        for i, item in enumerate(raw):
-            if not isinstance(item, dict) or len(item) != 1:
-                issues.append(
-                    SchemaIssue(f"{path}[{i}]", "BAD_VARIABLE", "expected a single-key object like {\"name\": \"Text\"}")
-                )
-                continue
-            entries.append(next(iter(item.items())))
-    else:
-        issues.append(SchemaIssue(path, "BAD_VARIABLE", "expected a list of single-key objects or an object"))
+def _parse_variables(
+    raw: object, state: int, issues: list[SchemaIssue], types: dict[str, VarType | None]
+) -> dict[str, VarType]:
+    """The variables of ``states[state]``, in one pass over ``raw``.
+
+    ``types`` maps each type text already read in this load to its
+    :class:`VarType`, so repeats share one parsed object.  A list entry of the
+    wrong shape is reported as it is met; issues of names and types wait for
+    the end, after every shape issue, and an issue's path is built only when
+    it is reported.
+    """
+    listed = isinstance(raw, list)
+    if not listed and not isinstance(raw, dict):
+        issues.append(SchemaIssue(f"states[{state}].variables", "BAD_VARIABLE",
+                                  "expected a list of single-key objects or an object"))
         return {}
 
     variables: dict[str, VarType] = {}
-    for name, type_text in entries:
-        var_path = f"{path}.{name}"
+    late: list[SchemaIssue] = []
+    for i, entry in enumerate(raw if listed else raw.items()):
+        if listed:
+            if not isinstance(entry, dict) or len(entry) != 1:
+                issues.append(SchemaIssue(f"states[{state}].variables[{i}]", "BAD_VARIABLE",
+                                          "expected a single-key object like {\"name\": \"Text\"}"))
+                continue
+            [entry] = entry.items()
+        name, type_text = entry
         if not isinstance(name, str) or not _IDENT_RE.match(name):
-            issues.append(SchemaIssue(var_path, "BAD_VARIABLE", f"variable name {name!r} is not an identifier"))
-            continue
-        if name in variables:
-            issues.append(SchemaIssue(var_path, "DUPLICATE_VARIABLE", f"variable '{name}' declared twice"))
-            continue
-        if not isinstance(type_text, str):
-            issues.append(SchemaIssue(var_path, "UNKNOWN_TYPE", f"type must be a string, got {type_text!r}"))
-            continue
-        var_type = parse_var_type(type_text)
-        if var_type is None:
-            issues.append(
-                SchemaIssue(
-                    var_path,
-                    "UNKNOWN_TYPE",
-                    f"unknown type {type_text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]",
-                )
-            )
-            continue
-        if var_type.kind is _ENUM and not var_type.variants:
-            issues.append(SchemaIssue(var_path, "EMPTY_ENUM", "an Enum type needs at least one variant"))
-            continue
-        variables[name] = var_type
+            problem = "BAD_VARIABLE", f"variable name {name!r} is not an identifier"
+        elif name in variables:
+            problem = "DUPLICATE_VARIABLE", f"variable '{name}' declared twice"
+        elif not isinstance(type_text, str):
+            problem = "UNKNOWN_TYPE", f"type must be a string, got {type_text!r}"
+        else:
+            var_type = types.get(type_text)
+            if var_type is None:
+                var_type = types[type_text] = parse_var_type(type_text)
+            if var_type is None:
+                problem = ("UNKNOWN_TYPE",
+                           f"unknown type {type_text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]")
+            elif var_type.kind is _ENUM and not var_type.variants:
+                problem = "EMPTY_ENUM", "an Enum type needs at least one variant"
+            else:
+                variables[name] = var_type
+                continue
+        late.append(SchemaIssue(f"states[{state}].variables.{name}", *problem))
+    issues += late
     return variables
 
 
@@ -215,28 +220,28 @@ def schema_from_dict(data: object) -> StateSchema:
         raw_states = []
 
     seen_names: set[str] = set()
+    types: dict[str, VarType | None] = {}
     for i, raw in enumerate(raw_states):
-        path = f"states[{i}]"
         if not isinstance(raw, dict):
-            issues.append(SchemaIssue(path, "BAD_STATE", "expected an object"))
+            issues.append(SchemaIssue(f"states[{i}]", "BAD_STATE", "expected an object"))
             continue
         name = raw.get("name")
         if not isinstance(name, str) or not _IDENT_RE.match(name):
-            issues.append(SchemaIssue(f"{path}.name", "BAD_STATE", f"state name {name!r} is not an identifier"))
+            issues.append(SchemaIssue(f"states[{i}].name", "BAD_STATE", f"state name {name!r} is not an identifier"))
             continue
         if name in seen_names:
-            issues.append(SchemaIssue(f"{path}.name", "DUPLICATE_STATE", f"state '{name}' declared twice"))
+            issues.append(SchemaIssue(f"states[{i}].name", "DUPLICATE_STATE", f"state '{name}' declared twice"))
             continue
         seen_names.add(name)
         description = raw.get("description", "")
         if not isinstance(description, str):
-            issues.append(SchemaIssue(f"{path}.description", "BAD_STATE", "description must be a string"))
+            issues.append(SchemaIssue(f"states[{i}].description", "BAD_STATE", "description must be a string"))
             description = ""
-        variables = _parse_variables(raw.get("variables", []), f"{path}.variables", issues)
+        variables = _parse_variables(raw.get("variables", []), i, issues, types)
         if not variables:
-            issues.append(SchemaIssue(f"{path}.variables", "NO_VARIABLES", f"state '{name}' declares no variables"))
+            issues.append(SchemaIssue(f"states[{i}].variables", "NO_VARIABLES", f"state '{name}' declares no variables"))
             continue
-        states.append(StateDef(name=name, description=description, variables=variables))
+        states.append(StateDef(name, description, variables))
 
     if issues:
         raise SchemaError(issues)
@@ -245,7 +250,7 @@ def schema_from_dict(data: object) -> StateSchema:
 
 def load_schema(path: str | Path) -> StateSchema:
     """Load and validate a schema JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         data = parse_json(text)
     except ValueError as exc:

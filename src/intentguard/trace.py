@@ -28,7 +28,7 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from ._files import parse_json, write_text_atomic
+from ._files import parse_json, read_text, write_text_atomic
 from .dsl import TODAY, Constant, Specification, read_literal, render_constant
 from .engine import (
     _TASK_DONE,
@@ -227,7 +227,7 @@ def parse_trace(text: str, schema: StateSchema) -> Trace:
 
 
 def load_trace(path: str | Path, schema: StateSchema) -> Trace:
-    return parse_trace(Path(path).read_text(encoding="utf-8"), schema)
+    return parse_trace(read_text(path), schema)
 
 
 def event_to_dict(event: ActionEvent) -> dict:

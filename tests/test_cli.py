@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from intentguard import __version__
+from intentguard import __version__, parse_specification
+from intentguard._files import read_text, write_text_atomic
 from intentguard.cli import main
 
 from conftest import FIXTURES
@@ -139,6 +140,21 @@ class TestVerify:
         args = ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(RESTAURANT / "traces" / "happy_path.jsonl")]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    def test_crlf_inputs_give_the_same_verdict_stream(self, runner, tmp_path):
+        # every input is read with no newline translation; a \r before \n is a
+        # blank to the spec reader, the trace reader and JSON alike
+        trace = RESTAURANT / "traces" / "happy_path.jsonl"
+        copies = []
+        for original in (Path(SPEC), Path(SCHEMA), trace):
+            copy = tmp_path / original.name
+            copy.write_bytes(original.read_bytes().replace(b"\n", b"\r\n"))
+            assert b"\r\n" in copy.read_bytes()
+            copies.append(str(copy))
+        lf = runner.invoke(main, ["verify", "--spec", SPEC, "--schema", SCHEMA, "--trace", str(trace)])
+        crlf = runner.invoke(main, ["verify", "--spec", copies[0], "--schema", copies[1], "--trace", copies[2]])
+        assert (crlf.exit_code, lf.exit_code) == (0, 0)
+        assert crlf.stdout_bytes == lf.stdout_bytes
+
     @pytest.mark.parametrize("app, spec, trace, exit_code", GOLDEN_CASES)
     def test_verdict_stream_matches_golden(self, runner, app, spec, trace, exit_code):
         """``tests/golden/<app>_<trace>.jsonl`` holds the stdout recorded
@@ -245,6 +261,18 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--spec", SPEC, "--schema", SCHEMA])
         assert result.exit_code == 0
         assert "no findings" in result.output
+
+    def test_a_lone_carriage_return_in_a_text_constant_is_kept(self, runner, tmp_path):
+        # a lone \r is an ordinary character, so it stays inside the string
+        # literal; a newline-translating read would end the line there
+        text = 'RestaurantInfo(name = "A\rB") -> Done\n'
+        spec = tmp_path / "cr.vsa"
+        write_text_atomic(spec, text)
+        assert spec.read_bytes() == text.encode()
+        result = runner.invoke(main, ["check", "--spec", str(spec), "--schema", SCHEMA])
+        assert (result.exit_code, result.output) == (0, "no findings\n")
+        assert parse_specification(read_text(spec)) == parse_specification(text)
+        assert parse_specification(text).rules[0].predicates[0].constraints[0].constant.value == "A\rB"
 
     def test_findings_exit_two(self, runner, tmp_path):
         bad = tmp_path / "bad.vsa"

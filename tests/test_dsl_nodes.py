@@ -98,13 +98,25 @@ def test_assignment_raises_frozen_instance_error():
         field = dataclasses.fields(node)[0].name
         raises(dataclasses.FrozenInstanceError, setattr, node, field, None)
         raises(dataclasses.FrozenInstanceError, delattr, node, field)
-        # slotted: no per-instance dict, so no other name can be set either;
-        # the frozen ``__setattr__`` the dataclass generates refers to the
-        # class before slots were added, and raises TypeError for such a name
-        raises((AttributeError, TypeError), setattr, node, "note", None)
+        # slotted: no per-instance dict, and no other name can be set or
+        # deleted either, with the same error as a field
+        raises(dataclasses.FrozenInstanceError, setattr, node, "note", None)
+        raises(dataclasses.FrozenInstanceError, delattr, node, "note")
         assert not hasattr(node, "__dict__")
         # and no weak references
         raises(TypeError, weakref.ref, node)
+
+
+def test_refusals_keep_the_dataclass_messages():
+    for node in (ObjectiveRef("A"), Constant.number(1), Rule((ObjectiveRef("A"),), "Done", 3)):
+        for name in (dataclasses.fields(node)[0].name, "note"):
+            for verb, act in (("assign to", lambda: setattr(node, name, None)), ("delete", lambda: delattr(node, name))):
+                try:
+                    act()
+                except dataclasses.FrozenInstanceError as exc:
+                    assert str(exc) == f"cannot {verb} field {name!r}", exc
+                else:
+                    raise AssertionError(f"{verb} {name} on {node!r} did not raise")
 
 
 def test_rule_line_takes_no_part_in_equality_or_hash():

@@ -1,7 +1,7 @@
 """The verify path is pure rule evaluation: no module it runs through may
 reach a completion backend or the HTTP client.  The schema module is the
 bottom layer: it imports no other intentguard module but the file boundary,
-which alone decodes JSON."""
+which alone reads input files and decodes JSON."""
 
 from __future__ import annotations
 
@@ -88,7 +88,8 @@ def test_schema_is_the_bottom_layer():
     # ConstKind lives in schema.py so every other module can import it from
     # below; its only dependency is the file boundary, which depends on nothing
     assert intentguard_imports("schema.py") <= {
-        "intentguard._files", "intentguard._files.parse_json", "intentguard._files.write_text_atomic"
+        "intentguard._files", "intentguard._files.parse_json", "intentguard._files.read_text",
+        "intentguard._files.write_text_atomic",
     }
     assert intentguard_imports("_files.py") == set()
 
@@ -135,3 +136,73 @@ def test_only_the_file_boundary_decodes_json(module):
 
 def test_the_file_boundary_is_where_json_is_decoded():
     assert decoder_uses(ast.parse((SOURCE / "_files.py").read_text(encoding="utf-8")))
+
+
+READ_METHODS = {"read_text", "read_bytes"}
+#: The one read outside the file boundary: the encoder's prompt templates,
+#: package data read through ``importlib.resources``, not a user's input.
+PACKAGE_DATA_READS = {("encoder.py", "_prompt")}
+
+
+def _reads_in_read_mode(call: ast.Call) -> bool:
+    """Whether a builtin ``open`` call may read: no mode, a mode that is not a
+    constant, or a constant one with ``r`` or ``+``."""
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return True
+    return not isinstance(mode, ast.Constant) or not isinstance(mode.value, str) or bool(set(mode.value) & set("r+"))
+
+
+def file_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every ``.read_text(``, ``.read_bytes(`` and read-mode ``open(`` or
+    ``io.open(`` call, each with the function it sits in ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                is_open = (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr == "open"
+                    and isinstance(func.value, ast.Name) and func.value.id == "io")
+                if (isinstance(func, ast.Attribute) and func.attr in READ_METHODS) or (
+                        is_open and _reads_in_read_mode(child)):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, "")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["Path(p).read_text(encoding='utf-8')", "p.read_bytes()", "open(p)", "open(p, 'rb', buffering=0)",
+     "open(p, mode='r')", "open(p, 'w+')", "open(p, mode)", "io.open(p)", "def f():\n    with open(p) as h: pass"],
+)
+def test_file_reads_sees_every_read(source):
+    assert file_reads(ast.parse(source))
+
+
+@pytest.mark.parametrize("source", ["open(fd, 'w', encoding='utf-8')", "open(p, mode='ab')", "os.open(p, flags)",
+                                    "handle.read()", "p.write_text(t)"])
+def test_file_reads_passes_over_writes_and_other_calls(source):
+    assert not file_reads(ast.parse(source))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py") if p.name != "_files.py"))
+def test_only_the_file_boundary_reads_files(module):
+    # _files.read_text is the one reader: UTF-8, with no newline translated,
+    # so a lone \r in a spec reaches the parser as the character it is
+    reads = [(function, line) for function, line in file_reads(ast.parse((SOURCE / module).read_text(encoding="utf-8")))
+             if (module, function) not in PACKAGE_DATA_READS]
+    assert not reads, f"{module} reads a file itself at {reads}"
+
+
+def test_the_file_boundary_has_one_read():
+    assert [function for function, _ in file_reads(ast.parse((SOURCE / "_files.py").read_text(encoding="utf-8")))] \
+        == ["read_text"]
+    encoder = file_reads(ast.parse((SOURCE / "encoder.py").read_text(encoding="utf-8")))
+    assert [function for function, _ in encoder] == ["_prompt"]
