@@ -657,6 +657,7 @@ def render_constant(constant: Constant) -> str:
 
 
 def render_predicate(predicate: Predicate) -> str:
+    """The predicate as :func:`render_rule` writes it; for diagnostics."""
     if isinstance(predicate, ObjectiveRef):
         return predicate.objective_name
     # ``_value_`` is the member's plain attribute; ``.value`` is a descriptor
@@ -666,28 +667,54 @@ def render_predicate(predicate: Predicate) -> str:
     return f"{predicate.state_name}({inner})"
 
 
+def _render_lines(rules: tuple[Rule, ...]) -> list[str]:
+    """Each rule's spec line, in one flat pass: a constraint node the parse
+    shared between equal spellings is rendered once, keyed by its identity,
+    which cannot be reused while ``rules`` holds every node."""
+    texts: dict[int, str] = {}
+    known = texts.get
+    lines = []
+    for rule in rules:
+        parts = []
+        for pred in rule.predicates:
+            if isinstance(pred, ObjectiveRef):
+                parts.append(pred.objective_name)
+                continue
+            inner = []
+            for c in pred.constraints:
+                text = known(id(c))
+                if text is None:
+                    # spelled as in render_predicate, but inline: a call per
+                    # distinct constraint gave back about a tenth of the saving
+                    text = texts[id(c)] = f"{c.variable} {c.operator._value_} {render_constant(c.constant)}"
+                inner.append(text)
+            parts.append(f"{pred.state_name}({', '.join(inner)})")
+        body = " & ".join(parts)
+        if "\n" in body:
+            for pred in rule.predicates:
+                if isinstance(pred, ObjectiveRef):
+                    continue
+                for c in pred.constraints:
+                    if c.constant.kind in (_TEXT, _TEXT_LIST) and "\n" in render_constant(c.constant):
+                        raise ValueError(
+                            f"{pred.state_name}.{c.variable}: a {c.constant.kind.value} constant holding a "
+                            "line break cannot be written as a spec line"
+                        )
+        lines.append(f"{body} -> {rule.conclusion}")
+    return lines
+
+
 def render_rule(rule: Rule) -> str:
     """The rule's spec line.  ``ValueError``, naming the variable, for a Text
     or Text-list constant holding ``\n``: the language has no escape for it,
     so the line could not be read back."""
-    body = " & ".join([render_predicate(p) for p in rule.predicates])
-    if "\n" in body:
-        for pred in rule.predicates:
-            if isinstance(pred, ObjectiveRef):
-                continue
-            for c in pred.constraints:
-                if c.constant.kind in (_TEXT, _TEXT_LIST) and "\n" in render_constant(c.constant):
-                    raise ValueError(
-                        f"{pred.state_name}.{c.variable}: a {c.constant.kind.value} constant holding a "
-                        "line break cannot be written as a spec line"
-                    )
-    return f"{body} -> {rule.conclusion}"
+    return _render_lines((rule,))[0]
 
 
 def render_specification(spec: Specification) -> str:
     """Deterministic canonical rendering; parse(render(s)) equals s
     structurally.  ``ValueError`` as :func:`render_rule` gives it."""
-    return "\n".join([render_rule(r) for r in spec.rules]) + "\n"
+    return "\n".join(_render_lines(spec.rules)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +883,12 @@ def _find_objective_cycle(edges: dict[str, set[str]]) -> list[str] | None:
     objectives its rules reference, as a path that ends where it starts."""
     # Depth-first, dependencies in sorted order, with explicit stacks so a
     # long precedence chain cannot exhaust the interpreter's recursion limit.
+    # An objective with no prerequisite cannot lie on a cycle, so it gets no
+    # entry and ``color.get(dep, BLACK)`` takes it as finished: a search from
+    # it would end at once and reach nothing.
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in edges}
-    for root in sorted(edges):
+    color = {name: WHITE for name, deps in edges.items() if deps}
+    for root in sorted(color):
         if color[root] != WHITE:
             continue
         color[root] = GREY

@@ -133,7 +133,7 @@ class SchemaError(ValueError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def parse_var_type(text: str) -> VarType | None:
@@ -175,7 +175,7 @@ def _parse_variables(
                 continue
             [entry] = entry.items()
         name, type_text = entry
-        if not isinstance(name, str) or not _IDENT_RE.match(name):
+        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
             problem = "BAD_VARIABLE", f"variable name {name!r} is not an identifier"
         elif name in variables:
             problem = "DUPLICATE_VARIABLE", f"variable '{name}' declared twice"
@@ -226,7 +226,7 @@ def schema_from_dict(data: object) -> StateSchema:
             issues.append(SchemaIssue(f"states[{i}]", "BAD_STATE", "expected an object"))
             continue
         name = raw.get("name")
-        if not isinstance(name, str) or not _IDENT_RE.match(name):
+        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
             issues.append(SchemaIssue(f"states[{i}].name", "BAD_STATE", f"state name {name!r} is not an identifier"))
             continue
         if name in seen_names:

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from intentguard.dsl import DiagnosticCode, check_specification, parse_specification
+from intentguard.dsl import DiagnosticCode, _find_objective_cycle, check_specification, parse_specification
 from intentguard.schema import ConstKind, StateDef, StateSchema, VarType, schema_from_dict
 
 ENUM_SCHEMA = schema_from_dict(
@@ -216,3 +218,58 @@ class TestCheck:
             (DiagnosticCode.CYCLE, "objective precedence is cyclic: B -> C -> B", None, None),
         ]
         assert {code for code, *_ in found} == set(DiagnosticCode)
+
+
+def reference_objective_cycle(edges):
+    """The cycle search as it was before it started only from objectives with
+    a prerequisite: a depth-first search from every concluded objective."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {name: WHITE for name in edges}
+    for root in sorted(edges):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        pending = [iter(sorted(edges[root]))]
+        while pending:
+            for dep in pending[-1]:
+                state = color.get(dep, BLACK)
+                if state == GREY:
+                    return path[path.index(dep) :] + [dep]
+                if state == WHITE:
+                    color[dep] = GREY
+                    path.append(dep)
+                    pending.append(iter(sorted(edges[dep])))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
+    return None
+
+
+def precedence_graph(rng):
+    """Concluded objectives in shuffled order, most with no prerequisite; the
+    rest reference other objectives, themselves, or names no rule concludes,
+    and some hold a planted 2- or 3-cycle."""
+    names = rng.sample("ABCDEFGHIJKLMNOP", rng.randint(1, 12))
+    edges = {name: set() for name in names}
+    for name in names:
+        if rng.random() < 0.25:
+            edges[name].update(rng.sample(names + ["Unconcluded", "Zed"], rng.randint(1, 2)))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        loop = rng.sample(names, min(len(names), rng.choice((1, 2, 3))))
+        for name, dep in zip(loop, loop[1:] + loop[:1]):
+            edges[name].add(dep)
+    return edges
+
+
+def test_cycle_search_matches_the_search_from_every_objective():
+    rng = random.Random(26)
+    found = {True: 0, False: 0}
+    for _ in range(4000):
+        edges = precedence_graph(rng)
+        expected = reference_objective_cycle(edges)
+        assert _find_objective_cycle(edges) == expected, edges
+        found[expected is not None] += 1
+    # both outcomes are common, so neither branch is checked vacuously
+    assert min(found.values()) > 1000, found

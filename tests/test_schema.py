@@ -119,6 +119,21 @@ class TestLoad:
         issue = exc_info.value.issues[0]
         assert (issue.path, issue.code) == (path, code)
 
+    # a pattern ending in ``$`` also matches before one final ``\n``
+    def test_state_name_with_a_trailing_newline_is_not_an_identifier(self):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "a", "states": [{"name": "S\n", "variables": [{"x": "Text"}]}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == ("states[0].name", "BAD_STATE")
+        assert issue.message == "state name 'S\\n' is not an identifier"
+
+    def test_variable_name_with_a_trailing_newline_is_not_an_identifier(self):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "a", "states": [{"name": "S", "variables": [{"x\n": "Text"}, {"y": "Text"}]}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == ("states[0].variables.x\n", "BAD_VARIABLE")
+        assert issue.message == "variable name 'x\\n' is not an identifier"
+
     def test_enum_type_with_variants(self):
         schema = schema_from_dict(
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"pay": "Enum[Card, Cash]"}]}]}
