@@ -6,6 +6,8 @@ of agent state-update events against it before actions take effect, emitting
 structured roadmap/soft/hard feedback.
 """
 
+from importlib import import_module as _import_module
+
 from .backend import (
     Backend,
     BackendError,
@@ -51,26 +53,7 @@ from .engine import (
     VerdictKind,
     validate_event,
 )
-from .encoder import (
-    ConstraintRef,
-    DiffReport,
-    EncodeConfig,
-    EncodeFailed,
-    EncodeResult,
-    FinalVerdict,
-    MalformedVerdict,
-    SchemaMismatch,
-    TranscriptEntry,
-    decode_spec,
-    diff_specifications,
-    encode,
-    majority_encode,
-    majority_verify,
-    semantic_check,
-)
-from .evaluation import EvalCase, EvalReport, load_cases, run_eval
 from .feedback import FeedbackBundle, render_hard, render_soft
-from .memory import PredicateMemory, ScoredPredicate, used_predicates
 from .schema import (
     SchemaError,
     SchemaIssue,
@@ -85,3 +68,31 @@ from .schema import (
 from .trace import Trace, TraceHeader, TraceParseError, load_trace, parse_trace, replay, write_trace
 
 __version__ = "0.1.0"
+
+#: Public names of the modules that only encoding and evaluation run, by
+#: module.  Such a module is imported when one of its names is first read from
+#: the package (PEP 562), so that ``verify``, which never encodes, does not pay
+#: for importing it.  The name is then bound here, as an eager import would
+#: have bound it, and later reads do not come back to ``__getattr__``.
+_LAZY_MODULES = {
+    "encoder": (
+        "ConstraintRef", "DiffReport", "EncodeConfig", "EncodeFailed", "EncodeResult", "FinalVerdict",
+        "MalformedVerdict", "SchemaMismatch", "TranscriptEntry", "decode_spec", "diff_specifications", "encode",
+        "majority_encode", "majority_verify", "semantic_check",
+    ),
+    "evaluation": ("EvalCase", "EvalReport", "load_cases", "run_eval"),
+    "memory": ("PredicateMemory", "ScoredPredicate", "used_predicates"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_NAMES))

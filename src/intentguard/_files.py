@@ -24,9 +24,29 @@ def read_text(path: str | Path) -> str:
     return data.decode("utf-8")
 
 
+#: The json module's own scanner (its C one where built), and its blank run.
+#: The scanner keeps no state between calls: it clears its key memo on return.
+_scan_once = json.decoder.JSONDecoder().scan_once
+_blanks = json.decoder.WHITESPACE.match
+
+
 def parse_json(text: str) -> object:
     """Decode JSON ``text``.  Every decoder failure, an integer or nesting past
-    Python's limits included, is a ``ValueError`` with the decoder's message."""
+    Python's limits included, is a ``ValueError`` with the decoder's message.
+
+    Text that starts with a value and ends with nothing but JSON blanks after
+    it, as a trace line does, is decoded by one call of the scanner that
+    ``json.loads`` itself calls, past the wrappers ``json.loads`` adds around
+    it.  Everything else goes to ``json.loads``: a leading blank, a byte order
+    mark, data after the value, or any failure, so that ``json.loads`` alone
+    decides every error and its message.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+        if _blanks(text, end).end() == len(text):
+            return value
+    except Exception:
+        pass
     try:
         return json.loads(text)
     except RecursionError as exc:

@@ -8,6 +8,9 @@ Subcommands:
 * ``eval``        score a directory of labeled cases
 * ``schema lint`` validate a schema file
 
+The encoder, evaluation and memory modules are imported inside the commands
+that run them, so ``verify``, ``check`` and ``schema lint`` never load them.
+
 Exit codes: 0 on success (verify: task completed; check/lint: clean),
 2 when verification ends blocked/incomplete or checks found findings,
 1 on hard errors (unreadable files, parse failures, backend trouble).
@@ -24,10 +27,7 @@ from . import __version__
 from ._files import read_text, write_text_atomic
 from .backend import BackendError, HttpBackend, MockBackend
 from .dsl import check_specification, parse_specification, render_specification
-from .encoder import EncodeConfig, EncodeFailed, majority_encode
 from .engine import EngineError, InvalidSpecification
-from .evaluation import format_report_table, load_cases, run_eval
-from .memory import PredicateMemory
 from .schema import SchemaError, load_schema
 from .trace import load_trace, replay
 
@@ -110,6 +110,9 @@ def main() -> None:
 @_backend_options
 def cmd_encode(instruction, schema_path, memory_path, majority_n, max_iterations, out_path, log_path, **backend_kw):
     """Translate an instruction into a specification."""
+    from .encoder import EncodeConfig, EncodeFailed, majority_encode
+    from .memory import PredicateMemory
+
     schema = _load_or_exit("schema", load_schema, schema_path)
     backend = _make_backend(**backend_kw)
     memory = _load_or_exit("memory", PredicateMemory.load_or_empty, memory_path) if memory_path else None
@@ -201,6 +204,10 @@ def cmd_verify(spec_path, schema_path, trace_path):
 @_backend_options
 def cmd_eval(cases_dir, majority_n, memory_path, out_path, **backend_kw):
     """Run a labeled case set and print the metric table."""
+    from .encoder import EncodeConfig
+    from .evaluation import format_report_table, load_cases, run_eval
+    from .memory import PredicateMemory
+
     cases = _load_or_exit("cases", load_cases, cases_dir)
     if not cases:
         raise _fail(f"no case manifests (*.json) found in {cases_dir}")

@@ -55,6 +55,8 @@ from .dsl import (
     Predicate,
     PredicateStatus,
     Specification,
+    _refuse_assignment,
+    _refuse_deletion,
     check_specification,
     compile_constraint,
     evaluate_constraint,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
@@ -91,21 +93,52 @@ class UnknownObjective(EngineError):
         super().__init__(f"no rule concludes objective '{objective}'")
 
 
-@dataclass(frozen=True)
+# An event and its verdict are built once per event, so, like the syntax-tree
+# nodes in ``dsl``, they are slotted frozen dataclasses whose hand-written
+# ``__init__``s store each field through its slot's ``__set__``, bound once
+# below, and which refuse every assignment and deletion with the dataclass's
+# own error; equality and hashing are the generated ones.  The per-event
+# callers pass the fields by position: on CPython 3.11 a keyword call of an
+# ``__init__`` this small costs about half as much again.
+@dataclass(frozen=True, slots=True)
 class StateUpdate:
+    """One state's new variable values.  Slotted and frozen; it cannot be
+    hashed, since ``values`` is a dict."""
+
     state: str
     values: dict[str, Constant]
 
+    def __init__(self, state: str, values: dict[str, Constant]) -> None:
+        _set_state(self, state)
+        _set_values(self, values)
 
-@dataclass(frozen=True)
+
+_set_state, _set_values = StateUpdate.state.__set__, StateUpdate.values.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class ActionEvent:
     """One agent action's proposed effect: pre-action expectation or
-    post-action observation, plus an optional critical objective."""
+    post-action observation, plus an optional critical objective.  Slotted
+    and frozen; one that carries updates cannot be hashed."""
 
     action_id: str
     phase: str  # pre | post
     updates: tuple[StateUpdate, ...]
     critical: str | None = None
+
+    def __init__(self, action_id: str, phase: str, updates: tuple[StateUpdate, ...],
+                 critical: str | None = None) -> None:
+        _set_event_id(self, action_id)
+        _set_phase(self, phase)
+        _set_updates(self, updates)
+        _set_critical(self, critical)
+
+
+_set_event_id, _set_phase, _set_updates, _set_critical = (
+    ActionEvent.action_id.__set__, ActionEvent.phase.__set__, ActionEvent.updates.__set__,
+    ActionEvent.critical.__set__,
+)
 
 
 class VerdictKind(str, Enum):
@@ -115,12 +148,22 @@ class VerdictKind(str, Enum):
     TASK_DONE = "task_done"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
+    """The verdict on one event, with the feedback it carries.  Slotted and
+    frozen."""
+
     action_id: str
     kind: VerdictKind
     feedback: "feedback_mod.FeedbackBundle"
     achieved: tuple[str, ...] = ()
+
+    def __init__(self, action_id: str, kind: VerdictKind, feedback: "feedback_mod.FeedbackBundle",
+                 achieved: tuple[str, ...] = ()) -> None:
+        _set_verdict_id(self, action_id)
+        _set_verdict_kind(self, kind)
+        _set_feedback(self, feedback)
+        _set_achieved(self, achieved)
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,6 +172,13 @@ class Verdict:
             "achieved": list(self.achieved),
             "feedback": self.feedback.to_json_dict(),
         }
+
+
+_set_verdict_id, _set_verdict_kind, _set_feedback, _set_achieved = (
+    Verdict.action_id.__set__, Verdict.kind.__set__, Verdict.feedback.__set__, Verdict.achieved.__set__
+)
+for _node in (StateUpdate, ActionEvent, Verdict):
+    _node.__setattr__, _node.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 @dataclass(frozen=True)
@@ -234,12 +284,22 @@ def validate_event(event: ActionEvent, schema: StateSchema) -> None:
 
 def _validate_updates(updates: Iterable[StateUpdate], schema: StateSchema) -> None:
     """:func:`validate_event`'s rules for each update, which
-    :meth:`Session.soft_check` applies on their own."""
+    :meth:`Session.soft_check` applies on their own.
+
+    The schema is asked for each update's state once, and the state for each
+    value's variable; :func:`declared_type` is called only to raise its
+    :class:`TraceError` for a state or variable the schema does not declare."""
+    state_of = schema.state
     for update in updates:
-        if not update.values:
+        values = update.values
+        if not values:
             raise TraceError(f"update for '{update.state}' needs non-empty 'values'")
-        for var, value in update.values.items():
-            declared = declared_type(schema, update.state, var)
+        state = state_of(update.state)
+        variables = state.variables if state is not None else {}
+        for var, value in values.items():
+            if var not in variables:
+                declared_type(schema, update.state, var)
+            declared = variables[var]
             kind = value.kind
             if kind is not declared.kind:
                 raise TraceError(f"{update.state}.{var} ({declared.describe()}) cannot hold a {kind.value} value")
@@ -547,8 +607,8 @@ class Session:
         hard_report: HardCheckResult | None = None,
     ) -> Verdict:
         bundle = feedback_mod.FeedbackBundle(
-            roadmap=self._compiled.roadmap,
-            soft=feedback_mod.render_soft(violations) if violations else None,
-            hard=feedback_mod.render_hard(hard_report) if hard_report is not None else None,
+            self._compiled.roadmap,
+            feedback_mod.render_soft(violations) if violations else None,
+            feedback_mod.render_hard(hard_report) if hard_report is not None else None,
         )
-        return Verdict(action_id=event.action_id, kind=kind, feedback=bundle, achieved=achieved)
+        return Verdict(event.action_id, kind, bundle, achieved)

@@ -140,7 +140,9 @@ def _read_clock(text: str) -> datetime:
 
 def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
     """Check field shapes, coerce raw values by their declared types, then
-    apply the engine's event rules."""
+    apply the engine's event rules.  The schema is asked for each update's
+    state once; :func:`declared_type` is called only to raise its
+    :class:`TraceError` for an undeclared state or variable."""
     if not isinstance(data, dict):
         raise TraceParseError("an event must be a JSON object")
     action_id = data.get("action_id")
@@ -161,15 +163,16 @@ def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
         values_raw = raw.get("values")
         if not isinstance(values_raw, dict):
             raise TraceParseError(f"update for '{state_name}' needs a 'values' object")
-        values = {
-            var: coerce_value(declared_type(schema, state_name, var), raw_value, state_name, var)
-            for var, raw_value in values_raw.items()
-        }
-        updates.append(StateUpdate(state=state_name, values=values))
+        state = schema.state(state_name)
+        variables = state.variables if state is not None else {}
+        values = {}
+        for var, raw_value in values_raw.items():
+            if var not in variables:
+                declared_type(schema, state_name, var)
+            values[var] = coerce_value(variables[var], raw_value, state_name, var)
+        updates.append(StateUpdate(state_name, values))
 
-    event = ActionEvent(
-        action_id=action_id, phase=data.get("phase", "pre"), updates=tuple(updates), critical=critical
-    )
+    event = ActionEvent(action_id, data.get("phase", "pre"), tuple(updates), critical)
     validate_event(event, schema)
     return event
 

@@ -1,16 +1,18 @@
 """Every file the library writes is replaced atomically: a write that fails
 leaves the old bytes and no temporary file behind.  Every file it reads is
 read by ``_files.read_text``: UTF-8, with no newline translated, and failing
-as a text-mode read fails."""
+as a text-mode read fails.  Every JSON text is decoded by
+``_files.parse_json``, which gives what ``json.loads`` gives."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from intentguard import PredicateMemory, load_schema, load_trace, save_schema, write_trace
-from intentguard._files import read_text
+from intentguard._files import parse_json, read_text
 
 from conftest import FIXTURES
 
@@ -108,3 +110,65 @@ def test_an_unreadable_path_fails_with_the_same_os_error(tmp_path, name):
         text_mode_read(path)
     assert type(ours.value) is type(theirs.value)
     assert (ours.value.errno, ours.value.strerror) == (theirs.value.errno, theirs.value.strerror)
+
+
+def decoded(decode, text):
+    """``("value", repr)`` of what ``decode(text)`` returns, or the type and
+    message of what it raises; a ``RecursionError`` counts as the
+    ``ValueError`` that :func:`parse_json` turns it into."""
+    try:
+        return "value", repr(decode(text))
+    except RecursionError as exc:
+        return ValueError, str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+BLANKS = {"space": " ", "tab": "\t", "cr": "\r", "lf": "\n", "mixed": " \r\n\t"}
+VALUES = {"object": '{"a": [1, 2.5, "x"]}', "list": "[]", "string": '"text"', "minus-zero": "-0", "huge-float": "1e400",
+          "true": "true", "null": "null", "repeated-key": '{"k": 1, "k": 2}'}
+EDGES = {
+    "bom-object": "\ufeff{}", "bom-number": "\ufeff1", "object-then-word": "{} x", "two-numbers": "1 2",
+    "two-objects": '{"a": 1}{}', "extra-bracket": "[1] ]", "empty": "", "blank": " ", "blanks": " \t\r\n",
+    "nan": "NaN", "minus-infinity": "-Infinity", "infinity": "Infinity", "non-finite-list": "[NaN, -Infinity]",
+    "5000-digits": "1" * 5000, "minus-5000-digits": "-" + "9" * 5000,
+    "nested-100000": "[" * 100_000 + "]" * 100_000, "open-objects-100000": '{"a": ' * 100_000,
+    "missing-value": '{"a": }', "trailing-comma": "[1,]", "unterminated": '"unterminated',
+    "bad-escape": '"bad \\x escape"', "truncated-literal": "tru", "raw-tab": '"a\tb"', "single-quotes": "{'a': 1}",
+    "lone-surrogate": '"\\ud800"', "leading-zero": "0123", "bare-point": "1.", "bare-minus": "-",
+}
+
+
+def json_inputs() -> dict[str, str]:
+    """Every text the differential test decodes, by a short name: each line
+    of the fixture ``.jsonl`` files, each fixture ``.json`` file, the values
+    above bare and with blanks around them, and the edge cases."""
+    found = {}
+    for path in sorted(FIXTURES.rglob("*.json*")):
+        name, text = path.relative_to(FIXTURES).as_posix(), read_text(path)
+        if path.suffix == ".jsonl":
+            found.update((f"{name}:{n}", line) for n, line in enumerate(text.split("\n"), start=1))
+        else:
+            found[name] = text
+    for value_name, value in VALUES.items():
+        found[value_name] = value
+        for blank_name, blank in BLANKS.items():
+            found[f"{blank_name}-{value_name}"] = blank + value
+            found[f"{value_name}-{blank_name}"] = value + blank
+            found[f"{blank_name}-{value_name}-{blank_name}"] = blank + value + blank
+    return found | EDGES
+
+
+JSON_INPUTS = json_inputs()
+
+
+def test_json_inputs_hold_every_fixture():
+    files = sorted(FIXTURES.rglob("*.json"))
+    lines = [name for name in JSON_INPUTS if ".jsonl:" in name]
+    assert len(files) >= 8 and all(path.relative_to(FIXTURES).as_posix() in JSON_INPUTS for path in files)
+    assert len(lines) >= 20 and "" in (JSON_INPUTS[name] for name in lines)  # each file's final newline
+
+
+@pytest.mark.parametrize("text", JSON_INPUTS.values(), ids=JSON_INPUTS.keys())
+def test_parse_json_decodes_as_json_loads_does(text):
+    assert decoded(parse_json, text) == decoded(json.loads, text)

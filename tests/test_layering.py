@@ -79,6 +79,67 @@ def test_verify_process_never_loads_the_http_client():
     assert json.loads(lines[-1]) == []
 
 
+#: The modules only ``encode`` and ``eval`` run; no other command loads them.
+ENCODE_ONLY = ("intentguard.encoder", "intentguard.evaluation", "intentguard.memory")
+
+COMMAND_PROBE = """
+import json, sys
+import intentguard
+imported = sorted(name for name in sys.modules if name.startswith("intentguard."))
+from intentguard.cli import main
+code = main(sys.argv[1:], standalone_mode=False)
+ran = sorted(name for name in sys.modules if name.startswith("intentguard."))
+print(json.dumps([code, imported, ran]))
+"""
+
+
+@pytest.mark.parametrize("command, code", [
+    (["verify", "--spec", "reservation.vsa", "--schema", "schema.json", "--trace", "traces/happy_path.jsonl"], None),
+    (["check", "--spec", "reservation.vsa", "--schema", "schema.json"], None),
+    (["schema", "lint", "schema.json"], None),
+    (["verify", "--spec", "reservation.vsa", "--schema", "schema.json", "--trace", "traces/wrong_time.jsonl"], 2),
+], ids=["verify", "check", "schema-lint", "verify-blocked"])
+def test_commands_that_never_encode_never_load_the_encoder(command, code):
+    # importing the package loads none of them either: its names for them
+    # are served on first use
+    run = subprocess.run([sys.executable, "-c", COMMAND_PROBE, *command], cwd=RESTAURANT,
+                         env=dict(os.environ, PYTHONPATH=str(SOURCE.parent)), capture_output=True, text=True, check=True)
+    exit_code, imported, ran = json.loads(run.stdout.splitlines()[-1])
+    assert exit_code == code
+    assert "intentguard.trace" in imported and "intentguard.cli" in ran
+    assert not set(ENCODE_ONLY) & set(imported + ran), ran
+
+
+#: The names the package serves from the encode-only modules, by module.
+ENCODE_ONLY_NAMES = {
+    "encoder": ["ConstraintRef", "DiffReport", "EncodeConfig", "EncodeFailed", "EncodeResult", "FinalVerdict",
+                "MalformedVerdict", "SchemaMismatch", "TranscriptEntry", "decode_spec", "diff_specifications", "encode",
+                "majority_encode", "majority_verify", "semantic_check"],
+    "evaluation": ["EvalCase", "EvalReport", "load_cases", "run_eval"],
+    "memory": ["PredicateMemory", "ScoredPredicate", "used_predicates"],
+}
+
+
+def test_encode_only_names_are_the_modules_own():
+    import importlib
+
+    import intentguard
+
+    for module_name, names in ENCODE_ONLY_NAMES.items():
+        module = importlib.import_module(f"intentguard.{module_name}")
+        for name in names:
+            assert getattr(intentguard, name) is getattr(module, name), name
+            assert name in dir(intentguard)
+            namespace: dict = {}
+            exec(f"from intentguard import {name}", namespace)
+            assert namespace[name] is getattr(module, name)
+    from intentguard import encoder
+
+    assert encoder is importlib.import_module("intentguard.encoder")
+    with pytest.raises(AttributeError, match="^module 'intentguard' has no attribute 'encoders'$"):
+        intentguard.encoders
+
+
 def intentguard_imports(module: str) -> set[str]:
     tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
     return {name for name in imported_names(tree) if name == "intentguard" or name.startswith("intentguard.")}

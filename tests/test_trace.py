@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 
 from intentguard.dsl import Constant, ConstKind, parse_specification
-from intentguard.schema import schema_from_dict
+from intentguard.schema import StateSchema, schema_from_dict
 from intentguard.trace import (
     Trace,
     TraceHeader,
@@ -19,7 +19,7 @@ from intentguard.trace import (
     replay,
     write_trace,
 )
-from intentguard.engine import ActionEvent, StateUpdate, event_fingerprint
+from intentguard.engine import ActionEvent, StateUpdate, event_fingerprint, validate_event
 
 import generators
 from conftest import FIXTURES
@@ -284,6 +284,26 @@ class TestParse:
         event = '{"action_id": "a1", "phase": "pre", "updates": [], "critical": "Reserve"}'
         with pytest.raises(TraceParseError, match="^line 4: duplicate action_id 'a1'$"):
             parse_trace("\r\n".join([HEADER, event, "", event]) + "\r\n", restaurant_schema)
+
+    @pytest.mark.parametrize("n_events, n_values", [(1, 1), (5, 4), (3, 9)])
+    def test_each_update_asks_the_schema_for_its_state_once(self, monkeypatch, n_events, n_values):
+        # one lookup per update when values are coerced and one when they are
+        # validated, however many values the update carries
+        schema = schema_from_dict({
+            "app_id": "demo",
+            "states": [{"name": "S", "description": "", "variables": [{f"v{i}": "Text"} for i in range(n_values)]}],
+        })
+        values = json.dumps({f"v{i}": "x" for i in range(n_values)})
+        lines = [f'{{"action_id": "e{k}", "updates": [{{"state": "S", "values": {values}}}]}}' for k in range(n_events)]
+        asked = []
+        lookup = StateSchema.state
+        monkeypatch.setattr(StateSchema, "state", lambda self, name: asked.append(name) or lookup(self, name))
+        trace = parse_trace(trace_text(*lines, app_id="demo"), schema)
+        assert asked == ["S"] * (2 * n_events)
+        asked.clear()
+        for event in trace.events:
+            validate_event(event, schema)
+        assert asked == ["S"] * n_events
 
 
 class TestWrite:
