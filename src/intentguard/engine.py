@@ -21,16 +21,19 @@ already normalized (:func:`~intentguard.dsl.compile_constraint`).  A slot's
 plan lists the predicates that read it with their steps.  The compiled spec
 also holds every predicate's status, each rule's count of unmet predicates,
 the number of ``Done`` rules with none unmet, and every rule's roadmap line.
-An event then costs what it touches: it walks the plans of the slots it
-writes, evaluating each of those predicates once against the world with the
-event's values overlaid, and the soft check reads that evaluation.  Only an
-allowed event commits its values and the new statuses, which move the unmet
+It also keeps each step's last truth, in the manner of Rete's alpha
+memories.  An event then costs what it writes: it walks the plans of the
+slots it writes and re-tests only the steps on those slots, reading every
+other step's stored truth, since that slot has not changed since it was last
+committed; the soft check reads that evaluation.  Only an allowed event
+commits its values, the new truths and the new statuses, which move the unmet
 counts of the touched rules and re-render their roadmap lines when an
 achieved step changes, so an event that raises changes nothing.  The ``Done``
-check reads one number and the hard check the counts of the candidate rules,
-so neither walks a status list.  With the built-in similarity function, a
-session scores each distinct pair of texts once; an injected one is called
-once per ``~=`` evaluation.
+check reads one number and the hard check the counts of the candidate rules
+and the closest rule's stored truths, so neither walks a status list or
+calls a test.  A similarity function must therefore be pure: the built-in
+one scores each distinct pair of texts once per session, and an injected one
+is called once per ``~=`` on a written slot.
 """
 
 from __future__ import annotations
@@ -224,35 +227,40 @@ _ALLOW, _SOFT_BLOCK, _HARD_BLOCK, _TASK_DONE = (
 class _CompiledSpec:
     """A session's compiled spec, in the manner of Rete's alpha memories and
     TREAT's per-rule match counts: the predicates indexed by what they read,
-    plus every predicate's current status, every rule's count of unmet
-    predicates and every rule's current roadmap line.
+    plus every step's last truth, every predicate's current status, every
+    rule's count of unmet predicates and every rule's current roadmap line.
 
     ``steps`` holds, by rule and predicate index, each constraint's
     ``(slot, compiled test, constraint)``, where the slot is the
     ``(state, variable)`` it reads; an objective reference has none.
-    ``plans`` maps a slot to the ``((rule, predicate index), steps)`` of each
-    predicate that reads it, in rule order.  ``by_state`` maps a state to the
-    ``(rule, predicate index)`` pairs over it in rule order, for
+    ``truths`` holds, in the same shape, one list per predicate of each
+    step's truth under the committed world, ``False`` until its slot is
+    first written, since an unobserved value is false.  ``plans`` maps a
+    slot to the ``((rule, predicate index), steps, truths)`` of each
+    predicate that reads it, in rule order; the truths are those lists
+    themselves, which a commit updates in place.  ``by_state`` maps a state
+    to the ``(rule, predicate index)`` pairs over it in rule order, for
     :meth:`Session.soft_check`; ``by_objective`` maps an objective to the
     pairs that reference it, and ``by_conclusion`` to the rules concluding
     it, in rule order.  ``unmet`` holds each rule's number of predicates not
     satisfied, and ``done_met`` the number of rules concluding ``Done`` whose
     count is zero.  ``sentences`` holds each rule's fixed roadmap sentence;
-    ``lines`` adds its current "achieved" suffix, and ``roadmap`` is
-    ``lines`` as the tuple every verdict carries.
+    ``lines`` adds its current "achieved" suffix, and ``bundle`` is the
+    feedback of an allowed event: ``lines`` as a tuple, with no warning.
     """
 
     by_state: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    plans: dict[tuple[str, str], list[tuple[tuple[int, int], tuple]]] = field(default_factory=dict)
+    plans: dict[tuple[str, str], list[tuple[tuple[int, int], tuple, list[bool]]]] = field(default_factory=dict)
     by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
     by_conclusion: dict[str, list[int]] = field(default_factory=dict)
     steps: list[list[tuple[tuple[tuple[str, str], ConstraintTest, Constraint], ...]]] = field(default_factory=list)
+    truths: list[list[list[bool]]] = field(default_factory=list)
     statuses: list[list[PredicateStatus]] = field(default_factory=list)
     unmet: list[int] = field(default_factory=list)
     done_met: int = 0
     sentences: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
-    roadmap: tuple[str, ...] = ()
+    bundle: feedback_mod.FeedbackBundle = feedback_mod.FeedbackBundle(())
 
 
 def declared_type(schema: StateSchema, state_name: str, variable: str) -> VarType:
@@ -378,18 +386,20 @@ class Session:
     def _compiled(self) -> _CompiledSpec:
         """The spec's compiled form, built on first use so that constructing a
         session costs at most the static check.  It evaluates nothing: no
-        event has been committed yet, so every predicate is indeterminate,
-        every rule has all its predicates unmet and every roadmap line is its
-        rule's bare sentence."""
+        event has been committed yet, so every step is false, every predicate
+        is indeterminate, every rule has all its predicates unmet and every
+        roadmap line is its rule's bare sentence."""
         compiled = _CompiledSpec()
         plans, state_of = compiled.plans, self.schema.state
         for r, rule in enumerate(self.spec.rules):
             rule_steps: list[tuple] = []
+            rule_truths: list[list[bool]] = []
             for p, pred in enumerate(rule.predicates):
                 key = (r, p)
                 if isinstance(pred, ObjectiveRef):
                     compiled.by_objective.setdefault(pred.objective_name, []).append(key)
                     rule_steps.append(())
+                    rule_truths.append([])
                     continue
                 state = pred.state_name
                 compiled.by_state.setdefault(state, []).append(key)
@@ -398,57 +408,69 @@ class Session:
                     ((state, c.variable), compile_constraint(c, variables[c.variable].kind), c)
                     for c in pred.constraints
                 ])
+                truths = [False] * len(steps)
                 rule_steps.append(steps)
-                plan = (key, steps)
+                rule_truths.append(truths)
+                plan = (key, steps, truths)
                 for slot in {step[0] for step in steps}:
                     plans.setdefault(slot, []).append(plan)
             compiled.steps.append(rule_steps)
+            compiled.truths.append(rule_truths)
             sentence = feedback_mod.roadmap_sentence(rule, self.schema)
             compiled.statuses.append([_INDETERMINATE] * len(rule_steps))
             compiled.unmet.append(len(rule_steps))
             compiled.sentences.append(sentence)
             compiled.lines.append(sentence)
             compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
-        compiled.roadmap = tuple(compiled.lines)
+        compiled.bundle = feedback_mod.FeedbackBundle(tuple(compiled.lines))
         return compiled
 
-    def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict]:
+    def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict, list]:
         """The one evaluation of an update, which commits nothing.
 
         Returns the slots it writes; the new status of each predicate that
-        reads one of them, under the world with those slots overlaid; and,
-        for each such predicate with any, its false constraints on written
-        slots.  Each of those predicates' constraints is tested at most once;
-        those on unwritten slots only until the predicate is known to fail.
+        reads one of them, under the world with those slots overlaid; for
+        each such predicate with any, its false constraints on written
+        slots; and, for each such predicate, its stored truths with the
+        truths that would replace them.  Only the steps on written slots are
+        tested, each once; every other step keeps its stored truth, since
+        its slot holds what it held at the last commit.
         """
         written = {(update.state, var): value for update in updates for var, value in update.values.items()}
-        plans, world, ctx = self._compiled.plans, self.world, self.ctx
+        plans, ctx = self._compiled.plans, self.ctx
         statuses: dict[tuple[int, int], PredicateStatus] = {}
         failures: dict[tuple[int, int], tuple] = {}
+        truths: list[tuple[list[bool], list[bool]]] = []
         for slot in written:
-            for key, steps in plans.get(slot, ()):
+            for key, steps, stored in plans.get(slot, ()):
                 if key in statuses:
                     continue
-                failed, holds = [], True
-                for step_slot, test, constraint in steps:
+                failed, new, holds = [], [], True
+                for (step_slot, test, constraint), truth in zip(steps, stored):
                     if step_slot in written:
-                        if not test(written[step_slot], ctx):
+                        truth = test(written[step_slot], ctx)
+                        if not truth:
                             failed.append(constraint)
                             holds = False
-                    elif holds and not test(world.get(step_slot), ctx):
+                    elif not truth:
                         holds = False
+                    new.append(truth)
                 statuses[key] = _SATISFIED if holds else _UNSATISFIED
+                truths.append((stored, new))
                 if failed:
                     failures[key] = tuple(failed)
-        return written, statuses, failures
+        return written, statuses, failures, truths
 
-    def _commit(self, written: dict, statuses: dict) -> None:
-        """Write ``written`` into the world and record the predicate
-        ``statuses``, keeping each rule's unmet count and the number of met
-        ``Done`` rules.  A rule's roadmap line, and with it the roadmap,
-        is re-rendered only when one of its predicates becomes or stops
-        being satisfied, the one change its "achieved" suffix shows."""
+    def _commit(self, written: dict, statuses: dict, truths: list = ()) -> None:
+        """Write ``written`` into the world, store the new step ``truths``
+        and record the predicate ``statuses``, keeping each rule's unmet
+        count and the number of met ``Done`` rules.  A rule's roadmap line,
+        and with it the roadmap and the shared feedback bundle, is
+        re-rendered only when one of its predicates becomes or stops being
+        satisfied, the one change its "achieved" suffix shows."""
         self.world.update(written)
+        for stored, new in truths:
+            stored[:] = new
         compiled = self._compiled
         rule_statuses, unmet, rules = compiled.statuses, compiled.unmet, self.spec.rules
         changed: set[int] = set()
@@ -472,7 +494,7 @@ class Session:
             lines = compiled.lines
             for r in changed:
                 lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(rule_statuses[r])
-            compiled.roadmap = tuple(lines)
+            compiled.bundle = feedback_mod.FeedbackBundle(tuple(lines))
 
     def _achieve(self, objective: str) -> None:
         self.achieved_objectives.add(objective)
@@ -523,8 +545,8 @@ class Session:
         The rules' unmet counts decide, and the first satisfied rule settles
         it.  When none is, the report covers only the closest rule (most
         satisfied predicates, ties to the earliest) and lists each unmet
-        predicate with its false constraints; those of that rule are the only
-        constraints this check evaluates.
+        predicate with its false constraints, read from that rule's stored
+        truths; the check calls no test.
         """
         candidates = self._compiled.by_conclusion.get(objective)
         if not candidates:
@@ -533,14 +555,16 @@ class Session:
             if self._holds(idx):
                 return HardCheckResult(objective, satisfied=True, rule_index=idx)
 
-        compiled, world, ctx = self._compiled, self.world, self.ctx
+        compiled = self._compiled
         statuses, unmet_counts = compiled.statuses, compiled.unmet
         closest = max(candidates, key=lambda r: (len(statuses[r]) - unmet_counts[r], -r))
         unmet: list[Violation] = []
         rule = self.spec.rules[closest]
-        for pred, status, steps in zip(rule.predicates, statuses[closest], compiled.steps[closest]):
+        for pred, status, steps, truths in zip(
+            rule.predicates, statuses[closest], compiled.steps[closest], compiled.truths[closest]
+        ):
             if status is not _SATISFIED:
-                failed = tuple(c for slot, test, c in steps if not test(world.get(slot), ctx))
+                failed = tuple(c for (slot, test, c), truth in zip(steps, truths) if not truth)
                 unmet.append(Violation(closest, pred, failed))
         return HardCheckResult(objective, satisfied=False, rule_index=closest, unmet=tuple(unmet))
 
@@ -579,36 +603,33 @@ class Session:
             result = self.hard_check(event.critical)
             if not result.satisfied:
                 self.pending_soft = None
-                return self._verdict(event, _HARD_BLOCK, hard_report=result)
-        written, statuses, failures = self._evaluate(event.updates)
-        if event.critical is None and (self.pending_soft is None or event_fingerprint(event) != self.pending_soft):
+                return self._blocked(event, _HARD_BLOCK, hard=feedback_mod.render_hard(result))
+        written, statuses, failures, truths = self._evaluate(event.updates)
+        # with no false constraint on a written slot, the soft check passes
+        if failures and event.critical is None and (
+            self.pending_soft is None or event_fingerprint(event) != self.pending_soft
+        ):
             result = self._soft_result(event.updates, failures)
             if not result.passed:
                 self.pending_soft = event_fingerprint(event)
-                return self._verdict(event, _SOFT_BLOCK, violations=result.violations)
+                return self._blocked(event, _SOFT_BLOCK, soft=feedback_mod.render_soft(result.violations))
 
         self.pending_soft = None
-        self._commit(written, statuses)
+        self._commit(written, statuses, truths)
         newly: tuple[str, ...] = ()
         if event.critical is not None and event.critical not in self.achieved_objectives:
             newly = (event.critical,)
             self._achieve(event.critical)
-        if self._compiled.done_met:
+        compiled = self._compiled
+        if compiled.done_met:
             self.done = True
-            return self._verdict(event, _TASK_DONE, achieved=newly + (DONE,))
-        return self._verdict(event, _ALLOW, achieved=newly)
+            return Verdict(event.action_id, _TASK_DONE, compiled.bundle, newly + (DONE,))
+        return Verdict(event.action_id, _ALLOW, compiled.bundle, newly)
 
-    def _verdict(
-        self,
-        event: ActionEvent,
-        kind: VerdictKind,
-        achieved: tuple[str, ...] = (),
-        violations: tuple[Violation, ...] = (),
-        hard_report: HardCheckResult | None = None,
-    ) -> Verdict:
-        bundle = feedback_mod.FeedbackBundle(
-            self._compiled.roadmap,
-            feedback_mod.render_soft(violations) if violations else None,
-            feedback_mod.render_hard(hard_report) if hard_report is not None else None,
-        )
-        return Verdict(event.action_id, kind, bundle, achieved)
+    def _blocked(self, event: ActionEvent, kind: VerdictKind, soft: str | None = None,
+                 hard: str | None = None) -> Verdict:
+        """A blocking verdict: the current roadmap with its warning or its
+        blocking text.  An allowed event's verdict shares the session's
+        bundle instead, until the roadmap changes."""
+        bundle = feedback_mod.FeedbackBundle(self._compiled.bundle.roadmap, soft, hard)
+        return Verdict(event.action_id, kind, bundle)

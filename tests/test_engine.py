@@ -152,7 +152,8 @@ class TestStaticCheckOnce:
 
 class TestSimilarityMemo:
     """With no scorer given, a session memoizes the built-in one; an injected
-    scorer is called on every ``~=`` evaluation."""
+    scorer is not memoized and is called once per ``~=`` on a slot an event
+    writes."""
 
     SCHEMA = schema_from_dict(
         {"app_id": "fuzzy", "states": [{"name": "Shop", "description": "", "variables": [{"name": "Text"}, {"open": "Boolean"}]}]}

@@ -301,3 +301,52 @@ def test_an_event_whose_similarity_function_raises_changes_nothing(critical):
     assert verdict.kind is VerdictKind.TASK_DONE
     assert verdict.achieved == (() if critical is None else (critical,)) + (DONE,)
     assert session.progress_report() == full_walk_report(session)
+
+
+def test_an_event_re_tests_only_the_steps_on_the_slots_it_writes(monkeypatch):
+    schema = schema_from_dict(
+        {
+            "app_id": "fuzzy",
+            "states": [
+                {"name": "Shop", "description": "", "variables": [{"name": "Text"}, {"open": "Boolean"}, {"n": "Number"}]}
+            ],
+        }
+    )
+    spec = parse_specification('Shop(name ~= "x", open = true, n = 1) -> Done')
+    calls = Counter()
+    real = engine.compile_constraint
+
+    def compile_counting(constraint, kind):
+        test = real(constraint, kind)
+
+        def counting(value, ctx):
+            calls["test"] += 1
+            return test(value, ctx)
+
+        return counting
+
+    def scorer(a, b):
+        calls["scorer"] += 1
+        return 1.0 if a == b else 0.0
+
+    # the session tests constraints only through the tests it compiles
+    monkeypatch.setattr(engine, "compile_constraint", compile_counting)
+    session = Session(spec, schema, CLOCK, similarity=scorer)
+    # ``n = 2`` contradicts the one predicate, so the update is soft-blocked
+    # and its resubmission allowed: all three slots are then written
+    first = StateUpdate("Shop", {"name": Constant.text("x"), "open": Constant.boolean(True), "n": Constant.number(2)})
+    kinds = [session.submit_action(ActionEvent(f"a{k}", "pre", (first,))).kind for k in range(2)]
+    assert kinds == [VerdictKind.SOFT_BLOCK, VerdictKind.ALLOW]
+
+    calls.clear()
+    verdict = session.submit_action(ActionEvent("a2", "pre", (StateUpdate("Shop", {"open": Constant.boolean(True)}),)))
+    # the ``~=`` and ``n`` steps keep their stored truths; only ``open`` is tested
+    assert (verdict.kind, calls["test"], calls["scorer"]) == (VerdictKind.ALLOW, 1, 0)
+
+    calls.clear()
+    result = session.hard_check(DONE)
+    # the closest rule's false constraints come from the stored truths
+    assert (calls["test"], calls["scorer"]) == (0, 0)
+    assert result == naive_hard_check(session, DONE)
+    assert [c.variable for violation in result.unmet for c in violation.failed_constraints] == ["n"]
+    assert session.progress_report() == full_walk_report(session)
