@@ -34,6 +34,7 @@ from .dsl import (
     check_specification,
     evaluate_constraint,
     lexical_similarity,
+    load_specification,
     parse_specification,
     render_specification,
 )

@@ -24,9 +24,9 @@ from contextlib import contextmanager
 import click
 
 from . import __version__
-from ._files import read_text, write_text_atomic
+from ._files import write_text_atomic
 from .backend import BackendError, HttpBackend, MockBackend
-from .dsl import check_specification, parse_specification, render_specification
+from .dsl import check_specification, load_specification, render_specification
 from .engine import EngineError, InvalidSpecification
 from .schema import SchemaError, load_schema
 from .trace import load_trace, replay
@@ -57,10 +57,6 @@ def _load_or_exit(what: str, load, path: str, *args):
         return load(path, *args)
     except (OSError, ValueError, BackendError) as exc:
         raise _fail(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}")
-
-
-def _read_spec(path: str):
-    return parse_specification(read_text(path))
 
 
 def _backend_options(fn):
@@ -157,7 +153,7 @@ def _write_transcript(path: str, transcript) -> None:
 def cmd_check(spec_path, schema_path):
     """Static-check a spec against a schema; list diagnostics."""
     schema = _load_or_exit("schema", load_schema, schema_path)
-    spec = _load_or_exit("spec", _read_spec, spec_path)
+    spec = _load_or_exit("spec", load_specification, spec_path)
     diagnostics = check_specification(spec, schema)
     if not diagnostics:
         click.echo("no findings")
@@ -179,7 +175,7 @@ def cmd_verify(spec_path, schema_path, trace_path):
     No model is consulted: replay is pure rule evaluation.
     """
     schema = _load_or_exit("schema", load_schema, schema_path)
-    spec = _load_or_exit("spec", _read_spec, spec_path)
+    spec = _load_or_exit("spec", load_specification, spec_path)
     trace = _load_or_exit("trace", load_trace, trace_path, schema)
 
     try:

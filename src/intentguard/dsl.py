@@ -26,8 +26,10 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import date, time
 from decimal import Decimal
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Union
 
+from ._files import read_text
 from .schema import _BOOLEAN, _DATE, _ENUM, _NUMBER, _TEXT, _TEXT_LIST, _TIME, ConstKind, StateSchema, VarType
 
 DONE = "Done"
@@ -602,6 +604,14 @@ def parse_specification(text: str) -> Specification:
     if not rules:
         raise SpecSyntaxError("no rules found", len(lines), 1, ("rule",))
     return Specification(tuple(rules))
+
+
+def load_specification(path: str | Path) -> Specification:
+    """Read and parse the spec file at ``path``, through the one reader that
+    :func:`~intentguard.schema.load_schema` and
+    :func:`~intentguard.trace.load_trace` use: UTF-8, with no newline
+    translated, so a lone ``\\r`` in a Text constant stays in it."""
+    return parse_specification(read_text(path))
 
 
 # ---------------------------------------------------------------------------

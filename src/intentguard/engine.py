@@ -15,25 +15,31 @@ A blocking verdict of either kind leaves the world untouched.  After every
 applied update the rules concluding ``Done`` are evaluated, and the first
 fully satisfied one terminates the session.
 
-A session compiles its specification on first use.  Each constraint becomes
-a step: the ``(state, variable)`` slot it reads and a test with its constant
-already normalized (:func:`~intentguard.dsl.compile_constraint`).  A slot's
-plan lists the predicates that read it with their steps.  The compiled spec
-also holds every predicate's status, each rule's count of unmet predicates,
-the number of ``Done`` rules with none unmet, and every rule's roadmap line.
-It also keeps each step's last truth, in the manner of Rete's alpha
-memories.  An event then costs what it writes: it walks the plans of the
-slots it writes and re-tests only the steps on those slots, reading every
-other step's stored truth, since that slot has not changed since it was last
+A session compiles its specification on first use, into one record per
+rule and one per predicate.  Each constraint becomes a step of its
+predicate's record: the ``(state, variable)`` slot it reads and a test with
+its constant already normalized (:func:`~intentguard.dsl.compile_constraint`).
+A predicate's record also keeps its status and each step's last truth, in
+the manner of Rete's alpha memories; a rule's record keeps its count of
+unmet predicates, as TREAT keeps match counts, and its fixed roadmap
+sentence.  A slot's plan lists the records of the predicates that read it.
+The compiled spec also holds the number of ``Done`` rules with none unmet
+and every rule's roadmap line.  A predicate's record names its rule by
+index, not by record, so the records form no reference cycle.
+
+An event then costs what it writes: it walks the plans of the slots it
+writes and re-tests only the steps on those slots, reading every other
+step's stored truth, since that slot has not changed since it was last
 committed; the soft check reads that evaluation.  Only an allowed event
-commits its values, the new truths and the new statuses, which move the unmet
-counts of the touched rules and re-render their roadmap lines when an
-achieved step changes, so an event that raises changes nothing.  The ``Done``
-check reads one number and the hard check the counts of the candidate rules
-and the closest rule's stored truths, so neither walks a status list or
-calls a test.  A similarity function must therefore be pure: the built-in
-one scores each distinct pair of texts once per session, and an injected one
-is called once per ``~=`` on a written slot.
+commits its values and the new truths and statuses, which move the unmet
+counts of the touched rules and re-render their roadmap lines when one of
+their predicates becomes or stops being satisfied, so an event that raises
+changes nothing.  The ``Done`` check reads one number and the hard check the
+counts of the candidate rules and the closest rule's stored truths, so
+neither walks every rule or calls a test.  A similarity function must
+therefore be pure: the built-in one scores each distinct pair of texts once
+per session, and an injected one is called once per ``~=`` on a written
+slot.
 """
 
 from __future__ import annotations
@@ -51,8 +57,6 @@ from .dsl import (
     _UNSATISFIED,
     DONE,
     Constant,
-    Constraint,
-    ConstraintTest,
     EvalContext,
     ObjectiveRef,
     Predicate,
@@ -223,42 +227,62 @@ _ALLOW, _SOFT_BLOCK, _HARD_BLOCK, _TASK_DONE = (
 )
 
 
+class _Predicate:
+    """One predicate of a compiled rule: its rule's index, its syntax-tree
+    node, its steps, each step's last truth and its current status.
+
+    Each step is a constraint's ``(slot, compiled test, constraint)``, where
+    the slot is the ``(state, variable)`` it reads; an objective reference
+    has none.  ``truths`` holds each step's truth under the committed world,
+    ``False`` until its slot is first written, since an unobserved value is
+    false; a commit replaces the list.  The record holds its rule's index,
+    not the rule's record, so that the two form no reference cycle and a
+    dropped session is freed by reference counting alone.
+    """
+
+    __slots__ = ("rule", "node", "steps", "truths", "status")
+
+    def __init__(self, rule: int, node: Predicate, steps: tuple) -> None:
+        self.rule, self.node, self.steps = rule, node, steps
+        self.truths = [False] * len(steps)
+        self.status = _INDETERMINATE
+
+
+class _Rule:
+    """One compiled rule: its index, whether it concludes ``Done``, its fixed
+    roadmap sentence, its predicates' records in order and its number of
+    predicates not satisfied."""
+
+    __slots__ = ("index", "done", "sentence", "predicates", "unmet")
+
+    def __init__(self, index: int, done: bool, sentence: str, predicates: list[_Predicate]) -> None:
+        self.index, self.done, self.sentence, self.predicates = index, done, sentence, predicates
+        self.unmet = len(predicates)
+
+
 @dataclass
 class _CompiledSpec:
     """A session's compiled spec, in the manner of Rete's alpha memories and
-    TREAT's per-rule match counts: the predicates indexed by what they read,
-    plus every step's last truth, every predicate's current status, every
-    rule's count of unmet predicates and every rule's current roadmap line.
+    TREAT's per-rule match counts: one record per rule and per predicate,
+    with the predicates indexed by what they read.
 
-    ``steps`` holds, by rule and predicate index, each constraint's
-    ``(slot, compiled test, constraint)``, where the slot is the
-    ``(state, variable)`` it reads; an objective reference has none.
-    ``truths`` holds, in the same shape, one list per predicate of each
-    step's truth under the committed world, ``False`` until its slot is
-    first written, since an unobserved value is false.  ``plans`` maps a
-    slot to the ``((rule, predicate index), steps, truths)`` of each
-    predicate that reads it, in rule order; the truths are those lists
-    themselves, which a commit updates in place.  ``by_state`` maps a state
-    to the ``(rule, predicate index)`` pairs over it in rule order, for
-    :meth:`Session.soft_check`; ``by_objective`` maps an objective to the
-    pairs that reference it, and ``by_conclusion`` to the rules concluding
-    it, in rule order.  ``unmet`` holds each rule's number of predicates not
-    satisfied, and ``done_met`` the number of rules concluding ``Done`` whose
-    count is zero.  ``sentences`` holds each rule's fixed roadmap sentence;
-    ``lines`` adds its current "achieved" suffix, and ``bundle`` is the
+    ``rules`` holds the :class:`_Rule` records in rule order.  ``plans`` maps
+    a slot to the :class:`_Predicate` records that read it, ``by_state`` a
+    state to those over it, for :meth:`Session.soft_check`, and
+    ``by_objective`` an objective to those that reference it, each in rule
+    order; ``by_conclusion`` maps an objective to the records of the rules
+    concluding it.  ``done_met`` is the number of rules concluding ``Done``
+    with no predicate unmet.  ``lines`` holds each rule's roadmap line, its
+    sentence and its current "achieved" suffix, and ``bundle`` is the
     feedback of an allowed event: ``lines`` as a tuple, with no warning.
     """
 
-    by_state: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    plans: dict[tuple[str, str], list[tuple[tuple[int, int], tuple, list[bool]]]] = field(default_factory=dict)
-    by_objective: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
-    by_conclusion: dict[str, list[int]] = field(default_factory=dict)
-    steps: list[list[tuple[tuple[tuple[str, str], ConstraintTest, Constraint], ...]]] = field(default_factory=list)
-    truths: list[list[list[bool]]] = field(default_factory=list)
-    statuses: list[list[PredicateStatus]] = field(default_factory=list)
-    unmet: list[int] = field(default_factory=list)
+    rules: list[_Rule] = field(default_factory=list)
+    plans: dict[tuple[str, str], list[_Predicate]] = field(default_factory=dict)
+    by_state: dict[str, list[_Predicate]] = field(default_factory=dict)
+    by_objective: dict[str, list[_Predicate]] = field(default_factory=dict)
+    by_conclusion: dict[str, list[_Rule]] = field(default_factory=dict)
     done_met: int = 0
-    sentences: list[str] = field(default_factory=list)
     lines: list[str] = field(default_factory=list)
     bundle: feedback_mod.FeedbackBundle = feedback_mod.FeedbackBundle(())
 
@@ -392,61 +416,49 @@ class Session:
         compiled = _CompiledSpec()
         plans, state_of = compiled.plans, self.schema.state
         for r, rule in enumerate(self.spec.rules):
-            rule_steps: list[tuple] = []
-            rule_truths: list[list[bool]] = []
-            for p, pred in enumerate(rule.predicates):
-                key = (r, p)
-                if isinstance(pred, ObjectiveRef):
-                    compiled.by_objective.setdefault(pred.objective_name, []).append(key)
-                    rule_steps.append(())
-                    rule_truths.append([])
-                    continue
-                state = pred.state_name
-                compiled.by_state.setdefault(state, []).append(key)
-                variables = state_of(state).variables
-                steps = tuple([
-                    ((state, c.variable), compile_constraint(c, variables[c.variable].kind), c)
-                    for c in pred.constraints
-                ])
-                truths = [False] * len(steps)
-                rule_steps.append(steps)
-                rule_truths.append(truths)
-                plan = (key, steps, truths)
-                for slot in {step[0] for step in steps}:
-                    plans.setdefault(slot, []).append(plan)
-            compiled.steps.append(rule_steps)
-            compiled.truths.append(rule_truths)
-            sentence = feedback_mod.roadmap_sentence(rule, self.schema)
-            compiled.statuses.append([_INDETERMINATE] * len(rule_steps))
-            compiled.unmet.append(len(rule_steps))
-            compiled.sentences.append(sentence)
-            compiled.lines.append(sentence)
-            compiled.by_conclusion.setdefault(rule.conclusion, []).append(r)
+            predicates: list[_Predicate] = []
+            for node in rule.predicates:
+                if isinstance(node, ObjectiveRef):
+                    pred = _Predicate(r, node, ())
+                    compiled.by_objective.setdefault(node.objective_name, []).append(pred)
+                else:
+                    state = node.state_name
+                    variables = state_of(state).variables
+                    pred = _Predicate(r, node, tuple([
+                        ((state, c.variable), compile_constraint(c, variables[c.variable].kind), c)
+                        for c in node.constraints
+                    ]))
+                    compiled.by_state.setdefault(state, []).append(pred)
+                    for slot in {step[0] for step in pred.steps}:
+                        plans.setdefault(slot, []).append(pred)
+                predicates.append(pred)
+            record = _Rule(r, rule.conclusion == DONE, feedback_mod.roadmap_sentence(rule, self.schema), predicates)
+            compiled.rules.append(record)
+            compiled.lines.append(record.sentence)
+            compiled.by_conclusion.setdefault(rule.conclusion, []).append(record)
         compiled.bundle = feedback_mod.FeedbackBundle(tuple(compiled.lines))
         return compiled
 
-    def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict, list]:
+    def _evaluate(self, updates: Iterable[StateUpdate]) -> tuple[dict, dict, dict]:
         """The one evaluation of an update, which commits nothing.
 
-        Returns the slots it writes; the new status of each predicate that
-        reads one of them, under the world with those slots overlaid; for
-        each such predicate with any, its false constraints on written
-        slots; and, for each such predicate, its stored truths with the
-        truths that would replace them.  Only the steps on written slots are
+        Returns the slots it writes; for each predicate that reads one of
+        them, its new status and step truths under the world with those
+        slots overlaid; and, for each such predicate with any, its false
+        constraints on written slots.  Only the steps on written slots are
         tested, each once; every other step keeps its stored truth, since
         its slot holds what it held at the last commit.
         """
         written = {(update.state, var): value for update in updates for var, value in update.values.items()}
         plans, ctx = self._compiled.plans, self.ctx
-        statuses: dict[tuple[int, int], PredicateStatus] = {}
-        failures: dict[tuple[int, int], tuple] = {}
-        truths: list[tuple[list[bool], list[bool]]] = []
+        evaluated: dict[_Predicate, tuple[PredicateStatus, list[bool]]] = {}
+        failures: dict[_Predicate, tuple] = {}
         for slot in written:
-            for key, steps, stored in plans.get(slot, ()):
-                if key in statuses:
+            for pred in plans.get(slot, ()):
+                if pred in evaluated:
                     continue
-                failed, new, holds = [], [], True
-                for (step_slot, test, constraint), truth in zip(steps, stored):
+                failed, truths, holds = [], [], True
+                for (step_slot, test, constraint), truth in zip(pred.steps, pred.truths):
                     if step_slot in written:
                         truth = test(written[step_slot], ctx)
                         if not truth:
@@ -454,51 +466,50 @@ class Session:
                             holds = False
                     elif not truth:
                         holds = False
-                    new.append(truth)
-                statuses[key] = _SATISFIED if holds else _UNSATISFIED
-                truths.append((stored, new))
+                    truths.append(truth)
+                evaluated[pred] = (_SATISFIED if holds else _UNSATISFIED, truths)
                 if failed:
-                    failures[key] = tuple(failed)
-        return written, statuses, failures, truths
+                    failures[pred] = tuple(failed)
+        return written, evaluated, failures
 
-    def _commit(self, written: dict, statuses: dict, truths: list = ()) -> None:
-        """Write ``written`` into the world, store the new step ``truths``
-        and record the predicate ``statuses``, keeping each rule's unmet
+    def _commit(self, written: dict, evaluated: dict) -> None:
+        """Write ``written`` into the world and give each ``evaluated``
+        predicate its new status and step truths, keeping each rule's unmet
         count and the number of met ``Done`` rules.  A rule's roadmap line,
         and with it the roadmap and the shared feedback bundle, is
         re-rendered only when one of its predicates becomes or stops being
         satisfied, the one change its "achieved" suffix shows."""
         self.world.update(written)
-        for stored, new in truths:
-            stored[:] = new
         compiled = self._compiled
-        rule_statuses, unmet, rules = compiled.statuses, compiled.unmet, self.spec.rules
-        changed: set[int] = set()
-        for (r, p), status in statuses.items():
-            old = rule_statuses[r][p]
+        rules = compiled.rules
+        changed: set[_Rule] = set()
+        for pred, (status, truths) in evaluated.items():
+            pred.truths = truths
+            old = pred.status
             if status is old:
                 continue
-            rule_statuses[r][p] = status
+            pred.status = status
+            rule = rules[pred.rule]
             if status is _SATISFIED:
-                unmet[r] -= 1
-                if not unmet[r] and rules[r].conclusion == DONE:
+                rule.unmet -= 1
+                if not rule.unmet and rule.done:
                     compiled.done_met += 1
             elif old is _SATISFIED:
-                if not unmet[r] and rules[r].conclusion == DONE:
+                if not rule.unmet and rule.done:
                     compiled.done_met -= 1
-                unmet[r] += 1
+                rule.unmet += 1
             else:  # indeterminate <-> unsatisfied: no count or line moves
                 continue
-            changed.add(r)
+            changed.add(rule)
         if changed:
             lines = compiled.lines
-            for r in changed:
-                lines[r] = compiled.sentences[r] + feedback_mod.achieved_suffix(rule_statuses[r])
+            for rule in changed:
+                lines[rule.index] = rule.sentence + feedback_mod.achieved_suffix([p.status for p in rule.predicates])
             compiled.bundle = feedback_mod.FeedbackBundle(tuple(lines))
 
     def _achieve(self, objective: str) -> None:
         self.achieved_objectives.add(objective)
-        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), _SATISFIED))
+        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), (_SATISFIED, ())))
 
     # -- checks ------------------------------------------------------------
 
@@ -521,17 +532,17 @@ class Session:
         """The soft check's verdict from the ``failures`` of the update's
         evaluation, read state by state and rule by rule; it is settled at
         the first predicate over a touched state with no false constraint."""
-        by_state, rules = self._compiled.by_state, self.spec.rules
+        by_state = self._compiled.by_state
         violations: list[Violation] = []
         for state_name in dict.fromkeys(update.state for update in updates):
             predicates = by_state.get(state_name)
             if not predicates:
                 return _PASSED
-            for r, p in predicates:
-                failed = failures.get((r, p))
+            for pred in predicates:
+                failed = failures.get(pred)
                 if failed is None:
                     return _PASSED
-                violations.append(Violation(r, rules[r].predicates[p], failed))
+                violations.append(Violation(pred.rule, pred.node, failed))
 
         if not violations:
             return _PASSED
@@ -551,26 +562,21 @@ class Session:
         candidates = self._compiled.by_conclusion.get(objective)
         if not candidates:
             raise UnknownObjective(objective)
-        for idx in candidates:
-            if self._holds(idx):
-                return HardCheckResult(objective, satisfied=True, rule_index=idx)
+        for rule in candidates:
+            if self._holds(rule.index):
+                return HardCheckResult(objective, satisfied=True, rule_index=rule.index)
 
-        compiled = self._compiled
-        statuses, unmet_counts = compiled.statuses, compiled.unmet
-        closest = max(candidates, key=lambda r: (len(statuses[r]) - unmet_counts[r], -r))
+        closest = max(candidates, key=lambda rule: (len(rule.predicates) - rule.unmet, -rule.index))
         unmet: list[Violation] = []
-        rule = self.spec.rules[closest]
-        for pred, status, steps, truths in zip(
-            rule.predicates, statuses[closest], compiled.steps[closest], compiled.truths[closest]
-        ):
-            if status is not _SATISFIED:
-                failed = tuple(c for (slot, test, c), truth in zip(steps, truths) if not truth)
-                unmet.append(Violation(closest, pred, failed))
-        return HardCheckResult(objective, satisfied=False, rule_index=closest, unmet=tuple(unmet))
+        for pred in closest.predicates:
+            if pred.status is not _SATISFIED:
+                failed = tuple(c for (slot, test, c), truth in zip(pred.steps, pred.truths) if not truth)
+                unmet.append(Violation(closest.index, pred.node, failed))
+        return HardCheckResult(objective, satisfied=False, rule_index=closest.index, unmet=tuple(unmet))
 
     def _holds(self, rule_index: int) -> bool:
         """Every predicate of the rule is satisfied."""
-        return not self._compiled.unmet[rule_index]
+        return not self._compiled.rules[rule_index].unmet
 
     def progress_report(self) -> list[RuleProgress]:
         """Snapshot of every rule's predicate statuses.
@@ -582,10 +588,9 @@ class Session:
         the slots it wrote, and an achieved objective marks only the
         references to it satisfied.
         """
-        statuses = self._compiled.statuses
         return [
-            RuleProgress(idx, rule.conclusion, tuple(statuses[idx]))
-            for idx, rule in enumerate(self.spec.rules)
+            RuleProgress(record.index, rule.conclusion, tuple([pred.status for pred in record.predicates]))
+            for record, rule in zip(self._compiled.rules, self.spec.rules)
         ]
 
     # -- main entry point ----------------------------------------------------
@@ -604,7 +609,7 @@ class Session:
             if not result.satisfied:
                 self.pending_soft = None
                 return self._blocked(event, _HARD_BLOCK, hard=feedback_mod.render_hard(result))
-        written, statuses, failures, truths = self._evaluate(event.updates)
+        written, evaluated, failures = self._evaluate(event.updates)
         # with no false constraint on a written slot, the soft check passes
         if failures and event.critical is None and (
             self.pending_soft is None or event_fingerprint(event) != self.pending_soft
@@ -615,7 +620,7 @@ class Session:
                 return self._blocked(event, _SOFT_BLOCK, soft=feedback_mod.render_soft(result.violations))
 
         self.pending_soft = None
-        self._commit(written, statuses, truths)
+        self._commit(written, evaluated)
         newly: tuple[str, ...] = ()
         if event.critical is not None and event.critical not in self.achieved_objectives:
             newly = (event.critical,)

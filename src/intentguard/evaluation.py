@@ -27,7 +27,7 @@ from pathlib import Path
 
 from ._files import parse_json, read_text
 from .backend import Backend, MockBackend
-from .dsl import Specification, parse_specification
+from .dsl import Specification, load_specification
 from .encoder import EncodeConfig, encode, majority_verify
 from .memory import PredicateMemory
 from .schema import StateSchema, load_schema
@@ -162,7 +162,7 @@ def _case_verdict(
 ) -> tuple[bool, Specification | None]:
     """Returns (passed, spec-that-drove-a-completed-replay-or-None)."""
     if case.spec_path is not None:
-        spec = parse_specification(read_text(case.spec_path))
+        spec = load_specification(case.spec_path)
         done = replay(spec, schema, trace).done
         return done, spec if done else None
 

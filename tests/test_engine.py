@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 from datetime import time
 from decimal import Decimal
@@ -80,6 +81,31 @@ class TestSessionConstruction:
                 [json.dumps(session.submit_action(e).to_json_dict(), sort_keys=True) for e in trace.events]
             )
         assert streams[0] == streams[1]
+
+    def test_a_dropped_session_leaves_no_reference_cycle(self, make_session, restaurant_schema):
+        # a predicate's compiled record names its rule by index, not by the
+        # rule's record, so reference counting alone frees a dropped session
+        # and its verdicts, without waiting for the cyclic collector
+        events = [
+            e for name in ("wrong_time", "happy_path")
+            for e in trace_fixture("restaurant", "traces", f"{name}.jsonl", schema=restaurant_schema).events
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            session = make_session()
+            verdicts = []
+            for e in events:
+                verdicts.append(session.submit_action(e))
+                if session.done:
+                    break
+            assert [v.kind.value for v in verdicts] == [
+                "allow", "soft_block", "allow", "hard_block", "allow", "allow", "allow", "task_done"
+            ]
+            del session, verdicts
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestStaticCheckOnce:

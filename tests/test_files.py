@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from intentguard import PredicateMemory, load_schema, load_trace, save_schema, write_trace
+from intentguard import PredicateMemory, load_schema, load_specification, load_trace, save_schema, write_trace
 from intentguard._files import parse_json, read_text
 
 from conftest import FIXTURES
@@ -80,6 +80,14 @@ def test_crlf_text_keeps_its_carriage_returns(tmp_path):
     # the kept \r is the only difference from a text-mode read
     assert text_mode_read(path) == "a\nb\n\nlone\ncr\n"
     assert read_text(path).replace("\r\n", "\n").replace("\r", "\n") == text_mode_read(path)
+
+
+def test_a_spec_file_keeps_a_lone_carriage_return_in_a_text_constant(tmp_path):
+    # a text-mode read would end the line at the \r, inside the string
+    path = tmp_path / "spec.vsa"
+    path.write_bytes(b'RestaurantInfo(name = "A\rB") -> Done\r\n')
+    (constraint,) = load_specification(path).rules[0].predicates[0].constraints
+    assert constraint.constant.value == "A\rB"
 
 
 def test_a_byte_order_mark_is_kept(tmp_path):
