@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 import unicodedata
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from datetime import date, time
 from decimal import Decimal
 from enum import Enum
@@ -90,16 +90,66 @@ UNICODE_OPERATORS = {
 SIMILARITY_THRESHOLD = 0.7
 
 
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _node(cls: type) -> type:
+    """Make ``cls`` a slotted frozen dataclass whose ``__init__`` stores each
+    field through its slot's ``__set__``.
+
+    A parse builds hundreds of syntax-tree nodes, and each event builds its
+    own updates, event, verdict and feedback.  The ``__init__`` a frozen
+    dataclass generates stores each field through ``object.__setattr__``,
+    which looks the slot up by name; calling the slot's ``__set__`` is
+    cheaper (CPython 3.11.7: ``Constant`` 497 -> 316 ns, ``Rule`` 1079 -> 615
+    ns).  The ``__init__`` is generated as ``dataclasses`` generates its own:
+    it takes the fields in order, with their defaults (a node field takes no
+    ``default_factory``), and calls ``__post_init__`` last when the class
+    defines one.  On CPython 3.11 a keyword call of an ``__init__`` this
+    small costs about half as much again, so the per-event callers pass the
+    fields by position.
+
+    ``dataclass(slots=True)`` builds a new class to hold the slots, but the
+    frozen ``__setattr__`` and ``__delattr__`` it generated still name the
+    class from before, so a name that is not a field would fall through to
+    ``super()`` and raise ``TypeError``.  A node refuses every name with the
+    dataclass's own error; ``__init__``, ``object.__setattr__`` and pickling
+    store through the slots directly.  Equality and hashing are the
+    generated ones.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    node_fields = fields(cls)
+    namespace: dict[str, object] = {"__name__": cls.__module__}
+    params, body = [], []
+    for f in node_fields:
+        namespace[f"_store_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _store_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in node_fields}, "return": None}
+    cls.__init__ = init
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    return cls
+
+
 # The syntax tree holds tuples whatever it is built from, so a list the
 # caller keeps cannot change a spec after a clean check (``Session`` trusts
 # that record); a parsed tree already holds tuples and pays one type test per
-# container.  The nodes below ``Specification`` are slotted frozen
-# dataclasses.  A parse builds hundreds of them, and the ``__init__`` a frozen
-# dataclass generates stores each field through ``object.__setattr__``, which
-# looks the slot up by name; the hand-written ``__init__``s call each slot's
-# ``__set__`` instead (CPython 3.11.7: ``Constant`` 497 -> 316 ns, ``Rule``
-# 1079 -> 615 ns).
-@dataclass(frozen=True, slots=True)
+# container.
+@_node
 class Constant:
     """A typed constant literal.
 
@@ -110,10 +160,6 @@ class Constant:
 
     kind: ConstKind
     value: object
-
-    def __init__(self, kind: ConstKind, value: object) -> None:
-        _set_kind(self, kind)
-        _set_value(self, value)
 
     @staticmethod
     def text(value: str) -> "Constant":
@@ -148,87 +194,57 @@ class Constant:
         return Constant(_TEXT_LIST, tuple(items))
 
 
-_set_kind, _set_value = Constant.kind.__set__, Constant.value.__set__
 #: The Boolean and ``Today`` constants, each built once and shared.
 _TRUE, _FALSE, _TODAY = Constant(_BOOLEAN, True), Constant(_BOOLEAN, False), Constant(_DATE, TODAY)
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Constraint:
+    """One variable compared against a constant: ``variable operator constant``."""
+
     variable: str
     operator: Operator
     constant: Constant
 
-    def __init__(self, variable: str, operator: Operator, constant: Constant) -> None:
-        _set_variable(self, variable)
-        _set_operator(self, operator)
-        _set_constant(self, constant)
 
-
-_set_variable, _set_operator, _set_constant = (
-    Constraint.variable.__set__, Constraint.operator.__set__, Constraint.constant.__set__
-)
-
-
-@dataclass(frozen=True, slots=True)
+@_node
 class StatePredicate:
+    """A state name with one or more constraints on its variables."""
+
     state_name: str
     constraints: tuple[Constraint, ...]
 
-    def __init__(self, state_name: str, constraints: tuple[Constraint, ...]) -> None:
-        if type(constraints) is not tuple:
-            constraints = tuple(constraints)
-        if not constraints:
-            raise ValueError(f"state predicate {state_name!r} needs at least one constraint")
-        _set_state_name(self, state_name)
-        _set_constraints(self, constraints)
+    def __post_init__(self) -> None:
+        if type(self.constraints) is not tuple:
+            object.__setattr__(self, "constraints", tuple(self.constraints))
+        if not self.constraints:
+            raise ValueError(f"state predicate {self.state_name!r} needs at least one constraint")
 
 
-_set_state_name, _set_constraints = StatePredicate.state_name.__set__, StatePredicate.constraints.__set__
-
-
-@dataclass(frozen=True, slots=True)
+@_node
 class ObjectiveRef:
+    """A reference to the objective another rule concludes."""
+
     objective_name: str
 
 
 Predicate = Union[StatePredicate, ObjectiveRef]
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Rule:
+    """A conjunction of predicates implying an objective; ``line`` is the
+    source line it was parsed from, if any."""
+
     predicates: tuple[Predicate, ...]
     conclusion: str
     line: int | None = field(default=None, compare=False)
 
-    def __init__(self, predicates: tuple[Predicate, ...], conclusion: str, line: int | None = None) -> None:
-        if type(predicates) is not tuple:
-            predicates = tuple(predicates)
-        if not predicates:
+    def __post_init__(self) -> None:
+        if type(self.predicates) is not tuple:
+            object.__setattr__(self, "predicates", tuple(self.predicates))
+        if not self.predicates:
             raise ValueError("a rule needs at least one predicate")
-        _set_predicates(self, predicates)
-        _set_conclusion(self, conclusion)
-        _set_line(self, line)
-
-
-_set_predicates, _set_conclusion, _set_line = Rule.predicates.__set__, Rule.conclusion.__set__, Rule.line.__set__
-
-
-def _refuse_assignment(self, name: str, value: object) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# ``dataclass(slots=True)`` builds a new class to hold the slots, but the
-# frozen ``__setattr__`` and ``__delattr__`` it generated still name the class
-# from before, so a name that is not a field fell through to ``super()`` and
-# raised ``TypeError``.  A node refuses every name with the dataclass's own
-# error; the ``__init__``s and pickling store through the slots directly.
-for _node in (Constant, Constraint, StatePredicate, ObjectiveRef, Rule):
-    _node.__setattr__, _node.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 @dataclass(frozen=True)

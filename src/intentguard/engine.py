@@ -62,8 +62,7 @@ from .dsl import (
     Predicate,
     PredicateStatus,
     Specification,
-    _refuse_assignment,
-    _refuse_deletion,
+    _node,
     check_specification,
     compile_constraint,
     evaluate_constraint,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
@@ -100,14 +99,7 @@ class UnknownObjective(EngineError):
         super().__init__(f"no rule concludes objective '{objective}'")
 
 
-# An event and its verdict are built once per event, so, like the syntax-tree
-# nodes in ``dsl``, they are slotted frozen dataclasses whose hand-written
-# ``__init__``s store each field through its slot's ``__set__``, bound once
-# below, and which refuse every assignment and deletion with the dataclass's
-# own error; equality and hashing are the generated ones.  The per-event
-# callers pass the fields by position: on CPython 3.11 a keyword call of an
-# ``__init__`` this small costs about half as much again.
-@dataclass(frozen=True, slots=True)
+@_node
 class StateUpdate:
     """One state's new variable values.  Slotted and frozen; it cannot be
     hashed, since ``values`` is a dict."""
@@ -115,15 +107,8 @@ class StateUpdate:
     state: str
     values: dict[str, Constant]
 
-    def __init__(self, state: str, values: dict[str, Constant]) -> None:
-        _set_state(self, state)
-        _set_values(self, values)
 
-
-_set_state, _set_values = StateUpdate.state.__set__, StateUpdate.values.__set__
-
-
-@dataclass(frozen=True, slots=True)
+@_node
 class ActionEvent:
     """One agent action's proposed effect: pre-action expectation or
     post-action observation, plus an optional critical objective.  Slotted
@@ -134,19 +119,6 @@ class ActionEvent:
     updates: tuple[StateUpdate, ...]
     critical: str | None = None
 
-    def __init__(self, action_id: str, phase: str, updates: tuple[StateUpdate, ...],
-                 critical: str | None = None) -> None:
-        _set_event_id(self, action_id)
-        _set_phase(self, phase)
-        _set_updates(self, updates)
-        _set_critical(self, critical)
-
-
-_set_event_id, _set_phase, _set_updates, _set_critical = (
-    ActionEvent.action_id.__set__, ActionEvent.phase.__set__, ActionEvent.updates.__set__,
-    ActionEvent.critical.__set__,
-)
-
 
 class VerdictKind(str, Enum):
     ALLOW = "allow"
@@ -155,7 +127,7 @@ class VerdictKind(str, Enum):
     TASK_DONE = "task_done"
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Verdict:
     """The verdict on one event, with the feedback it carries.  Slotted and
     frozen."""
@@ -165,13 +137,6 @@ class Verdict:
     feedback: "feedback_mod.FeedbackBundle"
     achieved: tuple[str, ...] = ()
 
-    def __init__(self, action_id: str, kind: VerdictKind, feedback: "feedback_mod.FeedbackBundle",
-                 achieved: tuple[str, ...] = ()) -> None:
-        _set_verdict_id(self, action_id)
-        _set_verdict_kind(self, kind)
-        _set_feedback(self, feedback)
-        _set_achieved(self, achieved)
-
     def to_json_dict(self) -> dict:
         return {
             "action_id": self.action_id,
@@ -179,13 +144,6 @@ class Verdict:
             "achieved": list(self.achieved),
             "feedback": self.feedback.to_json_dict(),
         }
-
-
-_set_verdict_id, _set_verdict_kind, _set_feedback, _set_achieved = (
-    Verdict.action_id.__set__, Verdict.kind.__set__, Verdict.feedback.__set__, Verdict.achieved.__set__
-)
-for _node in (StateUpdate, ActionEvent, Verdict):
-    _node.__setattr__, _node.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ functions of their inputs, so identical sessions produce byte-identical text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .dsl import (
@@ -22,8 +21,7 @@ from .dsl import (
     Rule,
     Specification,
     StatePredicate,
-    _refuse_assignment,
-    _refuse_deletion,
+    _node,
     render_constant,
 )
 from .schema import _BOOLEAN, _DATE, _TEXT, _TEXT_LIST, StateSchema
@@ -32,33 +30,18 @@ if TYPE_CHECKING:
     from .engine import HardCheckResult, RuleProgress, Violation
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FeedbackBundle:
     """Feedback attached to every verdict: the roadmap is always present, and
-    at most one of the warning/blocking texts accompanies it.
-
-    Built once per verdict, so it is slotted and frozen like the syntax-tree
-    nodes in ``dsl``: the ``__init__`` stores each field through its slot's
-    ``__set__``, and every assignment or deletion raises the dataclass's own
-    ``FrozenInstanceError``."""
+    at most one of the warning/blocking texts accompanies it.  Slotted and
+    frozen."""
 
     roadmap: tuple[str, ...]
     soft: str | None = None
     hard: str | None = None
 
-    def __init__(self, roadmap: tuple[str, ...], soft: str | None = None, hard: str | None = None) -> None:
-        _set_roadmap(self, roadmap)
-        _set_soft(self, soft)
-        _set_hard(self, hard)
-
     def to_json_dict(self) -> dict:
         return {"roadmap": list(self.roadmap), "soft": self.soft, "hard": self.hard}
-
-
-_set_roadmap, _set_soft, _set_hard = (
-    FeedbackBundle.roadmap.__set__, FeedbackBundle.soft.__set__, FeedbackBundle.hard.__set__
-)
-FeedbackBundle.__setattr__, FeedbackBundle.__delattr__ = _refuse_assignment, _refuse_deletion
 
 
 def feedback_constant(constant: Constant) -> str:

@@ -190,6 +190,9 @@ def _parse_variables(
                            f"unknown type {type_text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]")
             elif var_type.kind is _ENUM and not var_type.variants:
                 problem = "EMPTY_ENUM", "an Enum type needs at least one variant"
+            elif var_type.kind is _ENUM and len(set(var_type.variants)) < len(var_type.variants):
+                twice = next(v for i, v in enumerate(var_type.variants) if v in var_type.variants[:i])
+                problem = "DUPLICATE_VARIANT", f"variant '{twice}' listed twice"
             else:
                 variables[name] = var_type
                 continue

@@ -149,7 +149,7 @@ def _event_from_dict(data: object, schema: StateSchema) -> ActionEvent:
     if not isinstance(action_id, str) or not action_id:
         raise TraceParseError("action_id must be a non-empty string")
     critical = data.get("critical")
-    if critical is not None and not isinstance(critical, str):
+    if critical is not None and (not isinstance(critical, str) or not critical):
         raise TraceParseError("critical must be an objective name")
     raw_updates = data.get("updates", [])
     if not isinstance(raw_updates, list):

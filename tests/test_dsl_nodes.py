@@ -1,9 +1,10 @@
 """Slotted syntax-tree nodes keep the frozen-dataclass contract.
 
 ``Constant``, ``Constraint``, ``StatePredicate``, ``ObjectiveRef`` and
-``Rule`` are slotted frozen dataclasses, and all but ``ObjectiveRef`` have a
-hand-written ``__init__``.  These tests import neither pytest nor click, so
-they also run as a plain script on an interpreter that has neither::
+``Rule`` are slotted frozen dataclasses built by ``dsl._node``, whose
+generated ``__init__`` stores each field through its slot.  These tests import
+neither pytest nor click, so they also run as a plain script on an
+interpreter that has neither::
 
     PYTHONPATH=src python3 tests/test_dsl_nodes.py
 """
@@ -12,9 +13,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 import weakref
+from decimal import Decimal
 from pathlib import Path
 
 from intentguard.dsl import (
@@ -28,9 +31,11 @@ from intentguard.dsl import (
     parse_specification,
     render_specification,
 )
+from intentguard.schema import ConstKind
 
 import generators
 
+NODES = (Constant, Constraint, StatePredicate, ObjectiveRef, Rule)
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "restaurant" / "reservation.vsa"
 SEED = 11
 
@@ -117,6 +122,31 @@ def test_refusals_keep_the_dataclass_messages():
                     assert str(exc) == f"cannot {verb} field {name!r}", exc
                 else:
                     raise AssertionError(f"{verb} {name} on {node!r} did not raise")
+
+
+def test_signatures_list_the_fields_in_order():
+    for cls in NODES:
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)
+        ], cls
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, cls
+
+
+def test_defaults_and_keywords_are_kept():
+    constant = Constant(value=Decimal(1), kind=ConstKind.NUMBER)
+    assert constant == Constant.number(1)
+    constraint = Constraint(constant=constant, operator=Operator.EQ, variable="x")
+    assert constraint == Constraint("x", Operator.EQ, constant)
+    assert StatePredicate(constraints=(constraint,), state_name="S") == StatePredicate("S", (constraint,))
+    assert ObjectiveRef(objective_name="A") == ObjectiveRef("A")
+    rule = Rule(conclusion="Done", predicates=(ObjectiveRef("A"),))
+    assert rule.line is None and Rule((ObjectiveRef("A"),), "Done", line=4).line == 4
+    for cls in NODES:
+        raises(TypeError, cls)
+    raises(TypeError, Rule, (ObjectiveRef("A"),), "Done", 4, None)
+    raises(TypeError, ObjectiveRef, "A", note=None)
 
 
 def test_rule_line_takes_no_part_in_equality_or_hash():

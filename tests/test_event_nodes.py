@@ -1,10 +1,10 @@
 """Slotted events and verdicts keep the frozen-dataclass contract.
 
 ``StateUpdate``, ``ActionEvent``, ``Verdict`` and ``FeedbackBundle`` are
-slotted frozen dataclasses with hand-written ``__init__``s.  The events here
-come from ``parse_trace`` and the verdicts from ``replay``, over the
-restaurant fixtures and seeded generated sessions.  These tests import
-neither pytest nor click, so they also run as a plain script on an
+slotted frozen dataclasses built by ``dsl._node``, like the syntax-tree nodes.
+The events here come from ``parse_trace`` and the verdicts from ``replay``,
+over the restaurant fixtures and seeded generated sessions.  These tests
+import neither pytest nor click, so they also run as a plain script on an
 interpreter that has neither::
 
     PYTHONPATH=src python3 tests/test_event_nodes.py
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import json
 import pickle
 import random
@@ -32,6 +33,7 @@ import generators
 RESTAURANT = Path(__file__).resolve().parent.parent / "fixtures" / "restaurant"
 CLOCK = datetime(2025, 3, 14, 12, 0, 0)
 SEEDS = range(6)
+NODES = (StateUpdate, ActionEvent, Verdict, FeedbackBundle)
 
 
 def sessions() -> list[tuple[list[ActionEvent], list[Verdict]]]:
@@ -137,8 +139,18 @@ def test_defaults_and_keywords_are_kept():
     assert ActionEvent("a1", "pre", ()).critical is None
     assert ActionEvent(critical="X", updates=(), phase="post", action_id="a2") == ActionEvent("a2", "post", (), "X")
     assert StateUpdate(values={}, state="S") == StateUpdate("S", {})
-    for cls in (StateUpdate, ActionEvent, Verdict, FeedbackBundle):
+    for cls in NODES:
         raises(TypeError, cls)
+
+
+def test_signatures_list_the_fields_in_order():
+    for cls in NODES:
+        parameters = inspect.signature(cls).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)
+        ], cls
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}, cls
 
 
 def test_assignment_and_deletion_raise_the_dataclass_errors():

@@ -267,3 +267,36 @@ def test_the_file_boundary_has_one_read():
         == ["read_text"]
     encoder = file_reads(ast.parse((SOURCE / "encoder.py").read_text(encoding="utf-8")))
     assert [function for function, _ in encoder] == ["_prompt"]
+
+
+def slot_writes(tree: ast.Module) -> list[str]:
+    """Every load of a ``__set__`` attribute and every assignment to a
+    ``__setattr__`` or ``__delattr__`` attribute: how a slotted frozen node
+    stores its fields and refuses every other write."""
+    return [
+        f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (
+            (node.attr == "__set__" and isinstance(node.ctx, ast.Load))
+            or (node.attr in ("__setattr__", "__delattr__") and isinstance(node.ctx, ast.Store))
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["store = Rule.line.__set__", "Rule.__setattr__ = refuse", "Rule.__setattr__, Rule.__delattr__ = refuse, refuse"],
+)
+def test_slot_writes_sees_every_form(source):
+    assert slot_writes(ast.parse(source))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py") if p.name != "dsl.py"))
+def test_only_dsl_builds_slotted_nodes(module):
+    # dsl._node is the one place that knows how a slotted frozen node stores
+    # its fields and refuses every other write; other modules decorate with it
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert not slot_writes(tree), f"{module} builds a node by hand: {slot_writes(tree)}"
+
+
+def test_dsl_is_where_nodes_are_built():
+    assert slot_writes(ast.parse((SOURCE / "dsl.py").read_text(encoding="utf-8")))

@@ -150,6 +150,15 @@ class TestLoad:
             )
         assert "EMPTY_ENUM" in issue_codes(exc_info)
 
+    def test_enum_variant_listed_twice_rejected(self):
+        # variants are compared as written, after stripping: "a" and "A" differ
+        variables = [{"pay": "Enum[Card, Cash,  Card ]"}, {"mode": "Enum[a, A]"}]
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "demo", "states": [{"name": "S", "description": "", "variables": variables}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == ("states[0].variables.pay", "DUPLICATE_VARIANT")
+        assert issue.message == "variant 'Card' listed twice"
+
     def test_flat_variable_map_accepted(self):
         schema = schema_from_dict(
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": {"x": "Number", "y": "Time"}}]}

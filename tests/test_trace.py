@@ -96,6 +96,7 @@ class TestParse:
                 "not a valid time",
             ),
             ('{"action_id": "x", "updates": [], "critical": 3}', "critical must be an objective name"),
+            ('{"action_id": "x", "updates": [], "critical": ""}', "critical must be an objective name"),
             ('{"action_id": "x", "updates": [{"values": {"name": "R"}}]}', "each update needs a 'state' name"),
             (
                 '{"action_id": "x", "updates": [{"state": "RestaurantInfo", "values": ["R"]}]}',
