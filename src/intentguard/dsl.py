@@ -286,8 +286,11 @@ _TIME_SHAPE = r"\d\d?:\d\d"
 _NUMBER_SHAPE = r"-?\d+(?:\.\d+)?"
 #: Spelling of a Text literal, shared by the token pattern and the reader.
 #: It is matched whole, so this is the one place that knows the escapes (\"
-#: and \\).
-_STRING_SHAPE = r'"(?:[^"\\]|\\["\\])*"'
+#: and \\).  It is written unrolled, as runs of plain characters between
+#: escapes, so ``re`` scans each run with one charset loop instead of one
+#: group iteration per character; ``(?:[^"\\]|\\["\\])*`` is the same
+#: language, and ``tests/test_text_scanners.py`` holds the two equal.
+_STRING_SHAPE = r'"[^"\\]*(?:\\["\\][^"\\]*)*"'
 
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
@@ -491,8 +494,9 @@ def _word_constant(text: str) -> Constant:
 # patterns are built from the token pattern's shapes and the operator
 # spellings, and it reads a name as the tokenizer does: ``\w+`` taken whole,
 # never ``in`` or ``not`` (an operator, or an error), and starting with a
-# letter or ``_``.  ``[^\W\d]`` is that for ASCII, so a pure-ASCII line skips
-# ``_letter_first``; elsewhere it also admits numerics such as ``²`` and
+# letter or ``_``.  ``[^\W\d]`` is that for ASCII, so a pure-ASCII line, and
+# on any other line a name whose first character is ASCII, skips
+# ``_letter_first``; outside ASCII it also admits numerics such as ``²`` and
 # ``½``, which ``_letter_first`` turns away.  ``str.isidentifier`` is no
 # substitute: it takes characters ``\w`` does not, such as ``·``.
 #
@@ -542,15 +546,19 @@ def _read_rule(line: str, lineno: int, memo: dict[tuple, Constraint]) -> Rule | 
         return None
     plain = line.isascii()
     match = _READ_HEAD.match(after)
-    if match is None or match[2] or match.end() != len(after) or not (plain or _letter_first(match[1])):
+    if match is None or match[2] or match.end() != len(after):
         return None
     conclusion = match[1]
+    if not (plain or conclusion[0] < "\x80" or _letter_first(conclusion)):
+        return None
     predicates: list[Predicate] = []
     for text in body.split("&"):
         match = _READ_HEAD.match(text)
-        if match is None or not (plain or _letter_first(match[1])):
+        if match is None:
             return None
         name, paren = match.groups()
+        if not (plain or name[0] < "\x80" or _letter_first(name)):
+            return None
         end = match.end()
         if not paren:
             if end != len(text):
@@ -569,14 +577,14 @@ def _read_rule(line: str, lineno: int, memo: dict[tuple, Constraint]) -> Rule | 
             constraint = memo.get(spelled)
             if constraint is None:
                 variable, spelling, string, day, clock, number, word, items = spelled
-                if not (plain or _letter_first(variable)):
+                if not (plain or variable[0] < "\x80" or _letter_first(variable)):
                     return None
                 if string is not None:
                     constant = Constant.text(_unquote(string))
                 elif number is not None:
                     constant = Constant.number(number)
                 elif word is not None:
-                    if not (plain or _letter_first(word)):
+                    if not (plain or word[0] < "\x80" or _letter_first(word)):
                         return None
                     constant = _word_constant(word)
                 elif items is not None:
@@ -975,9 +983,15 @@ def normalize_text(value: str) -> str:
     return unicodedata.normalize("NFC", value).strip()
 
 
+#: What :func:`lexical_similarity` drops: every character that is neither
+#: alphanumeric nor a blank.  ``\w`` is ``str.isalnum`` plus ``_`` and ``\s``
+#: is ``str.isspace``, so one substitution keeps exactly the characters a
+#: per-character ``ch.isalnum() or ch.isspace()`` filter keeps.
+_NOT_ALNUM_OR_SPACE = re.compile(r"[^\w\s]|_")
+
+
 def _lexical_normalize(text: str) -> str:
-    folded = unicodedata.normalize("NFC", text).casefold()
-    kept = "".join(ch if (ch.isalnum() or ch.isspace()) else "" for ch in folded)
+    kept = _NOT_ALNUM_OR_SPACE.sub("", unicodedata.normalize("NFC", text).casefold())
     return " ".join(kept.split())
 
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable
 
 from . import feedback as feedback_mod
@@ -329,6 +328,27 @@ def _memoized_lexical_similarity() -> Callable[[str, str], float]:
     return similarity
 
 
+class _built_on_first_read:
+    """A method whose result stands in for it: the first read of its name on
+    an instance runs it and stores the result in the instance's ``__dict__``.
+    The descriptor defines no ``__set__``, so each later read is a plain
+    instance attribute hit.  Unlike ``functools.cached_property`` on CPython
+    3.10 and 3.11 it takes no lock: there, one lock per descriptor, shared by
+    every instance, makes first reads on different sessions wait for each
+    other.  A session is used from one thread at a time, so none is needed."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.build(instance)
+        return value
+
+
 class Session:
     """Sequential verification session for one instruction.
 
@@ -364,7 +384,7 @@ class Session:
         self.pending_soft: tuple | None = None
         self.done = False
 
-    @cached_property
+    @_built_on_first_read
     def _compiled(self) -> _CompiledSpec:
         """The spec's compiled form, built on first use so that constructing a
         session costs at most the static check.  It evaluates nothing: no

@@ -88,7 +88,8 @@ def _goal_clause(conclusion: str) -> str:
 
 def _state_description(schema: StateSchema, state_name: str) -> str:
     state = schema.state(state_name)
-    if state is None or not state.description.strip():
+    # one of only periods and blanks would print as nothing once trimmed
+    if state is None or not state.description.replace(".", "").strip():
         return "(no description)"
     return state.description.strip().rstrip(".")
 

@@ -27,7 +27,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -107,9 +106,11 @@ class StateSchema:
     app_id: str
     states: tuple[StateDef, ...]
 
-    @cached_property
-    def _states_by_name(self) -> dict[str, StateDef]:
-        return {s.name: s for s in reversed(self.states)}
+    def __post_init__(self) -> None:
+        # the first declaration of a name wins.  Built here, not on first
+        # lookup: a cached_property holds one lock on CPython 3.10 and 3.11,
+        # shared by every schema, so first lookups on two threads would wait
+        object.__setattr__(self, "_states_by_name", {s.name: s for s in reversed(self.states)})
 
     def state(self, name: str) -> StateDef | None:
         return self._states_by_name.get(name)

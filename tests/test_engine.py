@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import threading
 from datetime import time
 from decimal import Decimal
 
@@ -106,6 +107,39 @@ class TestSessionConstruction:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_compiled_spec_is_built_on_first_read_and_then_kept(self, make_session):
+        session = make_session()
+        assert "_compiled" not in vars(session)
+        compiled = session._compiled
+        assert vars(session)["_compiled"] is compiled is session._compiled
+        assert Session._compiled.__doc__.startswith("The spec's compiled form")
+
+    def test_first_reads_on_two_sessions_do_not_wait_for_each_other(self, make_session, monkeypatch):
+        # one session's compile is held open on a worker thread until the
+        # main thread has compiled another; a lock shared by the sessions
+        # would keep the main thread out until the worker gave up
+        sentence = engine.feedback_mod.roadmap_sentence
+        building, built, released = threading.Event(), threading.Event(), []
+
+        def held_sentence(rule, schema):
+            if threading.current_thread() is not threading.main_thread() and not building.is_set():
+                building.set()
+                released.append(built.wait(5))
+            return sentence(rule, schema)
+
+        monkeypatch.setattr(engine.feedback_mod, "roadmap_sentence", held_sentence)
+        held, free = make_session(), make_session()
+        reports = []
+        worker = threading.Thread(target=lambda: reports.append(held.progress_report()))
+        worker.start()
+        assert building.wait(5)
+        reports.append(free.progress_report())
+        built.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert released == [True]
+        assert len(reports) == 2 and reports[0] == reports[1]
 
 
 class TestStaticCheckOnce:

@@ -4,9 +4,10 @@ from datetime import time as dtime
 
 import pytest
 
-from intentguard.dsl import Constant
+from intentguard.dsl import Constant, parse_specification
 from intentguard.engine import Session, StateUpdate, ActionEvent
-from intentguard.feedback import render_hard, render_roadmap_lines, render_soft
+from intentguard.feedback import render_hard, render_roadmap_lines, render_soft, roadmap_sentence
+from intentguard.schema import ConstKind, StateDef, StateSchema, VarType
 
 from conftest import CLOCK
 
@@ -47,6 +48,20 @@ class TestRoadmap:
         lines = render_roadmap_lines(session.progress_report(), reservation_spec, restaurant_schema)
         assert "'available' not equal to True" in lines[2]
         assert lines[2].startswith("To complete the task,")
+
+    @pytest.mark.parametrize("description, shown", [
+        ("The form.", "The form"), (" The form... ", "The form"), (". The form", ". The form"), ("a . ", "a "),
+        ("", "(no description)"), ("   ", "(no description)"),
+        # periods and blanks alone are no description either
+        (".", "(no description)"), ("...", "(no description)"), (" . . ", "(no description)"),
+        ("\t.\n", "(no description)"),
+    ])
+    def test_state_description_in_roadmap_sentence(self, description, shown):
+        schema = StateSchema("app", (StateDef("S", description, {"x": VarType(ConstKind.NUMBER)}),))
+        rule = parse_specification("S(x = 1) -> Done").rules[0]
+        assert roadmap_sentence(rule, schema) == (
+            f"To complete the task, 1. S that represents {shown} should have 'x' equal to 1."
+        )
 
     def test_fresh_session_has_no_achieved_clause(self, make_session, reservation_spec, restaurant_schema):
         session = make_session()

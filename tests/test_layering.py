@@ -300,3 +300,31 @@ def test_only_dsl_builds_slotted_nodes(module):
 
 def test_dsl_is_where_nodes_are_built():
     assert slot_writes(ast.parse((SOURCE / "dsl.py").read_text(encoding="utf-8")))
+
+
+def cached_property_uses(tree: ast.Module) -> list[int]:
+    """The line of every name, attribute or import spelled ``cached_property``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "cached_property" for alias in node.names))
+    ]
+
+
+@pytest.mark.parametrize("source", [
+    "from functools import cached_property as lazy",
+    "import functools\nclass A:\n    @functools.cached_property\n    def x(self): pass",
+    "class A:\n    x = cached_property(len)",
+])
+def test_cached_property_uses_sees_every_form(source):
+    assert cached_property_uses(ast.parse(source))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_no_cached_property(module):
+    # on CPython 3.10 and 3.11 a cached_property holds one lock, shared by
+    # every instance, so first reads on objects that share nothing (two
+    # sessions, two schemas) would wait for each other across threads
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    assert not cached_property_uses(tree), f"{module} uses cached_property on lines {cached_property_uses(tree)}"
