@@ -1,5 +1,6 @@
 """The file boundary: one reader and one JSON decoder that every loader
-calls, and atomic replacement of a text file that every writer calls."""
+calls, atomic replacement of a text file that every writer calls, and the
+reason an error message gives for a file that failed."""
 
 from __future__ import annotations
 
@@ -51,6 +52,13 @@ def parse_json(text: str) -> object:
         return json.loads(text)
     except RecursionError as exc:
         raise ValueError(str(exc)) from None
+
+
+def failure_reason(exc: BaseException) -> str:
+    """The reason to print for a file that could not be read, decoded or
+    written: an ``OSError``'s ``strerror`` (``No such file or directory``,
+    without the errno and the path it repeats), else the exception's text."""
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

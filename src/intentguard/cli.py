@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import click
 
 from . import __version__
-from ._files import write_text_atomic
+from ._files import failure_reason, write_text_atomic
 from .backend import BackendError, HttpBackend, MockBackend
 from .dsl import check_specification, load_specification, render_specification
 from .engine import EngineError, InvalidSpecification
@@ -44,7 +44,7 @@ def _writing_or_exit(path: str):
     try:
         yield
     except OSError as exc:
-        raise _fail(f"cannot write {path}: {exc.strerror or exc}")
+        raise _fail(f"cannot write {path}: {failure_reason(exc)}")
 
 
 def _load_or_exit(what: str, load, path: str, *args):
@@ -56,7 +56,7 @@ def _load_or_exit(what: str, load, path: str, *args):
     try:
         return load(path, *args)
     except (OSError, ValueError, BackendError) as exc:
-        raise _fail(f"{what} {path}: {getattr(exc, 'strerror', None) or exc}")
+        raise _fail(f"{what} {path}: {failure_reason(exc)}")
 
 
 def _backend_options(fn):
@@ -247,7 +247,7 @@ def cmd_schema_lint(schema_path):
             click.echo(str(issue))
         raise click.exceptions.Exit(2)
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail(f"schema {schema_path}: {getattr(exc, 'strerror', None) or exc}")
+        raise _fail(f"schema {schema_path}: {failure_reason(exc)}")
     variables = sum(len(s.variables) for s in schema.states)
     click.echo(f"ok: app '{schema.app_id}', {len(schema.states)} state(s), {variables} variable(s)")
 

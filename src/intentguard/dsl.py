@@ -30,7 +30,9 @@ from pathlib import Path
 from typing import Callable, Union
 
 from ._files import read_text
-from .schema import _BOOLEAN, _DATE, _ENUM, _NUMBER, _TEXT, _TEXT_LIST, _TIME, ConstKind, StateSchema, VarType
+from .schema import (
+    _BOOLEAN, _DATE, _ENUM, _NAME_SHAPE, _NUMBER, _TEXT, _TEXT_LIST, _TIME, ConstKind, StateSchema, VarType,
+)
 
 DONE = "Done"
 TODAY = "Today"
@@ -292,6 +294,22 @@ _NUMBER_SHAPE = r"-?\d+(?:\.\d+)?"
 #: language, and ``tests/test_text_scanners.py`` holds the two equal.
 _STRING_SHAPE = r'"[^"\\]*(?:\\["\\][^"\\]*)*"'
 
+_OPERATORS = {o.value: o for o in Operator}
+_OPERATOR_SPELLINGS = tuple(sorted(_OPERATORS))
+_NOT_IN = Operator.NOT_IN
+#: Every spelling of an operator, shared by the token pattern and the reader:
+#: the canonical ones and their Unicode forms.
+_SPELLED_OPERATORS = {
+    **_OPERATORS,
+    **{spelling: _OPERATORS[canon] for spelling, canon in UNICODE_OPERATORS.items() if canon in _OPERATORS},
+}
+#: Longest spellings first; a spelling ending in a letter must end its word,
+#: and the blank in ``not in`` may be any run of blanks.
+_OPERATOR_SHAPE = "|".join(
+    re.escape(spelling).replace(r"\ ", r"\s+") + (r"(?!\w)" if spelling[-1].isalpha() else "")
+    for spelling in sorted(_SPELLED_OPERATORS, key=len, reverse=True)
+)
+
 # One alternative per token kind, tried in order at each position after
 # optional blanks.  END is a comment or the end of the line; ERROR takes any
 # character no other alternative starts with, so the pattern matches at every
@@ -307,8 +325,7 @@ _TOKEN_PATTERN = re.compile(
       | (?P<TIME> {_TIME_SHAPE} )
       | (?P<NUMBER> -?\d+ (?: \.\d* )? )
       | (?P<ARROW> -> | → )
-      | (?P<OP> [!~<>]= | [=<>≠≃≥≤⊆⊄] | in(?!\w) )
-      | (?P<NOT_IN> not\s+in(?!\w) )
+      | (?P<OP> {_OPERATOR_SHAPE} )
       | (?P<IDENT> \w+ )
       | (?P<AND> [&∧] )
       | (?P<LPAREN> \( ) | (?P<RPAREN> \) ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] ) | (?P<COMMA> , )
@@ -354,8 +371,10 @@ def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
         elif kind == "NUMBER":
             if text[-1] == ".":
                 raise SpecSyntaxError("malformed number", lineno, column, ("digit",))
-        elif kind == "NOT_IN":
-            kind, text = "OP", "not in"
+        elif kind == "OP":
+            # the only spelling missing from the table is ``not in`` with
+            # other blanks between its words
+            text = _SPELLED_OPERATORS.get(text, _NOT_IN)._value_
         elif kind == "ERROR":
             if text == '"':
                 raise _string_error(line_text, start, lineno, offset)
@@ -382,11 +401,6 @@ def _string_error(line_text: str, quote: int, lineno: int, offset: int) -> SpecS
             return SpecSyntaxError(f"unsupported escape \\{escaped}", lineno, backslash - offset)
         backslash = line_text.find("\\", backslash + 2, end)
     return SpecSyntaxError("unterminated string literal", lineno, quote - offset, ('"',))
-
-
-_OPERATORS = {o.value: o for o in Operator}
-_OPERATOR_SPELLINGS = tuple(sorted(_OPERATORS))
-_NOT_IN = Operator.NOT_IN
 
 
 def _unexpected(token: tuple[str, str, int], lineno: int, expected: tuple[str, ...]) -> SpecSyntaxError:
@@ -494,11 +508,13 @@ def _word_constant(text: str) -> Constant:
 # patterns are built from the token pattern's shapes and the operator
 # spellings, and it reads a name as the tokenizer does: ``\w+`` taken whole,
 # never ``in`` or ``not`` (an operator, or an error), and starting with a
-# letter or ``_``.  ``[^\W\d]`` is that for ASCII, so a pure-ASCII line, and
-# on any other line a name whose first character is ASCII, skips
-# ``_letter_first``; outside ASCII it also admits numerics such as ``²`` and
-# ``½``, which ``_letter_first`` turns away.  ``str.isidentifier`` is no
-# substitute: it takes characters ``\w`` does not, such as ``·``.
+# letter or ``_``.  That is ``schema._NAME_SHAPE``, which a schema's names
+# must also match, except that its ``[^\W\d]`` is a letter or ``_`` only for
+# ASCII.  So a pure-ASCII line, and on any other line a name whose first
+# character is ASCII, skips ``_letter_first``; outside ASCII ``[^\W\d]`` also
+# admits numerics such as ``²`` and ``½``, which ``_letter_first`` turns
+# away.  ``str.isidentifier`` is no substitute: it takes characters ``\w``
+# does not, such as ``·``.
 #
 # Rules restate the shared conditions of their branches, so one parse reads
 # the same constraint many times.  ``parse_specification`` keeps one memo per
@@ -507,17 +523,6 @@ def _word_constant(text: str) -> Constant:
 # shares that node, its Constant and its value.  The key is the spelling, not
 # the Constant: ``1`` and ``1.0`` are equal constants that print differently.
 # The memo lives for one call only; lines the token parser reads share nothing.
-_NAME_SHAPE = r"(?!(?:in|not)(?!\w))[^\W\d]\w*(?!\w)"
-_SPELLED_OPERATORS = {
-    **_OPERATORS,
-    **{spelling: _OPERATORS[canon] for spelling, canon in UNICODE_OPERATORS.items() if canon in _OPERATORS},
-}
-#: Longest spellings first; a spelling ending in a letter must end its word,
-#: and the blank in ``not in`` may be any run of blanks.
-_OPERATOR_SHAPE = "|".join(
-    re.escape(spelling).replace(r"\ ", r"\s+") + (r"(?!\w)" if spelling[-1].isalpha() else "")
-    for spelling in sorted(_SPELLED_OPERATORS, key=len, reverse=True)
-)
 #: A predicate's or the conclusion's name, and the parenthesis that opens a
 #: state predicate's constraints.
 _READ_HEAD = re.compile(rf"\s*({_NAME_SHAPE})\s*(\(?)")
@@ -723,25 +728,37 @@ def _render_lines(rules: tuple[Rule, ...]) -> list[str]:
                     text = texts[id(c)] = f"{c.variable} {c.operator._value_} {render_constant(c.constant)}"
                 inner.append(text)
             parts.append(f"{pred.state_name}({', '.join(inner)})")
-        body = " & ".join(parts)
-        if "\n" in body:
-            for pred in rule.predicates:
-                if isinstance(pred, ObjectiveRef):
-                    continue
-                for c in pred.constraints:
-                    if c.constant.kind in (_TEXT, _TEXT_LIST) and "\n" in render_constant(c.constant):
-                        raise ValueError(
-                            f"{pred.state_name}.{c.variable}: a {c.constant.kind.value} constant holding a "
-                            "line break cannot be written as a spec line"
-                        )
-        lines.append(f"{body} -> {rule.conclusion}")
+        line = f"{' & '.join(parts)} -> {rule.conclusion}"
+        if "\n" in line:
+            raise ValueError(f"{_line_break(rule)} holding a line break cannot be written as a spec line")
+        lines.append(line)
     return lines
 
 
+def _line_break(rule: Rule) -> str:
+    """The first piece of ``rule``, in the order it is written, that holds a
+    ``\\n``: a state name, a variable name, a constant, an objective reference
+    or the conclusion."""
+    for pred in rule.predicates:
+        if isinstance(pred, ObjectiveRef):
+            if "\n" in pred.objective_name:
+                return f"objective reference {pred.objective_name!r}"
+            continue
+        if "\n" in pred.state_name:
+            return f"state name {pred.state_name!r}"
+        for c in pred.constraints:
+            if "\n" in c.variable:
+                return f"{pred.state_name}: variable name {c.variable!r}"
+            if "\n" in render_constant(c.constant):
+                kind = c.constant.kind
+                return f"{pred.state_name}.{c.variable}: {'an' if kind is _ENUM else 'a'} {kind.value} constant"
+    return f"conclusion {rule.conclusion!r}"
+
+
 def render_rule(rule: Rule) -> str:
-    """The rule's spec line.  ``ValueError``, naming the variable, for a Text
-    or Text-list constant holding ``\n``: the language has no escape for it,
-    so the line could not be read back."""
+    """The rule's spec line.  ``ValueError``, naming the first piece that
+    holds it, for a ``\\n`` anywhere in the line: the language has no escape
+    for it, so the line could not be read back."""
     return _render_lines((rule,))[0]
 
 

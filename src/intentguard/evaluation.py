@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ._files import parse_json, read_text
+from ._files import failure_reason, parse_json, read_text
 from .backend import Backend, MockBackend
 from .dsl import Specification, load_specification
 from .encoder import EncodeConfig, encode, majority_verify
@@ -124,7 +124,7 @@ def load_cases(cases_dir: str | Path) -> list[EvalCase]:
         try:
             data = parse_json(read_text(path))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+            raise ValueError(f"{path}: {failure_reason(exc)}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: case manifest must be a JSON object")
         expected = data.get("expected")

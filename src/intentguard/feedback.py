@@ -24,7 +24,7 @@ from .dsl import (
     _node,
     render_constant,
 )
-from .schema import _BOOLEAN, _DATE, _TEXT, _TEXT_LIST, StateSchema
+from .schema import _BOOLEAN, _DATE, _TEXT, _TEXT_LIST, StateSchema, _shown_description
 
 if TYPE_CHECKING:
     from .engine import HardCheckResult, RuleProgress, Violation
@@ -88,10 +88,7 @@ def _goal_clause(conclusion: str) -> str:
 
 def _state_description(schema: StateSchema, state_name: str) -> str:
     state = schema.state(state_name)
-    # one of only periods and blanks would print as nothing once trimmed
-    if state is None or not state.description.replace(".", "").strip():
-        return "(no description)"
-    return state.description.strip().rstrip(".")
+    return _shown_description(state.description if state is not None else "").rstrip(".")
 
 
 def _predicate_step(predicate, schema: StateSchema) -> str:

@@ -134,7 +134,14 @@ class SchemaError(ValueError):
         super().__init__("; ".join(str(i) for i in issues))
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: The one spelling of a name, shared with the spec readers in :mod:`.dsl`: a
+#: word of ``\w`` characters, taken whole, that starts with a letter or ``_``
+#: and is neither ``in`` nor ``not`` (an operator, or half of one).  A schema
+#: reads it with ``re.ASCII``, so a state or variable it declares is an ASCII
+#: letter or ``_`` followed by ASCII letters, digits and ``_``: a name any spec
+#: can write.
+_NAME_SHAPE = r"(?!(?:in|not)(?!\w))[^\W\d]\w*(?!\w)"
+_is_name = re.compile(_NAME_SHAPE, re.ASCII).fullmatch
 
 
 def parse_var_type(text: str) -> VarType | None:
@@ -176,7 +183,7 @@ def _parse_variables(
                 continue
             [entry] = entry.items()
         name, type_text = entry
-        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+        if not isinstance(name, str) or not _is_name(name):
             problem = "BAD_VARIABLE", f"variable name {name!r} is not an identifier"
         elif name in variables:
             problem = "DUPLICATE_VARIABLE", f"variable '{name}' declared twice"
@@ -230,7 +237,7 @@ def schema_from_dict(data: object) -> StateSchema:
             issues.append(SchemaIssue(f"states[{i}]", "BAD_STATE", "expected an object"))
             continue
         name = raw.get("name")
-        if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+        if not isinstance(name, str) or not _is_name(name):
             issues.append(SchemaIssue(f"states[{i}].name", "BAD_STATE", f"state name {name!r} is not an identifier"))
             continue
         if name in seen_names:
@@ -280,6 +287,15 @@ def save_schema(schema: StateSchema, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(schema_to_dict(schema), indent=2) + "\n")
 
 
+def _shown_description(description: str) -> str:
+    """A state's description as the prompt and the roadmap show it: trimmed,
+    or ``(no description)`` when it holds nothing but periods and blanks,
+    which would print as nothing once the roadmap drops its final period."""
+    if not description.replace(".", "").strip():
+        return "(no description)"
+    return description.strip()
+
+
 def describe_states(schema: StateSchema) -> str:
     """Render the schema as deterministic prompt text for the encoding model.
 
@@ -288,8 +304,7 @@ def describe_states(schema: StateSchema) -> str:
     """
     lines: list[str] = []
     for state in sorted(schema.states, key=lambda s: s.name):
-        description = state.description.strip() or "(no description)"
-        lines.append(f"- {state.name}: {description}")
+        lines.append(f"- {state.name}: {_shown_description(state.description)}")
         for name in sorted(state.variables):
             lines.append(f"    {name}: {state.variables[name].describe()}")
     return "\n".join(lines) + "\n"

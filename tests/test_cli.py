@@ -312,6 +312,19 @@ class TestSchemaLint:
         assert "UNKNOWN_TYPE" in result.output
         assert "DUPLICATE_STATE" in result.output
 
+    def test_operator_words_as_names_are_listed(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"app_id": "demo", "states": [
+            {"name": "not", "variables": [{"x": "Text"}]},
+            {"name": "S", "variables": [{"in": "Text"}, {"y": "Text"}]},
+        ]}))
+        result = runner.invoke(main, ["schema", "lint", str(bad)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "BAD_STATE at states[0].name: state name 'not' is not an identifier\n"
+            "BAD_VARIABLE at states[1].variables.in: variable name 'in' is not an identifier\n"
+        )
+
     @pytest.mark.parametrize("value, message", PAST_PYTHON_LIMITS)
     def test_json_past_python_limits_is_bad_json(self, runner, tmp_path, value, message):
         bad = tmp_path / "bad.json"

@@ -190,6 +190,29 @@ class TestRender:
         with pytest.raises(ValueError, match=r"^S\.x: a "):
             render_specification(spec)
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule((StatePredicate("S\nT", (Constraint("x", Operator.EQ, Constant.number(1)),)),), "Done"),
+             "state name 'S\\nT'"),
+            (Rule((StatePredicate("S", (Constraint("x\ny", Operator.EQ, Constant.number(1)),)),), "Done"),
+             "S: variable name 'x\\ny'"),
+            (Rule((StatePredicate("S", (Constraint("x", Operator.EQ, Constant.enum("A\nB")),)),), "Done"),
+             "S.x: an Enum constant"),
+            (Rule((ObjectiveRef("A\nB"),), "Done"), "objective reference 'A\\nB'"),
+            (Rule((StatePredicate("S", (Constraint("x", Operator.EQ, Constant.number(1)),)),), "Do\nne"),
+             "conclusion 'Do\\nne'"),
+            # the first piece that holds one is named
+            (Rule((StatePredicate("S", (Constraint("x", Operator.EQ, Constant.text("a\nb")),)),), "Do\nne"),
+             "S.x: a Text constant"),
+        ],
+        ids=["state-name", "variable", "enum", "objective-reference", "conclusion", "first-piece"],
+    )
+    def test_a_line_break_in_any_piece_is_refused(self, rule, message):
+        with pytest.raises(ValueError) as info:
+            render_specification(Specification((rule,)))
+        assert str(info.value) == f"{message} holding a line break cannot be written as a spec line"
+
     def test_carriage_return_and_line_separator_round_trip(self):
         constraints = (
             Constraint("x", Operator.EQ, Constant.text("a\rb\u2028c")),

@@ -184,6 +184,36 @@ def test_hand_picked_lines_are_read_soundly_or_declined():
     assert [line for line in DECLINED_LINES if _read_rule(line, LINENO, {}) is not None] == []
 
 
+# every spelling of every operator, and ``not in`` with other blanks between its words
+OPERATOR_SPELLINGS = (
+    ("=", Operator.EQ), ("!=", Operator.NEQ), ("~=", Operator.APPROX), (">", Operator.GT), (">=", Operator.GE),
+    ("<", Operator.LT), ("<=", Operator.LE), ("in", Operator.IN), ("not in", Operator.NOT_IN),
+    ("≠", Operator.NEQ), ("≃", Operator.APPROX), ("≥", Operator.GE), ("≤", Operator.LE),
+    ("⊆", Operator.IN), ("⊄", Operator.NOT_IN), ("not \t in", Operator.NOT_IN),
+)
+
+
+def test_the_spelling_list_is_the_readers_table():
+    assert {spelling for spelling, _ in OPERATOR_SPELLINGS} == {*dsl._SPELLED_OPERATORS, "not \t in"}
+    # the token pattern spells operators through the same table
+    assert dsl._OPERATOR_SHAPE in dsl._TOKEN_PATTERN.pattern
+    assert "NOT_IN" not in dsl._TOKEN_PATTERN.groupindex
+
+
+@pytest.mark.parametrize("spelling, operator", OPERATOR_SPELLINGS, ids=[repr(s) for s, _ in OPERATOR_SPELLINGS])
+def test_both_parsers_read_each_operator_spelling_alike(spelling, operator):
+    literal, constant = ('["a"]', Constant.text_list(("a",))) if operator.list_constant else ("1", Constant.number(1))
+    line = f"S(x {spelling} {literal}) -> Done"
+    expected = Rule((StatePredicate("S", (Constraint("x", operator, constant),)),), "Done")
+    assert _read_rule(line, LINENO, {}) == expected
+    # a comment makes the reader decline the line, so the token parser reads it
+    commented = f"{line} # c"
+    assert _read_rule(commented, LINENO, {}) is None
+    tokens = _tokenize(commented, LINENO)
+    assert tokens[3][:2] == ("OP", operator.value)
+    assert _parse_rule(tokens, LINENO) == expected
+
+
 def test_the_reader_takes_every_canonical_line():
     """Every rule the renderer writes is a plainly written line, so set-up and
     each encoder draft never reach the token parser for it."""

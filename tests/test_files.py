@@ -12,7 +12,7 @@ import os
 import pytest
 
 from intentguard import PredicateMemory, load_schema, load_specification, load_trace, save_schema, write_trace
-from intentguard._files import parse_json, read_text
+from intentguard._files import failure_reason, parse_json, read_text
 
 from conftest import FIXTURES
 
@@ -118,6 +118,18 @@ def test_an_unreadable_path_fails_with_the_same_os_error(tmp_path, name):
         text_mode_read(path)
     assert type(ours.value) is type(theirs.value)
     assert (ours.value.errno, ours.value.strerror) == (theirs.value.errno, theirs.value.strerror)
+
+
+def test_a_failure_is_named_by_its_reason(tmp_path):
+    with pytest.raises(OSError) as missing:
+        read_text(tmp_path / "missing")
+    assert failure_reason(missing.value) == "No such file or directory"
+    (tmp_path / "latin1").write_bytes(b"caf\xe9")
+    with pytest.raises(UnicodeDecodeError) as undecodable:
+        read_text(tmp_path / "latin1")
+    # an error with no strerror, or an empty one, gives its own text
+    for exc in (undecodable.value, OSError("no reason given"), ValueError("bad value")):
+        assert failure_reason(exc) == str(exc)
 
 
 def decoded(decode, text):

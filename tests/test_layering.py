@@ -328,3 +328,36 @@ def test_no_cached_property(module):
     # sessions, two schemas) would wait for each other across threads
     tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
     assert not cached_property_uses(tree), f"{module} uses cached_property on lines {cached_property_uses(tree)}"
+
+
+def spellings(word: str) -> list[tuple[str, int]]:
+    """The module and line of every string constant holding ``word``, but a
+    docstring, and of every attribute named ``word``, in the package's source."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str) and word in node.value
+                    and id(node) not in docstrings) or (isinstance(node, ast.Attribute) and node.attr == word):
+                found.append((path.name, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("word, module", [("(no description)", "schema.py"), ("strerror", "_files.py")])
+def test_a_shared_rule_is_written_once(word, module):
+    # the prompt and the roadmap call an empty description the same, and every
+    # message about a failed file gives the same reason, because one function
+    # decides each
+    found = spellings(word)
+    assert [name for name, _ in found] == [module], found
+
+
+def test_schema_and_spec_share_one_name_shape():
+    from intentguard import dsl, schema
+
+    assert dsl._NAME_SHAPE is schema._NAME_SHAPE
+    assert not hasattr(schema, "_IDENT_RE")

@@ -134,6 +134,28 @@ class TestLoad:
         assert (issue.path, issue.code) == ("states[0].variables.x\n", "BAD_VARIABLE")
         assert issue.message == "variable name 'x\\n' is not an identifier"
 
+    # ``in`` and ``not`` are operator words, so no spec could name them
+    @pytest.mark.parametrize("word", ["in", "not"])
+    def test_operator_word_as_a_state_name_is_not_an_identifier(self, word):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "a", "states": [{"name": word, "variables": [{"x": "Text"}]}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == ("states[0].name", "BAD_STATE")
+        assert issue.message == f"state name '{word}' is not an identifier"
+
+    @pytest.mark.parametrize("word", ["in", "not"])
+    def test_operator_word_as_a_variable_name_is_not_an_identifier(self, word):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "a", "states": [{"name": "S", "variables": [{word: "Text"}, {"y": "Text"}]}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == (f"states[0].variables.{word}", "BAD_VARIABLE")
+        assert issue.message == f"variable name '{word}' is not an identifier"
+
+    @pytest.mark.parametrize("name", ["inx", "notes", "_in", "in_", "not_in", "IN", "Not"])
+    def test_names_that_only_start_like_an_operator_word_load(self, name):
+        schema = schema_from_dict({"app_id": "a", "states": [{"name": name, "variables": [{name: "Text"}]}]})
+        assert list(schema.state(name).variables) == [name]
+
     def test_enum_type_with_variants(self):
         schema = schema_from_dict(
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": [{"pay": "Enum[Card, Cash]"}]}]}
@@ -198,7 +220,16 @@ class TestDescribe:
         assert describe_states(permuted) == describe_states(restaurant_schema)
 
     def test_empty_description_placeholder(self):
+        # a description of only periods and blanks says nothing, in the prompt as in the roadmap
+        for described in ({}, {"description": ""}, {"description": " \t"}, {"description": "..."},
+                          {"description": " . . "}):
+            schema = schema_from_dict(
+                {"app_id": "demo", "states": [{"name": "S", **described, "variables": [{"x": "Text"}]}]}
+            )
+            assert describe_states(schema) == "- S: (no description)\n    x: Text\n", described
+
+    def test_a_description_is_trimmed_and_keeps_its_period(self):
         schema = schema_from_dict(
-            {"app_id": "demo", "states": [{"name": "S", "variables": [{"x": "Text"}]}]}
+            {"app_id": "demo", "states": [{"name": "S", "description": " The cart. ", "variables": [{"x": "Text"}]}]}
         )
-        assert "(no description)" in describe_states(schema)
+        assert describe_states(schema) == "- S: The cart.\n    x: Text\n"
