@@ -31,7 +31,8 @@ from typing import Callable, Union
 
 from ._files import read_text
 from .schema import (
-    _BOOLEAN, _DATE, _ENUM, _NAME_SHAPE, _NUMBER, _TEXT, _TEXT_LIST, _TIME, ConstKind, StateSchema, VarType,
+    _BOOLEAN, _DATE, _ENUM, _NAME_SHAPE, _NUMBER, _TEXT, _TEXT_LIST, _TIME, _WORD_CONSTANTS, ConstKind,
+    StateSchema, VarType, _letter_first,
 )
 
 DONE = "Done"
@@ -342,12 +343,6 @@ def _unquote(literal: str) -> str:
     return _ESCAPE.sub(r"\1", text) if "\\" in text else text
 
 
-def _letter_first(name: str) -> bool:
-    # \w also takes numerics that are not letters (², ½): they may continue a
-    # name but not start one
-    return name[0].isalpha() or name[0] == "_"
-
-
 def _tokenize(line_text: str, lineno: int) -> list[tuple[str, str, int]]:
     """``(kind, text, column)`` tokens of one source line, ending in EOL; empty
     for a blank or comment line.  Columns count from the line's first
@@ -484,13 +479,9 @@ def _parse_literal(tokens: list[tuple[str, str, int]], i: int, lineno: int) -> t
 def _word_constant(text: str) -> Constant:
     """The constant a bare word spells: a Boolean, ``Today`` or an Enum variant."""
     lowered = text.lower()
-    if lowered == "true":
-        return Constant.boolean(True)
-    if lowered == "false":
-        return Constant.boolean(False)
-    if lowered == "today":
-        return Constant.today()
-    return Constant.enum(text)
+    if lowered not in _WORD_CONSTANTS:
+        return Constant.enum(text)
+    return Constant.today() if lowered == "today" else Constant.boolean(lowered == "true")
 
 
 # The reader.  Most lines are rules written plainly, and for them a token list

@@ -44,6 +44,7 @@ slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
@@ -314,20 +315,6 @@ def event_fingerprint(event: ActionEvent) -> tuple:
     return event.phase, event.critical, tuple(updates)
 
 
-def _memoized_lexical_similarity() -> Callable[[str, str], float]:
-    """:func:`~intentguard.dsl.lexical_similarity` with a memo of its own, for
-    one session: a score depends on nothing but the two texts."""
-    memo: dict[tuple[str, str], float] = {}
-
-    def similarity(a: str, b: str) -> float:
-        score = memo.get((a, b))
-        if score is None:
-            score = memo[a, b] = lexical_similarity(a, b)
-        return score
-
-    return similarity
-
-
 class _built_on_first_read:
     """A method whose result stands in for it: the first read of its name on
     an instance runs it and stores the result in the instance's ``__dict__``.
@@ -377,7 +364,7 @@ class Session:
         today = clock.date() if isinstance(clock, datetime) else clock
         self.ctx = EvalContext(
             today=today,
-            similarity=similarity if similarity is not None else _memoized_lexical_similarity(),
+            similarity=similarity if similarity is not None else functools.cache(lexical_similarity),
         )
         self.world: dict[tuple[str, str], Constant] = {}
         self.achieved_objectives: set[str] = set()

@@ -20,7 +20,6 @@ from .dsl import (
     PredicateStatus,
     Rule,
     Specification,
-    StatePredicate,
     _node,
     render_constant,
 )
@@ -91,24 +90,29 @@ def _state_description(schema: StateSchema, state_name: str) -> str:
     return _shown_description(state.description if state is not None else "").rstrip(".")
 
 
+def _numbered(items: Iterable[str]) -> str:
+    """``1. a; 2. b``: the item list of every feedback text."""
+    return "; ".join([f"{n}. {item}" for n, item in enumerate(items, start=1)])
+
+
+def _should_have(subject: str, constraints: Iterable[Constraint]) -> str:
+    """``<subject> should have <phrases>``: how every feedback text states a
+    predicate's constraints."""
+    return f"{subject} should have {_join_phrases([constraint_phrase(c) for c in constraints])}"
+
+
 def _predicate_step(predicate, schema: StateSchema) -> str:
     if isinstance(predicate, ObjectiveRef):
         return f"perform {predicate.objective_name}"
-    phrases = [constraint_phrase(c) for c in predicate.constraints]
-    return (
-        f"{predicate.state_name} that represents {_state_description(schema, predicate.state_name)} "
-        f"should have {_join_phrases(phrases)}"
-    )
+    name = predicate.state_name
+    return _should_have(f"{name} that represents {_state_description(schema, name)}", predicate.constraints)
 
 
 def roadmap_sentence(rule: Rule, schema: StateSchema) -> str:
     """The fixed part of a rule's roadmap paragraph: its goal and its
     numbered steps."""
-    steps = [
-        f"{k}. {_predicate_step(pred, schema)}"
-        for k, pred in enumerate(rule.predicates, start=1)
-    ]
-    return f"{_goal_clause(rule.conclusion)}, " + "; ".join(steps) + "."
+    steps = _numbered([_predicate_step(pred, schema) for pred in rule.predicates])
+    return f"{_goal_clause(rule.conclusion)}, {steps}."
 
 
 def achieved_suffix(statuses: Iterable["PredicateStatus"]) -> str:
@@ -138,17 +142,13 @@ def render_soft(violations: Sequence["Violation"]) -> str:
     """
     if not violations:
         raise ValueError("soft feedback needs at least one violation")
-    items = []
-    for n, violation in enumerate(violations, start=1):
-        phrases = [constraint_phrase(c) for c in violation.predicate.constraints]
-        items.append(
-            f"{n}. {violation.predicate.state_name} should have {_join_phrases(phrases)} "
-            f"(rule {violation.rule_index + 1})"
-        )
+    items = _numbered([
+        f"{_should_have(v.predicate.state_name, v.predicate.constraints)} (rule {v.rule_index + 1})"
+        for v in violations
+    ])
     return (
-        "This update may be incorrect and was not applied. The desired state is: "
-        + "; ".join(items)
-        + ". If this update is an intermediate step toward the desired state, submit the same action again."
+        f"This update may be incorrect and was not applied. The desired state is: {items}. "
+        "If this update is an intermediate step toward the desired state, submit the same action again."
     )
 
 
@@ -156,19 +156,14 @@ def render_hard(report: "HardCheckResult") -> str:
     """Prohibitive message for a blocked critical action: names the objective
     and enumerates every unmet predicate of the closest rule, with the exact
     constraints that are not satisfied."""
-    items = []
-    for n, unmet in enumerate(report.unmet, start=1):
-        if isinstance(unmet.predicate, ObjectiveRef):
-            items.append(f"{n}. perform {unmet.predicate.objective_name}")
-            continue
-        assert isinstance(unmet.predicate, StatePredicate)
-        phrases = [constraint_phrase(c) for c in unmet.failed_constraints]
-        items.append(
-            f"{n}. {unmet.predicate.state_name} should have {_join_phrases(phrases)}"
-        )
+    items = _numbered([
+        f"perform {unmet.predicate.objective_name}"
+        if isinstance(unmet.predicate, ObjectiveRef)
+        else _should_have(unmet.predicate.state_name, unmet.failed_constraints)
+        for unmet in report.unmet
+    ])
     return (
         f"This critical action is blocked and will not be executed. "
-        f"{_goal_clause(report.objective)}, the following conditions must first be satisfied: "
-        + "; ".join(items)
-        + ". Resubmitting the same action will not be allowed until they hold."
+        f"{_goal_clause(report.objective)}, the following conditions must first be satisfied: {items}. "
+        "Resubmitting the same action will not be allowed until they hold."
     )

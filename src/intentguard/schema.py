@@ -139,9 +139,27 @@ class SchemaError(ValueError):
 #: and is neither ``in`` nor ``not`` (an operator, or half of one).  A schema
 #: reads it with ``re.ASCII``, so a state or variable it declares is an ASCII
 #: letter or ``_`` followed by ASCII letters, digits and ``_``: a name any spec
-#: can write.
+#: can write.  An Enum variant may be a word of any script (:func:`_is_variant`).
 _NAME_SHAPE = r"(?!(?:in|not)(?!\w))[^\W\d]\w*(?!\w)"
 _is_name = re.compile(_NAME_SHAPE, re.ASCII).fullmatch
+_is_word = re.compile(_NAME_SHAPE).fullmatch
+
+#: The bare words, in any case, that a spec reads as a Boolean or as ``Today``
+#: rather than as an Enum variant.
+_WORD_CONSTANTS = frozenset(("true", "false", "today"))
+
+
+def _letter_first(name: str) -> bool:
+    # \w also takes numerics that are not letters (², ½): they may continue a
+    # name but not start one
+    return name[0].isalpha() or name[0] == "_"
+
+
+def _is_variant(text: str) -> bool:
+    """Whether a spec reads the bare word ``text`` back as the Enum variant
+    ``text``: a name of any script by ``_NAME_SHAPE`` that starts with a
+    letter or ``_`` and is not a word constant."""
+    return _is_word(text) is not None and _letter_first(text) and text.lower() not in _WORD_CONSTANTS
 
 
 def parse_var_type(text: str) -> VarType | None:
@@ -156,16 +174,37 @@ def parse_var_type(text: str) -> VarType | None:
     return None
 
 
+def _read_type(text: str) -> VarType | tuple[str, str]:
+    """The type ``text`` names, or the code and message that refuse it."""
+    var_type = parse_var_type(text)
+    if var_type is None:
+        return "UNKNOWN_TYPE", f"unknown type {text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]"
+    if var_type.kind is not _ENUM:
+        return var_type
+    variants = var_type.variants
+    if not variants:
+        return "EMPTY_ENUM", "an Enum type needs at least one variant"
+    if len(set(variants)) < len(variants):
+        twice = next(v for i, v in enumerate(variants) if v in variants[:i])
+        return "DUPLICATE_VARIANT", f"variant '{twice}' listed twice"
+    unwritable = ", ".join([repr(v) for v in variants if not _is_variant(v)])
+    if unwritable:
+        return ("BAD_VARIANT", f"not a word a spec can write: {unwritable}; a variant starts with a letter "
+                "or '_', holds only letters, digits and '_', and is not in, not, true, false or Today")
+    return var_type
+
+
 def _parse_variables(
-    raw: object, state: int, issues: list[SchemaIssue], types: dict[str, VarType | None]
+    raw: object, state: int, issues: list[SchemaIssue], types: dict[str, VarType | tuple[str, str]]
 ) -> dict[str, VarType]:
     """The variables of ``states[state]``, in one pass over ``raw``.
 
     ``types`` maps each type text already read in this load to its
-    :class:`VarType`, so repeats share one parsed object.  A list entry of the
-    wrong shape is reported as it is met; issues of names and types wait for
-    the end, after every shape issue, and an issue's path is built only when
-    it is reported.
+    :class:`VarType`, or to the code and message that refuse it, so repeats
+    share one parsed object and each distinct text is judged once.  A list
+    entry of the wrong shape is reported as it is met; issues of names and
+    types wait for the end, after every shape issue, and an issue's path is
+    built only when it is reported.
     """
     listed = isinstance(raw, list)
     if not listed and not isinstance(raw, dict):
@@ -192,18 +231,11 @@ def _parse_variables(
         else:
             var_type = types.get(type_text)
             if var_type is None:
-                var_type = types[type_text] = parse_var_type(type_text)
-            if var_type is None:
-                problem = ("UNKNOWN_TYPE",
-                           f"unknown type {type_text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]")
-            elif var_type.kind is _ENUM and not var_type.variants:
-                problem = "EMPTY_ENUM", "an Enum type needs at least one variant"
-            elif var_type.kind is _ENUM and len(set(var_type.variants)) < len(var_type.variants):
-                twice = next(v for i, v in enumerate(var_type.variants) if v in var_type.variants[:i])
-                problem = "DUPLICATE_VARIANT", f"variant '{twice}' listed twice"
-            else:
+                var_type = types[type_text] = _read_type(type_text)
+            if type(var_type) is VarType:
                 variables[name] = var_type
                 continue
+            problem = var_type
         late.append(SchemaIssue(f"states[{state}].variables.{name}", *problem))
     issues += late
     return variables
@@ -231,7 +263,7 @@ def schema_from_dict(data: object) -> StateSchema:
         raw_states = []
 
     seen_names: set[str] = set()
-    types: dict[str, VarType | None] = {}
+    types: dict[str, VarType | tuple[str, str]] = {}
     for i, raw in enumerate(raw_states):
         if not isinstance(raw, dict):
             issues.append(SchemaIssue(f"states[{i}]", "BAD_STATE", "expected an object"))
@@ -248,6 +280,9 @@ def schema_from_dict(data: object) -> StateSchema:
         if not isinstance(description, str):
             issues.append(SchemaIssue(f"states[{i}].description", "BAD_STATE", "description must be a string"))
             description = ""
+        elif "\n" in description or "\r" in description:
+            # the prompt lists one state per line
+            issues.append(SchemaIssue(f"states[{i}].description", "BAD_STATE", "description must be one line"))
         variables = _parse_variables(raw.get("variables", []), i, issues, types)
         if not variables:
             issues.append(SchemaIssue(f"states[{i}].variables", "NO_VARIABLES", f"state '{name}' declares no variables"))

@@ -325,6 +325,20 @@ class TestSchemaLint:
             "BAD_VARIABLE at states[1].variables.in: variable name 'in' is not an identifier\n"
         )
 
+    def test_a_multi_line_description_and_an_unwritable_variant_are_listed(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"app_id": "demo", "states": [
+            {"name": "S", "description": "The cart\n- Fake: a state that is not declared", "variables": [{"x": "Text"}]},
+            {"name": "T", "variables": [{"pay": "Enum[Card, Gift card]"}, {"y": "Text"}]},
+        ]}))
+        result = runner.invoke(main, ["schema", "lint", str(bad)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "BAD_STATE at states[0].description: description must be one line\n"
+            "BAD_VARIANT at states[1].variables.pay: not a word a spec can write: 'Gift card'; a variant starts "
+            "with a letter or '_', holds only letters, digits and '_', and is not in, not, true, false or Today\n"
+        )
+
     @pytest.mark.parametrize("value, message", PAST_PYTHON_LIMITS)
     def test_json_past_python_limits_is_bad_json(self, runner, tmp_path, value, message):
         bad = tmp_path / "bad.json"

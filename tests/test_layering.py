@@ -347,11 +347,14 @@ def spellings(word: str) -> list[tuple[str, int]]:
     return found
 
 
-@pytest.mark.parametrize("word, module", [("(no description)", "schema.py"), ("strerror", "_files.py")])
+@pytest.mark.parametrize("word, module", [
+    ("(no description)", "schema.py"), ("strerror", "_files.py"), (" should have ", "feedback.py"),
+])
 def test_a_shared_rule_is_written_once(word, module):
-    # the prompt and the roadmap call an empty description the same, and every
-    # message about a failed file gives the same reason, because one function
-    # decides each
+    # the prompt and the roadmap call an empty description the same, every
+    # message about a failed file gives the same reason, and the roadmap, the
+    # warning and the refusal state a predicate's constraints the same,
+    # because one function decides each
     found = spellings(word)
     assert [name for name, _ in found] == [module], found
 
@@ -360,4 +363,5 @@ def test_schema_and_spec_share_one_name_shape():
     from intentguard import dsl, schema
 
     assert dsl._NAME_SHAPE is schema._NAME_SHAPE
+    assert dsl._letter_first is schema._letter_first
     assert not hasattr(schema, "_IDENT_RE")

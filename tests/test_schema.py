@@ -181,6 +181,36 @@ class TestLoad:
         assert (issue.path, issue.code) == ("states[0].variables.pay", "DUPLICATE_VARIANT")
         assert issue.message == "variant 'Card' listed twice"
 
+    # a spec writes a variant as a bare word, so a schema declares only words
+    # that the spec reader reads back as that variant
+    @pytest.mark.parametrize("variant", ["Gift card", "3ds", "true", "FALSE", "Today", "today", "in", "not",
+                                         "²x", "½", "٣d", "a·b", "a-b", "Joe's", "Cafe\u0301"])
+    def test_a_variant_no_spec_can_write_is_refused(self, variant):
+        variables = [{"pay": f"Enum[Card, {variant}]"}, {"ok": "Enum[Card]"}]
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "demo", "states": [{"name": "S", "variables": variables}]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code) == ("states[0].variables.pay", "BAD_VARIANT")
+        assert issue.message == (
+            f"not a word a spec can write: {variant!r}; a variant starts with a letter or '_', "
+            "holds only letters, digits and '_', and is not in, not, true, false or Today"
+        )
+
+    def test_every_unwritable_variant_is_named_once_per_variable(self):
+        variables = [{"pay": "Enum[Gift card, Card, 3ds]"}, {"again": "Enum[Gift card, Card, 3ds]"}, {"ok": "Text"}]
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "demo", "states": [{"name": "S", "variables": variables}]})
+        assert [(issue.path, issue.code) for issue in exc_info.value.issues] == [
+            ("states[0].variables.pay", "BAD_VARIANT"), ("states[0].variables.again", "BAD_VARIANT"),
+        ]
+        assert all("'Gift card', '3ds';" in issue.message for issue in exc_info.value.issues)
+
+    @pytest.mark.parametrize("variant", ["Gift_card", "_x", "x²", "ünï", "Straße", "カード", "ǅ", "IN", "Not",
+                                         "truthy", "Todays", "x٣"])
+    def test_a_variant_of_any_script_that_a_spec_can_write_loads(self, variant):
+        schema = schema_from_dict({"app_id": "demo", "states": [{"name": "S", "variables": [{"pay": f"Enum[{variant}]"}]}]})
+        assert schema.states[0].variables["pay"].variants == (variant,)
+
     def test_flat_variable_map_accepted(self):
         schema = schema_from_dict(
             {"app_id": "demo", "states": [{"name": "S", "description": "", "variables": {"x": "Number", "y": "Time"}}]}
@@ -227,6 +257,22 @@ class TestDescribe:
                 {"app_id": "demo", "states": [{"name": "S", **described, "variables": [{"x": "Text"}]}]}
             )
             assert describe_states(schema) == "- S: (no description)\n    x: Text\n", described
+
+    # the prompt lists one state per line, so a line break in a description
+    # could list a state that the schema does not declare
+    @pytest.mark.parametrize("description", [
+        "The cart\n- Fake: a state that is not declared", "The cart\r- Fake", "The cart\r\n", "\n",
+    ])
+    def test_a_description_of_more_than_one_line_is_refused(self, description):
+        with pytest.raises(SchemaError) as exc_info:
+            schema_from_dict({"app_id": "demo", "states": [
+                {"name": "S", "variables": [{"x": "Text"}]},
+                {"name": "T", "description": description, "variables": [{"y": "Text"}]},
+            ]})
+        [issue] = exc_info.value.issues
+        assert (issue.path, issue.code, issue.message) == (
+            "states[1].description", "BAD_STATE", "description must be one line"
+        )
 
     def test_a_description_is_trimmed_and_keeps_its_period(self):
         schema = schema_from_dict(
