@@ -794,7 +794,9 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
     """Return a human-readable incompatibility message, or None if compatible.
 
     At most one message per constraint: the operator/variable pairing is
-    checked first, then the constant's kind against the variable's type.
+    checked first, then the constant's kind against the variable's type, then
+    its value: a Number constant must be finite, as an event's numbers must,
+    and an Enum constant a declared variant.
     """
     op, constant, kind = constraint.operator, constraint.constant, var_type.kind
     if kind not in op.kinds:
@@ -821,6 +823,8 @@ def constraint_type_error(var_type: VarType, constraint: Constraint) -> str | No
             f"variable '{constraint.variable}' has type {var_type.describe()} but the "
             f"constant {render_constant(constant)} is a {constant.kind.value}"
         )
+    if kind is _NUMBER and not constant.value.is_finite():
+        return f"the constant {constant.value} on variable '{constraint.variable}' is not a finite number"
     if kind is _ENUM and constant.value not in var_type.variants:
         return (
             f"'{constant.value}' is not a variant of "

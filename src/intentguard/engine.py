@@ -20,23 +20,24 @@ rule and one per predicate.  Each constraint becomes a step of its
 predicate's record: the ``(state, variable)`` slot it reads and a test with
 its constant already normalized (:func:`~intentguard.dsl.compile_constraint`).
 A predicate's record also keeps its status and each step's last truth, in
-the manner of Rete's alpha memories; a rule's record keeps its count of
-unmet predicates, as TREAT keeps match counts, and its fixed roadmap
-sentence.  A slot's plan lists the records of the predicates that read it.
-The compiled spec also holds the number of ``Done`` rules with none unmet
-and every rule's roadmap line.  A predicate's record names its rule by
-index, not by record, so the records form no reference cycle.
+the manner of Rete's alpha memories; a rule's record, fixed once compiled,
+keeps its roadmap sentence, and a rule holds exactly when every one of its
+predicates' statuses is satisfied.  A slot's plan lists the records of the
+predicates that read it.  The compiled spec also holds every
+rule's roadmap line.  A predicate's record names its rule by index, not by
+record, so the records form no reference cycle.
 
 An event then costs what it writes: it walks the plans of the slots it
 writes and re-tests only the steps on those slots, reading every other
 step's stored truth, since that slot has not changed since it was last
 committed; the soft check reads that evaluation.  Only an allowed event
-commits its values and the new truths and statuses, which move the unmet
-counts of the touched rules and re-render their roadmap lines when one of
-their predicates becomes or stops being satisfied, so an event that raises
-changes nothing.  The ``Done`` check reads one number and the hard check the
-counts of the candidate rules and the closest rule's stored truths, so
-neither walks every rule or calls a test.  A similarity function must
+commits its values and the new truths and statuses, and re-renders the
+roadmap lines of the rules one of whose predicates becomes or stops being
+satisfied, so an event that raises changes nothing.  A ``Done`` rule can
+only come to hold on such a change, so the ``Done`` check reads the statuses
+of those rules alone, and the hard check those of the objective's own rules
+and the closest rule's stored truths: neither walks every rule or calls a
+test.  A similarity function must
 therefore be pure: the built-in one scores each distinct pair of texts once
 per session, and an injected one is called once per ``~=`` on a written
 slot.
@@ -207,30 +208,29 @@ class _Predicate:
 
 
 class _Rule:
-    """One compiled rule: its index, whether it concludes ``Done``, its fixed
-    roadmap sentence, its predicates' records in order and its number of
-    predicates not satisfied."""
+    """One compiled rule, fixed at compile time: its index, whether it
+    concludes ``Done``, its roadmap sentence and its predicates' records in
+    order.  It holds when every one of those records' statuses is
+    satisfied."""
 
-    __slots__ = ("index", "done", "sentence", "predicates", "unmet")
+    __slots__ = ("index", "done", "sentence", "predicates")
 
     def __init__(self, index: int, done: bool, sentence: str, predicates: list[_Predicate]) -> None:
         self.index, self.done, self.sentence, self.predicates = index, done, sentence, predicates
-        self.unmet = len(predicates)
 
 
 @dataclass
 class _CompiledSpec:
-    """A session's compiled spec, in the manner of Rete's alpha memories and
-    TREAT's per-rule match counts: one record per rule and per predicate,
-    with the predicates indexed by what they read.
+    """A session's compiled spec, in the manner of Rete's alpha memories: one
+    record per rule and per predicate, with the predicates indexed by what
+    they read.
 
     ``rules`` holds the :class:`_Rule` records in rule order.  ``plans`` maps
     a slot to the :class:`_Predicate` records that read it, ``by_state`` a
     state to those over it, for :meth:`Session.soft_check`, and
     ``by_objective`` an objective to those that reference it, each in rule
     order; ``by_conclusion`` maps an objective to the records of the rules
-    concluding it.  ``done_met`` is the number of rules concluding ``Done``
-    with no predicate unmet.  ``lines`` holds each rule's roadmap line, its
+    concluding it.  ``lines`` holds each rule's roadmap line, its
     sentence and its current "achieved" suffix, and ``bundle`` is the
     feedback of an allowed event: ``lines`` as a tuple, with no warning.
     """
@@ -240,7 +240,6 @@ class _CompiledSpec:
     by_state: dict[str, list[_Predicate]] = field(default_factory=dict)
     by_objective: dict[str, list[_Predicate]] = field(default_factory=dict)
     by_conclusion: dict[str, list[_Rule]] = field(default_factory=dict)
-    done_met: int = 0
     lines: list[str] = field(default_factory=list)
     bundle: feedback_mod.FeedbackBundle = feedback_mod.FeedbackBundle(())
 
@@ -376,8 +375,8 @@ class Session:
         """The spec's compiled form, built on first use so that constructing a
         session costs at most the static check.  It evaluates nothing: no
         event has been committed yet, so every step is false, every predicate
-        is indeterminate, every rule has all its predicates unmet and every
-        roadmap line is its rule's bare sentence."""
+        is indeterminate, so no rule holds, and every roadmap line is its
+        rule's bare sentence."""
         compiled = _CompiledSpec()
         plans, state_of = compiled.plans, self.schema.state
         for r, rule in enumerate(self.spec.rules):
@@ -437,13 +436,14 @@ class Session:
                     failures[pred] = tuple(failed)
         return written, evaluated, failures
 
-    def _commit(self, written: dict, evaluated: dict) -> None:
+    def _commit(self, written: dict, evaluated: dict) -> bool:
         """Write ``written`` into the world and give each ``evaluated``
-        predicate its new status and step truths, keeping each rule's unmet
-        count and the number of met ``Done`` rules.  A rule's roadmap line,
+        predicate its new status and step truths.  A rule's roadmap line,
         and with it the roadmap and the shared feedback bundle, is
         re-rendered only when one of its predicates becomes or stops being
-        satisfied, the one change its "achieved" suffix shows."""
+        satisfied, the one change its "achieved" suffix shows.  Returns
+        whether one of those rules concludes ``Done`` and now holds: a rule
+        can only come to hold on such a change."""
         self.world.update(written)
         compiled = self._compiled
         rules = compiled.rules
@@ -451,30 +451,24 @@ class Session:
         for pred, (status, truths) in evaluated.items():
             pred.truths = truths
             old = pred.status
-            if status is old:
-                continue
-            pred.status = status
-            rule = rules[pred.rule]
-            if status is _SATISFIED:
-                rule.unmet -= 1
-                if not rule.unmet and rule.done:
-                    compiled.done_met += 1
-            elif old is _SATISFIED:
-                if not rule.unmet and rule.done:
-                    compiled.done_met -= 1
-                rule.unmet += 1
-            else:  # indeterminate <-> unsatisfied: no count or line moves
-                continue
-            changed.add(rule)
+            if status is not old:
+                pred.status = status
+                if status is _SATISFIED or old is _SATISFIED:  # indeterminate <-> unsatisfied moves no line
+                    changed.add(rules[pred.rule])
+        done = False
         if changed:
             lines = compiled.lines
             for rule in changed:
-                lines[rule.index] = rule.sentence + feedback_mod.achieved_suffix([p.status for p in rule.predicates])
+                statuses = [p.status for p in rule.predicates]
+                lines[rule.index] = rule.sentence + feedback_mod.achieved_suffix(statuses)
+                done = done or rule.done and statuses.count(_SATISFIED) == len(statuses)
             compiled.bundle = feedback_mod.FeedbackBundle(tuple(lines))
+        return done
 
-    def _achieve(self, objective: str) -> None:
+    def _achieve(self, objective: str) -> bool:
+        """Mark ``objective`` achieved; returns :meth:`_commit`'s answer."""
         self.achieved_objectives.add(objective)
-        self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), (_SATISFIED, ())))
+        return self._commit({}, dict.fromkeys(self._compiled.by_objective.get(objective, ()), (_SATISFIED, ())))
 
     # -- checks ------------------------------------------------------------
 
@@ -518,30 +512,28 @@ class Session:
         """Rule-level check: is some rule concluding ``objective`` fully
         satisfied right now?
 
-        The rules' unmet counts decide, and the first satisfied rule settles
-        it.  When none is, the report covers only the closest rule (most
-        satisfied predicates, ties to the earliest) and lists each unmet
-        predicate with its false constraints, read from that rule's stored
-        truths; the check calls no test.
+        Only the statuses of the rules concluding ``objective`` are read, and
+        the first rule whose predicates are all satisfied settles it.  When
+        none is, the report covers only the closest rule (most satisfied
+        predicates, ties to the earliest) and lists each unmet predicate with
+        its false constraints, read from that rule's stored truths; the check
+        calls no test.
         """
         candidates = self._compiled.by_conclusion.get(objective)
         if not candidates:
             raise UnknownObjective(objective)
-        for rule in candidates:
-            if self._holds(rule.index):
+        met = [sum(pred.status is _SATISFIED for pred in rule.predicates) for rule in candidates]
+        for rule, count in zip(candidates, met):
+            if count == len(rule.predicates):
                 return HardCheckResult(objective, satisfied=True, rule_index=rule.index)
 
-        closest = max(candidates, key=lambda rule: (len(rule.predicates) - rule.unmet, -rule.index))
+        closest = candidates[met.index(max(met))]
         unmet: list[Violation] = []
         for pred in closest.predicates:
             if pred.status is not _SATISFIED:
                 failed = tuple(c for (slot, test, c), truth in zip(pred.steps, pred.truths) if not truth)
                 unmet.append(Violation(closest.index, pred.node, failed))
         return HardCheckResult(objective, satisfied=False, rule_index=closest.index, unmet=tuple(unmet))
-
-    def _holds(self, rule_index: int) -> bool:
-        """Every predicate of the rule is satisfied."""
-        return not self._compiled.rules[rule_index].unmet
 
     def progress_report(self) -> list[RuleProgress]:
         """Snapshot of every rule's predicate statuses.
@@ -585,16 +577,16 @@ class Session:
                 return self._blocked(event, _SOFT_BLOCK, soft=feedback_mod.render_soft(result.violations))
 
         self.pending_soft = None
-        self._commit(written, evaluated)
+        done = self._commit(written, evaluated)
         newly: tuple[str, ...] = ()
         if event.critical is not None and event.critical not in self.achieved_objectives:
             newly = (event.critical,)
-            self._achieve(event.critical)
-        compiled = self._compiled
-        if compiled.done_met:
+            done = self._achieve(event.critical) or done
+        bundle = self._compiled.bundle
+        if done:
             self.done = True
-            return Verdict(event.action_id, _TASK_DONE, compiled.bundle, newly + (DONE,))
-        return Verdict(event.action_id, _ALLOW, compiled.bundle, newly)
+            return Verdict(event.action_id, _TASK_DONE, bundle, newly + (DONE,))
+        return Verdict(event.action_id, _ALLOW, bundle, newly)
 
     def _blocked(self, event: ActionEvent, kind: VerdictKind, soft: str | None = None,
                  hard: str | None = None) -> Verdict:

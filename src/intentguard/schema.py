@@ -23,6 +23,7 @@ a type name: ``Text`` (alias ``String``), ``Number``, ``Boolean`` (alias
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -174,8 +175,13 @@ def parse_var_type(text: str) -> VarType | None:
     return None
 
 
+@functools.lru_cache(maxsize=256)
 def _read_type(text: str) -> VarType | tuple[str, str]:
-    """The type ``text`` names, or the code and message that refuse it."""
+    """The type ``text`` names, or the code and message that refuse it.
+
+    Both answers are immutable, so the recently read type texts share them
+    across loads, and a text repeated in one load or in the next schema of
+    an app is judged once."""
     var_type = parse_var_type(text)
     if var_type is None:
         return "UNKNOWN_TYPE", f"unknown type {text!r}; expected Text, Number, Boolean, Date, Time, or Enum[...]"
@@ -194,17 +200,12 @@ def _read_type(text: str) -> VarType | tuple[str, str]:
     return var_type
 
 
-def _parse_variables(
-    raw: object, state: int, issues: list[SchemaIssue], types: dict[str, VarType | tuple[str, str]]
-) -> dict[str, VarType]:
+def _parse_variables(raw: object, state: int, issues: list[SchemaIssue]) -> dict[str, VarType]:
     """The variables of ``states[state]``, in one pass over ``raw``.
 
-    ``types`` maps each type text already read in this load to its
-    :class:`VarType`, or to the code and message that refuse it, so repeats
-    share one parsed object and each distinct text is judged once.  A list
-    entry of the wrong shape is reported as it is met; issues of names and
-    types wait for the end, after every shape issue, and an issue's path is
-    built only when it is reported.
+    A list entry of the wrong shape is reported as it is met; issues of
+    names and types wait for the end, after every shape issue, and an
+    issue's path is built only when it is reported.
     """
     listed = isinstance(raw, list)
     if not listed and not isinstance(raw, dict):
@@ -229,9 +230,7 @@ def _parse_variables(
         elif not isinstance(type_text, str):
             problem = "UNKNOWN_TYPE", f"type must be a string, got {type_text!r}"
         else:
-            var_type = types.get(type_text)
-            if var_type is None:
-                var_type = types[type_text] = _read_type(type_text)
+            var_type = _read_type(type_text)
             if type(var_type) is VarType:
                 variables[name] = var_type
                 continue
@@ -263,7 +262,6 @@ def schema_from_dict(data: object) -> StateSchema:
         raw_states = []
 
     seen_names: set[str] = set()
-    types: dict[str, VarType | tuple[str, str]] = {}
     for i, raw in enumerate(raw_states):
         if not isinstance(raw, dict):
             issues.append(SchemaIssue(f"states[{i}]", "BAD_STATE", "expected an object"))
@@ -283,7 +281,7 @@ def schema_from_dict(data: object) -> StateSchema:
         elif "\n" in description or "\r" in description:
             # the prompt lists one state per line
             issues.append(SchemaIssue(f"states[{i}].description", "BAD_STATE", "description must be one line"))
-        variables = _parse_variables(raw.get("variables", []), i, issues, types)
+        variables = _parse_variables(raw.get("variables", []), i, issues)
         if not variables:
             issues.append(SchemaIssue(f"states[{i}].variables", "NO_VARIABLES", f"state '{name}' declares no variables"))
             continue

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from intentguard.dsl import DiagnosticCode, _find_objective_cycle, check_specification, parse_specification
+from intentguard.dsl import (
+    DONE, Constant, Constraint, DiagnosticCode, Operator, Rule, Specification, StatePredicate,
+    _find_objective_cycle, check_specification, parse_specification,
+)
+from intentguard.engine import InvalidSpecification, Session
 from intentguard.schema import ConstKind, StateDef, StateSchema, VarType, schema_from_dict
+
+from conftest import CLOCK
 
 ENUM_SCHEMA = schema_from_dict(
     {
@@ -163,6 +169,19 @@ class TestCheck:
     def test_approx_on_number_variable(self):
         spec = parse_specification('Payment(amount ~= "3") -> Done')
         assert codes(check_specification(spec, ENUM_SCHEMA)) == [DiagnosticCode.TYPE_MISMATCH]
+
+    @pytest.mark.parametrize("operator", [Operator.EQ, Operator.LT])
+    @pytest.mark.parametrize("number", ["NaN", "sNaN", "Infinity", "-Infinity"])
+    def test_a_number_constant_that_is_not_finite(self, number, operator):
+        # no spec line can write one, and a session would raise comparing a
+        # NaN or print Infinity as an Enum word
+        constraint = Constraint("amount", operator, Constant.number(number))
+        spec = Specification((Rule((StatePredicate("Payment", (constraint,)),), DONE),))
+        [diagnostic] = check_specification(spec, ENUM_SCHEMA)
+        assert diagnostic.code is DiagnosticCode.TYPE_MISMATCH
+        assert diagnostic.message == f"the constant {number} on variable 'amount' is not a finite number"
+        with pytest.raises(InvalidSpecification):
+            Session(spec, ENUM_SCHEMA, CLOCK)
 
     def test_check_is_deterministic_and_pure(self, restaurant_schema):
         spec = parse_specification('Nowhere(x = 1) & RestaurantInfo(name ≥ 100) -> Reserve')
